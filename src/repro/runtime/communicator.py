@@ -41,8 +41,14 @@ class Comm:
         # COMM_WORLD (and any identity-group comm) maps comm rank ==
         # world rank, so skip the reverse dict: per-task world maps
         # were O(n) each, O(n^2) across the job -- gigabytes at 4k+
-        # tasks before the coop backend made such runs reachable.
-        self._identity = all(w == c for c, w in enumerate(group))
+        # tasks before the coop backend made such runs reachable.  The
+        # test itself must not be O(n) Python steps per task either:
+        # the shared world tuple is recognised by identity, any other
+        # group by one C-speed tuple compare.
+        self._identity = (
+            group is runtime._world_group
+            or group == tuple(range(len(group)))
+        )
         self._world_to_comm: Optional[Dict[int, int]] = (
             None if self._identity else {w: c for c, w in enumerate(group)}
         )

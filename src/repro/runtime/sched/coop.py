@@ -3,14 +3,24 @@
 CPython has no portable first-class coroutine stack switch usable under
 arbitrary blocking call graphs (greenlet is an extension, generators
 cannot yield through a deep call stack), so each task keeps an OS
-thread -- but only as a *stack container*.  Exactly one carrier runs at
-any moment: the scheduler (which runs on the ``Runtime.run`` caller's
-thread) hands the runner token to a task by setting its private
-``resume`` event, then blocks on the shared ``handoff`` event until the
-task yields it back by parking, preempting at a checkpoint, or
-finishing.  Carriers use a small stack (``STACK_BYTES``), so thousands
-of tasks are cheap: the per-task cost is one parked pthread, not a
-runnable one fighting for the GIL.
+thread -- but only as a *stack container*.  The invariant: **exactly
+one thread holds the runner token, and the holder schedules.**  A
+carrier that gives the token up (it parked, preempted at a checkpoint,
+or its task finished) takes the scheduling decision itself, under the
+queue lock -- policy pick, trace append, counters, and the virtual-clock
+jump when nothing is runnable -- and then releases its successor's
+private ``resume`` lock directly: one OS switch per context switch, and
+none at all when a task picks itself.  Every other carrier sleeps on
+its own pre-acquired lock.  Carriers use a small stack
+(``STACK_BYTES``), so thousands of tasks are cheap: the per-task cost
+is one parked pthread, not a runnable one fighting for the GIL.
+
+The launcher (the ``Runtime.run`` caller's thread) is just one more
+token holder with nothing to run: it hands the token to the first
+task, and gets it back only when no carrier could pick a successor --
+every task finished, or every task is parked with no timer, where it
+waits (bounded, real time) for a wake from outside the cooperative
+world and otherwise turns the stall into ``DeadlockError``.
 
 Determinism comes from two properties:
 
@@ -25,10 +35,10 @@ Determinism comes from two properties:
 
 Abort and error handling reuse the PR 3 subscriber shape: primitives
 subscribe their waker to the :class:`~repro.runtime.abort.AbortSignal`,
-so one ``set()`` makes every parked task runnable; the scheduler then
-simply keeps scheduling (fifo, unrecorded) until everyone has
+so one ``set()`` makes every parked task runnable; the token holders
+then simply keep scheduling (fifo, unrecorded) until everyone has
 terminated.  A scheduler-level error (replay divergence) triggers the
-same drain before propagating.
+same drain, from whichever holder hit it, before ``launch`` raises it.
 """
 
 from __future__ import annotations
@@ -47,10 +57,10 @@ from repro.runtime.sched.waker import CoopWaker
 #: frames, and small stacks are what make 4k+ carriers affordable
 STACK_BYTES = 512 * 1024
 
-#: real seconds the idle scheduler waits for an external wake before
+#: real seconds the launcher waits for an external wake before
 #: declaring a stall.  Virtually unreachable in normal operation: every
-#: blocking primitive parks with a (virtual) timeout tick, so an idle
-#: scheduler almost always has a timer to jump to.
+#: blocking primitive parks with a (virtual) timeout tick, so a holder
+#: with an empty run queue almost always has a timer to jump to.
 STALL_LIMIT_S = 1.0
 
 # task states
@@ -58,7 +68,9 @@ NEW, RUNNABLE, RUNNING, PARKED, DONE = range(5)
 
 
 class CoopTask:
-    """Per-task scheduler bookkeeping (one carrier thread each)."""
+    """Per-task scheduler bookkeeping (one carrier thread each; the
+    launcher has one too, rank -1, so it can hold and yield the token
+    like any task)."""
 
     __slots__ = (
         "rank", "thread", "resume", "state", "woke_by_notify",
@@ -68,8 +80,11 @@ class CoopTask:
     def __init__(self, rank: int) -> None:
         self.rank = rank
         self.thread: Optional[threading.Thread] = None
-        #: runner-token handoff: the scheduler sets it to run the task
-        self.resume = threading.Event()
+        #: runner-token handoff: held (pre-acquired) while the task is
+        #: off the CPU; whoever picks the task releases it, and the
+        #: task's own ``acquire`` re-arms it
+        self.resume = threading.Lock()
+        self.resume.acquire()
         self.state = NEW
         #: did the last park end by notify (True) or timeout (False)?
         self.woke_by_notify = False
@@ -102,11 +117,14 @@ class CoopScheduler:
         self._runq: deque = deque()
         self._timers: list = []      # heap of (deadline, park_seq, task)
         self._qlock = threading.Lock()
-        #: runner -> scheduler yield (park / checkpoint / task done)
-        self._handoff = threading.Event()
-        #: external wake signal for the idle scheduler (posts/aborts
+        #: the ``Runtime.run`` caller as a token holder: ``_pick`` returns
+        #: it only when no task can run
+        self._launcher = CoopTask(-1)
+        #: external wake signal for the stalled launcher (posts/aborts
         #: arriving from non-coop threads)
         self._extern = threading.Event()
+        #: scheduler-level error of the current launch (replay divergence)
+        self._error: Optional[MPIError] = None
         self._tls = threading.local()
         self._alive = 0
         self._park_counter = 0
@@ -145,7 +163,7 @@ class CoopScheduler:
         self._runq = deque()
         self._timers = []
         self._extern.clear()
-        self._handoff.clear()
+        self._error = None
         self._alive = self.n_tasks
         self._park_counter = 0
         self._recording = True
@@ -155,16 +173,26 @@ class CoopScheduler:
             self._runq.append(t)
         self.max_runq_depth = max(self.max_runq_depth, len(self._runq))
         self._spawn_carriers(worker)
-        error: Optional[MPIError] = None
         try:
-            error = self._loop()
+            while True:
+                # hand the token to a task; it comes back only when no
+                # holder could pick a successor
+                self._switch(self._launcher)
+                if self._alive == 0:
+                    break
+                # every task parked, no timer at all: only a thread
+                # outside the cooperative world can make progress
+                if self._extern.wait(timeout=STALL_LIMIT_S):
+                    self._extern.clear()
+                else:
+                    self._stall()
         finally:
             self._recording = False
             for t in self.tasks:
                 if t.thread is not None:
                     t.thread.join()
-        if error is not None:
-            raise error
+        if self._error is not None:
+            raise self._error
 
     def _spawn_carriers(self, worker: Callable[[int], None]) -> None:
         try:
@@ -187,9 +215,8 @@ class CoopScheduler:
 
     def _carrier(self, task: CoopTask, worker: Callable[[int], None]) -> None:
         """Carrier thread body: wait for the runner token, run the
-        task to completion, yield the token one last time."""
-        task.resume.wait()
-        task.resume.clear()
+        task to completion, pass the token on one last time."""
+        task.resume.acquire()
         self._tls.task = task
         try:
             worker(task.rank)
@@ -197,85 +224,58 @@ class CoopScheduler:
             with self._qlock:
                 task.state = DONE
                 self._alive -= 1
-            self._handoff.set()
+            self._switch(task)
 
-    # ------------------------------------------------------------- main loop
-    def _loop(self) -> Optional[MPIError]:
-        # The hot path: one policy decision + one handoff per context
-        # switch.  Policies pick by *index* into the run queue
-        # (``pick_index``), so a dispatch never materialises the
-        # runnable-rank tuple -- with thousands of runnable tasks that
-        # per-switch O(n) build made large coop jobs superquadratic.
-        error: Optional[MPIError] = None
+    # ------------------------------------------------------- token handoff
+    def _switch(self, me: CoopTask) -> None:
+        """Give up the runner token.  ``me`` -- its holder: a carrier
+        that just parked, requeued itself or finished, or the launcher
+        -- picks the successor and releases that task's ``resume`` lock
+        directly, then sleeps on its own until somebody picks it.
+        Picking oneself costs no OS switch at all."""
+        nxt = self._pick()
+        if nxt is not me:
+            nxt.resume.release()
+            if me.state != DONE:
+                me.resume.acquire()
+
+    def _pick(self) -> CoopTask:
+        """The hot path: one policy decision per context switch, taken
+        by the token holder.  Policies pick by *index* into the run
+        queue (``pick_index``), so a decision never materialises the
+        runnable-rank tuple -- with thousands of runnable tasks that
+        per-switch O(n) build made large coop jobs superquadratic.
+        Returns the launcher when nothing can run: every task is done,
+        or all are parked with no timer."""
         while True:
-            task: Optional[CoopTask] = None
-            pick_error: Optional[MPIError] = None
-            idx = 0
-            with self._qlock:
-                if self._alive == 0:
-                    return error
-                runq = self._runq
-                if runq:
+            try:
+                with self._qlock:
+                    runq = self._runq
+                    if not runq:
+                        # advance the virtual clock to the earliest
+                        # parked deadline
+                        deadline = self._next_deadline_locked()
+                        if deadline is None:
+                            return self._launcher
+                        self.vtime = max(self.vtime, deadline)
+                        self._fire_timers_locked()
+                    idx = 0
                     if self._recording:
-                        try:
-                            idx = self.policy.pick_index(runq)
-                            task = runq[idx]
-                            self.trace.events.append(task.rank)
-                            self.decisions += 1
-                        except MPIError as exc:
-                            # scheduler-level failure (replay
-                            # divergence): stop recording, abort the
-                            # job, drain fifo
-                            pick_error = exc
-                            self._recording = False
-                    else:
-                        task = runq[0]
-            if pick_error is not None:
-                error = pick_error
-                if self.on_drain is not None:
-                    self.on_drain()
-                continue
-            if task is None:
-                self._idle()
-                continue
-            self._dispatch(task, idx)
-
-    def _dispatch(self, task: CoopTask, idx: int = 0) -> None:
-        with self._qlock:
-            runq = self._runq
-            # other threads only *append* between the pick and here, so
-            # the picked index still names the same task; the fallback
-            # scan covers any future caller without an index
-            if idx < len(runq) and runq[idx] is task:
-                del runq[idx]
-            else:
-                runq.remove(task)
-            task.state = RUNNING
-            self.context_switches += 1
-        self._handoff.clear()
-        task.resume.set()
-        self._handoff.wait()
-
-    def _idle(self) -> None:
-        """Empty run queue: advance the virtual clock to the earliest
-        parked deadline, or wait (bounded, real time) for an external
-        wake when no timer exists."""
-        if self._extern.is_set():
-            self._extern.clear()
-            return      # external notify already refilled the queue
-        with self._qlock:
-            if self._runq:
-                return
-            next_dl = self._next_deadline_locked()
-            if next_dl is not None:
-                self.vtime = max(self.vtime, next_dl)
-                self._fire_timers_locked()
-                return
-        # no timers at all: only an external thread can make progress
-        if self._extern.wait(timeout=STALL_LIMIT_S):
-            self._extern.clear()
-            return
-        self._stall()
+                        idx = self.policy.pick_index(runq)
+                        self.trace.events.append(runq[idx].rank)
+                        self.decisions += 1
+                    task = runq[idx]
+                    del runq[idx]
+                    task.state = RUNNING
+                    self.context_switches += 1
+                    return task
+            except MPIError as exc:
+                # scheduler-level failure (replay divergence): stop
+                # recording, abort the job, drain fifo
+                self._error = exc
+                self._recording = False
+            if self.on_drain is not None:
+                self.on_drain()
 
     def _next_deadline_locked(self) -> Optional[float]:
         while self._timers:
@@ -330,11 +330,10 @@ class CoopScheduler:
                 waker.parked.append(task)
 
     def finish_park(self, task: CoopTask) -> bool:
-        """Stage 2: yield the runner token, block the carrier until the
-        scheduler dispatches this task again."""
-        self._handoff.set()
-        task.resume.wait()
-        task.resume.clear()
+        """Stage 2 (and the whole of a checkpoint's yield): pass the
+        runner token on, block the carrier until some holder picks this
+        task again."""
+        self._switch(task)
         if task.inject is not None:
             exc = task.inject
             task.inject = None
@@ -354,7 +353,7 @@ class CoopScheduler:
                 self._make_runnable_locked(task, by_notify=True)
                 woken += 1
         if woken and self.current() is None:
-            # wake from outside the cooperative world: kick the idle loop
+            # wake from outside the cooperative world: kick the launcher
             self._extern.set()
 
     def _make_runnable_locked(self, task: CoopTask, *, by_notify: bool) -> None:
@@ -382,13 +381,7 @@ class CoopScheduler:
             self.preemptions += 1
             if len(self._runq) > self.max_runq_depth:
                 self.max_runq_depth = len(self._runq)
-        self._handoff.set()
-        task.resume.wait()
-        task.resume.clear()
-        if task.inject is not None:
-            exc = task.inject
-            task.inject = None
-            raise exc
+        self.finish_park(task)
 
     def sleep(self, seconds: float) -> None:
         """Virtual-clock sleep: park with a timer and no waker.  Fault

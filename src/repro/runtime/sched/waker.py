@@ -4,11 +4,11 @@ Every blocking primitive in this runtime parks on a
 ``threading.Condition`` -- mailboxes, collective tree nodes, HLS scope
 states, RMA windows.  :class:`CoopWaker` keeps that exact protocol
 (``with waker: ... waker.wait(t) ... waker.notify_all()``) but turns
-``wait`` into a scheduler park: the task's carrier thread hands the
-single-runner token back to the scheduler and blocks on its private
-resume event, so a parked task costs no OS-level spinning and the
-scheduler decides -- via the active :class:`SchedulePolicy
-<repro.runtime.sched.policy.SchedulePolicy>` -- who runs next.
+``wait`` into a scheduler park: the task's carrier thread picks its
+successor -- via the active :class:`SchedulePolicy
+<repro.runtime.sched.policy.SchedulePolicy>` -- hands it the
+single-runner token and blocks on its private resume lock, so a parked
+task costs no OS-level spinning.
 
 The internal lock is a real ``threading.RLock``: posts and wakes may
 come from *outside* the cooperative world (an abort watchdog thread, a

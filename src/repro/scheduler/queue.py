@@ -362,7 +362,8 @@ class ChunkQueue:
 
     # ------------------------------------------------------------- cleanup
     def close(self) -> None:
-        """Collective: close epochs and free both windows."""
+        """Collective: close epochs, free both windows, then release
+        the descriptor table's HLS images."""
         if self._closed:
             return
         self._closed = True
@@ -370,6 +371,10 @@ class ChunkQueue:
         self._kwin.unlock_all()
         self._cwin.free()
         self._kwin.free()
+        # free() ends in a barrier, so no task can still be reading the
+        # table: the rank that built the program closes it
+        if self.comm.rank == 0:
+            self._prog.close()
 
 
 __all__ = [

@@ -3,11 +3,14 @@
 Covers the pieces below the ``Runtime(backend="coop")`` surface:
 schedule policies and their factory, the canonical trace format, the
 backend factory's validation, the virtual clock, preemption
-checkpoints, the stall backstop, and the scheduler counter snapshot
+checkpoints, the stall backstop, the carrier-to-carrier token handoff,
+and the scheduler counter snapshot
 (:class:`~repro.metrics.sched.SchedMetrics`).
 """
 
+import sys
 import threading
+import time
 
 import pytest
 
@@ -311,3 +314,165 @@ class TestCoopWaker:
         assert flags["woke"] is False          # virtual-clock timeout
         assert sched.timer_wakes == 1
         assert sched.vtime >= 0.5
+
+
+# ---------------------------------------------------------- token handoff
+def _live_carriers():
+    return [t.name for t in threading.enumerate()
+            if t.name.startswith("coop-task-")]
+
+
+class TestTokenHandoff:
+    """The runner token passes carrier to carrier; the launcher only
+    holds it when no task can run.  These pin the corners of that
+    handoff: who wakes a fully parked job, who drains a failed one, and
+    that a task picking itself never blocks."""
+
+    def test_external_wake_resumes_a_fully_parked_job(self):
+        """Every task parked, no timer: a notify from a thread outside
+        the cooperative world must get the job going again, well inside
+        the stall limit."""
+        sched = CoopScheduler(2, FifoPolicy())
+        waker = CoopWaker(sched)
+        woke = {}
+
+        def worker(rank):
+            with waker:
+                woke[rank] = waker.wait()        # no timeout
+
+        def outsider():
+            while sched.parks < 2:
+                time.sleep(0.001)
+            with waker:
+                waker.notify_all()
+
+        helper = threading.Thread(target=outsider)
+        helper.start()
+        sched.launch(worker)
+        helper.join(timeout=5.0)
+        assert not helper.is_alive()
+        assert woke == {0: True, 1: True}
+        assert sched.stall_recoveries == 0
+        assert sched.notify_wakes == 2
+
+    def test_one_runner_at_a_time_under_outside_notifies(self):
+        """Stress: two outside threads hammer ``notify`` while 32 tasks
+        park and resume under a preempt-happy interpreter.  However the
+        wakes interleave with the carriers' own picks, no two tasks may
+        ever be between resume and park at once."""
+        sched = CoopScheduler(32, RandomPolicy(3))
+        waker = CoopWaker(sched)
+        running, worst = [0], [0]
+        stop = threading.Event()
+
+        def worker(rank):
+            for _ in range(40):
+                running[0] += 1
+                worst[0] = max(worst[0], running[0])
+                sum(range(64))           # room for a GIL switch
+                running[0] -= 1
+                with waker:
+                    waker.wait(timeout=0.01)
+
+        def outsider():
+            while not stop.is_set():
+                with waker:
+                    waker.notify(1)
+                time.sleep(0)
+
+        helpers = [threading.Thread(target=outsider) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for h in helpers:
+                h.start()
+            sched.launch(worker)
+        finally:
+            stop.set()
+            sys.setswitchinterval(interval)
+            for h in helpers:
+                h.join(timeout=5.0)
+        assert not any(h.is_alive() for h in helpers)
+        assert worst[0] == 1 and running[0] == 0
+        assert sched.parks == 32 * 40
+        assert sched.notify_wakes + sched.timer_wakes == sched.parks
+        assert sched.stall_recoveries == 0
+        assert _live_carriers() == []
+
+    def test_self_pick_keeps_running(self):
+        """A lone task sleeping in a loop is its own successor every
+        time: each sleep is still one decision and one counted switch,
+        and the virtual clock advances by exactly the sleeps."""
+        sched = CoopScheduler(1, FifoPolicy())
+
+        def worker(rank):
+            for _ in range(5):
+                sched.sleep(0.25)
+
+        sched.launch(worker)
+        assert sched.context_switches == 6       # first dispatch + 5
+        assert sched.decisions == 6 and sched.trace.events == [0] * 6
+        assert sched.parks == 5 and sched.timer_wakes == 5
+        assert sched.vtime == 1.25
+        assert _live_carriers() == []
+
+    def test_raising_task_leaves_no_carrier_behind(self):
+        rt = coop_runtime()
+
+        def main(ctx):
+            ctx.comm_world.barrier()
+            if ctx.rank == 2:
+                raise ValueError("boom")
+            return ctx.comm_world.allreduce(1)   # aborted under the rest
+
+        with pytest.raises(ValueError, match="boom"):
+            rt.run(main)
+        assert _live_carriers() == []
+
+    def test_back_to_back_runs_share_one_scheduler(self):
+        rt = coop_runtime(schedule="random:4")
+
+        def main(ctx):
+            ctx.sleep(0.1 * ctx.rank)
+            return ctx.comm_world.allreduce(ctx.rank)
+
+        first = rt.run(main)
+        trace = rt.schedule_trace().to_json()
+        switches = rt.sched_metrics().context_switches
+        assert rt.run(main) == first
+        assert rt.schedule_trace().to_json() == trace
+        assert rt.sched_metrics().context_switches == 2 * switches
+        assert _live_carriers() == []
+
+    def test_replay_divergence_in_a_carrier_drains_the_job(self):
+        """A replay trace that runs dry mid-job fails inside whichever
+        carrier holds the token: that carrier must fire ``on_drain``,
+        and the rest must still be scheduled (fifo, unrecorded) until
+        every task has terminated."""
+        def main(ctx):
+            for _ in range(3):
+                ctx.comm_world.barrier()
+            return ctx.rank
+
+        rt1 = coop_runtime(schedule="random:3")
+        rt1.run(main)
+        full = rt1.schedule_trace()
+        short = ScheduleTrace(
+            policy=full.policy, seed=full.seed, preemptive=full.preemptive,
+            n_tasks=full.n_tasks, events=full.events[: len(full) // 2],
+        )
+        rt2 = coop_runtime(schedule=short)
+        sched = rt2._backend.sched
+        drained_by = []
+
+        def on_drain():
+            drained_by.append(sched.current())
+            rt2.signal_abort()
+
+        sched.on_drain = on_drain
+        with pytest.raises(ScheduleReplayError, match="exhausted"):
+            rt2.run(main)
+        assert len(drained_by) == 1 and drained_by[0] is not None
+        assert rt2.schedule_trace().events == short.events
+        assert rt2.abort_flag.is_set()
+        assert _live_carriers() == []

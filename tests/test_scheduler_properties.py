@@ -90,6 +90,22 @@ def test_exactly_once_all_backends(backend, policy):
     assert (hits.sum(axis=0) == 1).all()
 
 
+@pytest.mark.parametrize("sharing", ["private", "shared"])
+@pytest.mark.parametrize("backend", ["threads", "coop"])
+def test_stealing_loop_leaves_no_memory_behind(backend, sharing):
+    """The queue's ``sched_chunks`` HLS program is closed with its two
+    windows: after a loop, ``finalize()`` reports nothing live (one
+    node-scope image per node used to survive every loop)."""
+    n_iters = 64
+    hits = np.zeros((N_TASKS, n_iters), dtype=np.int64)
+    rt = Runtime(core2_cluster(N_NODES), n_tasks=N_TASKS, timeout=TIMEOUT,
+                 backend=backend, sharing=sharing)
+    res = rt.run(make_loop_main(hits, n_iters, "fixed:1", steal=True))
+    assert sum(res) == n_iters
+    report = rt.finalize()
+    assert report.total_bytes == 0, report.records
+
+
 @settings(max_examples=8, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 10_000), policy=policy_st)
