@@ -14,11 +14,12 @@ import numpy as np
 import pytest
 
 from benchmarks.conftest import run_once
-from repro.baselines import PageMerger, SharedWindow
+from repro.baselines import PageMerger
 from repro.baselines.sbllmalloc import PAGE
 from repro.hls import HLSProgram
 from repro.machine import core2_cluster
 from repro.runtime import Runtime
+from repro.runtime.rma import Win
 
 TABLE_ELEMS = 8 * PAGE // 8       # 8 pages of float64
 TASKS = 8
@@ -72,7 +73,7 @@ def run_shared_window():
         node_comm = ctx.comm_world.split_by_node()
         # manual recipe: rank 0 contributes the table, others nothing
         count = TABLE_ELEMS if node_comm.rank == 0 else 0
-        win = SharedWindow.allocate_shared(node_comm, count)
+        win = Win.allocate_shared(node_comm, count)
         if node_comm.rank == 0:
             win.local()[:] = table_values()
         win.fence()

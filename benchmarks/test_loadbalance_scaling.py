@@ -75,7 +75,7 @@ def _synthetic_loop(n_tasks, sharing, pattern, policy):
 
     res = rt.run(main)
     assert sum(res) == n_iters
-    report = rt.loadbalance_metrics().reports[0]
+    report = rt.metrics("loadbalance").reports[0]
     return report
 
 
@@ -243,7 +243,7 @@ def test_selfsched_smoke_8k_coop(benchmark):
 
     rt, res, wall = run_once(benchmark, job)
     assert sum(res) == n_iters, "lost or duplicated iterations at 8k tasks"
-    sm = rt.sched_metrics()
+    sm = rt.metrics("sched")
     assert sm.stall_recoveries == 0
     info = dict(n_tasks=n_tasks, n_iters=n_iters, wall_s=round(wall, 2),
                 context_switches=sm.context_switches,

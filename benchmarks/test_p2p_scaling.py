@@ -1,11 +1,13 @@
-"""P2P fast path at 8 / 32 / 128 tasks: indexed vs linear matching,
-zero-copy intra-node delivery, message rate and latency.
+"""P2P fast path at 8 / 32 / 128 tasks: indexed matching, zero-copy
+intra-node delivery, message rate and latency.
 
 The PR 2 performance claims, made observable:
 
-* the bucketed :class:`IndexedMatcher` does strictly fewer match steps
-  than the seed linear scan on an all-to-all exchange (O(1) exact
-  receives vs O(pending) scans) while delivering identical values;
+* the bucketed :class:`IndexedMatcher` keeps the match cost per
+  delivery O(1) on an all-to-all exchange however deep the pending
+  list gets (the seed linear scan paid 2.6 / 9 / 32 steps per delivery
+  at 8 / 32 / 128 tasks -- see the ``linear_*`` columns of the older
+  ``BENCH_p2p.json`` rows);
 * under ``sharing="shared"`` intra-node deliveries hand the payload out
   by reference -- nonzero elision counters, bit-identical values vs
   ``sharing="private"``;
@@ -30,13 +32,12 @@ PAYLOAD = 64        # doubles per message
 PINGPONG_ITERS = 200
 
 
-def _alltoall_job(matcher, n_tasks, sharing="private"):
+def _alltoall_job(n_tasks, sharing="private"):
     """Every rank sends one array to every other rank, then receives
     from its peers in shifted (non-arrival) order -- the access pattern
     that forces a linear matcher to scan deep into the pending list."""
     machine = core2_cluster(max(1, n_tasks // 8))  # 8 PUs per node
-    rt = Runtime(machine, n_tasks=n_tasks, matcher=matcher, sharing=sharing,
-                 timeout=120.0)
+    rt = Runtime(machine, n_tasks=n_tasks, sharing=sharing, timeout=120.0)
 
     def main(ctx):
         c = ctx.comm_world
@@ -52,44 +53,37 @@ def _alltoall_job(matcher, n_tasks, sharing="private"):
     t0 = time.perf_counter()
     results = rt.run(main)
     elapsed = time.perf_counter() - t0
-    return rt.p2p_metrics(), results, elapsed
+    return rt.metrics("p2p"), results, elapsed
 
 
 @pytest.mark.parametrize("n_tasks", [8, 32, 128])
 def test_p2p_alltoall_matcher_scaling(benchmark, n_tasks):
-    """Indexed vs linear matching on the same all-to-all exchange."""
-    def job():
-        lin, lin_res, lin_t = _alltoall_job("linear", n_tasks)
-        idx, idx_res, idx_t = _alltoall_job("indexed", n_tasks)
-        return lin, lin_res, lin_t, idx, idx_res, idx_t
+    """Indexed matching on an all-to-all exchange."""
+    idx, idx_res, idx_t = run_once(benchmark, _alltoall_job, n_tasks)
 
-    lin, lin_res, lin_t, idx, idx_res, idx_t = run_once(benchmark, job)
-
-    # identical deliveries, whatever the matcher
-    assert idx_res == lin_res
+    for rank, got in enumerate(idx_res):
+        assert got == {
+            src: [float(src)] * PAYLOAD
+            for src in range(n_tasks) if src != rank
+        }
 
     n_messages = n_tasks * (n_tasks - 1)
-    assert idx.messages == lin.messages == n_messages
+    assert idx.messages == n_messages
     info = dict(
         n_tasks=n_tasks,
         n_messages=n_messages,
-        linear_comparisons=lin.comparisons,
         indexed_comparisons=idx.comparisons,
-        linear_cmp_per_delivery=round(lin.comparisons_per_delivery, 2),
         indexed_cmp_per_delivery=round(idx.comparisons_per_delivery, 2),
-        linear_msg_rate=round(n_messages / lin_t, 1),
         indexed_msg_rate=round(n_messages / idx_t, 1),
-        linear_seconds=round(lin_t, 4),
         indexed_seconds=round(idx_t, 4),
     )
     benchmark.extra_info.update(info)
     record_p2p(f"alltoall[{n_tasks}]", **info)
 
-    # The structural claim: indexed matching does fewer match steps than
-    # the linear scan -- decisively so once the pending list is deep.
-    assert idx.comparisons < lin.comparisons
-    if n_tasks >= 128:
-        assert idx.comparisons * 4 < lin.comparisons
+    # The structural claim: match cost per delivery does not grow with
+    # the depth of the pending list (one bucket lookup per receive
+    # attempt, plus one per wakeup that found nothing).
+    assert idx.comparisons_per_delivery < 2.0
 
 
 @pytest.mark.parametrize("n_tasks", [32, 128])
@@ -97,10 +91,8 @@ def test_p2p_zero_copy_elision(benchmark, n_tasks):
     """sharing="shared" elides intra-node delivery copies and stays
     bit-identical to the copying path."""
     def job():
-        shared, shared_res, _ = _alltoall_job("indexed", n_tasks,
-                                              sharing="shared")
-        private, private_res, _ = _alltoall_job("indexed", n_tasks,
-                                                sharing="private")
+        shared, shared_res, _ = _alltoall_job(n_tasks, sharing="shared")
+        private, private_res, _ = _alltoall_job(n_tasks, sharing="private")
         return shared, shared_res, private, private_res
 
     shared, shared_res, private, private_res = run_once(benchmark, job)
@@ -148,7 +140,7 @@ def test_p2p_pingpong_latency(benchmark):
     results = run_once(benchmark, rt.run, main)
     elapsed = results[0]
     rtt_us = elapsed / PINGPONG_ITERS * 1e6
-    metrics = rt.p2p_metrics()
+    metrics = rt.metrics("p2p")
     info = dict(
         iters=PINGPONG_ITERS,
         round_trip_us=round(rtt_us, 1),

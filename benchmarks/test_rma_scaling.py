@@ -56,7 +56,7 @@ def _fence_job(backend, n_tasks):
     t0 = time.perf_counter()
     results = rt.run(main)
     elapsed = time.perf_counter() - t0
-    return rt.rma_metrics(), results, elapsed
+    return rt.metrics("rma"), results, elapsed
 
 
 @pytest.mark.parametrize("n_tasks", [8, 32])
@@ -142,7 +142,7 @@ def test_rma_passive_lock_contention(benchmark):
         t0 = time.perf_counter()
         results = rt.run(main)
         elapsed = time.perf_counter() - t0
-        return rt.rma_metrics(), results, elapsed
+        return rt.metrics("rma"), results, elapsed
 
     m, results, elapsed = run_once(benchmark, job)
     assert results == [float(n_tasks * increments)] * n_tasks

@@ -71,7 +71,7 @@ def test_coop_smoke_at_scale(benchmark, n_tasks):
     assert all(
         results[r] == ((r - 2) % n_tasks, n_tasks) for r in range(n_tasks)
     )
-    m = rt.sched_metrics()
+    m = rt.metrics("sched")
     assert m.backend == "coop" and m.n_tasks == n_tasks
     assert m.context_switches >= n_tasks
     assert m.stall_recoveries == 0
@@ -123,7 +123,7 @@ def test_coop_completes_the_pipeline_threads_cannot(benchmark):
         f"coop pipeline took {coop_wall:.1f}s, budget {BUDGET_S}s"
     )
     # the simulated latency showed up on the virtual clock instead
-    m = rt.sched_metrics()
+    m = rt.metrics("sched")
     assert m.vtime >= floor_s
 
     # -- the threads attempt, same job, same budget, external watchdog
@@ -180,7 +180,7 @@ def test_seeded_schedules_scale(benchmark):
         n_tasks=1024,
         elapsed_s=round(elapsed, 3),
         decisions=len(trace),
-        preemptions=rt.sched_metrics().preemptions,
+        preemptions=rt.metrics("sched").preemptions,
     )
     benchmark.extra_info.update(info)
     record_sched("coop_random_1024", **info)

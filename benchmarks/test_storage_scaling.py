@@ -81,7 +81,7 @@ def _storage_run(tmp_path, ratio):
     t0 = time.perf_counter()
     results = rt.run(main)
     elapsed = time.perf_counter() - t0
-    return results, elapsed, rt.storage_metrics(), store
+    return results, elapsed, rt.metrics("storage"), store
 
 
 @pytest.mark.parametrize("ratio", RATIOS, ids=lambda r: f"{r}x")

@@ -93,7 +93,7 @@ class AppRunResult:
     checksum: float                  # solver output, for variant equivalence
     #: end-of-run per-node / per-level / per-kind live-bytes snapshot
     memory_metrics: Optional[MemoryMetrics] = None
-    #: ``rt.loadbalance_metrics()`` when the app ran a self-scheduled
+    #: ``rt.metrics("loadbalance")`` when the app ran a self-scheduled
     #: loop (``schedule != "static"``), else None
     loadbalance: Optional[Any] = None
 
@@ -184,7 +184,7 @@ def run_eulermhd(cfg: EulerMHDConfig) -> AppRunResult:
         mem=sampler.report(),
         comm=rt.stats,
         checksum=float(np.sum(sums)),
-        memory_metrics=rt.memory_metrics(),
+        memory_metrics=rt.metrics("memory"),
     )
 
 

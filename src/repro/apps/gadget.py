@@ -240,9 +240,9 @@ def run_gadget(cfg: GadgetConfig) -> AppRunResult:
         mem=sampler.report(),
         comm=rt.stats,
         checksum=float(np.sum(sums)),
-        memory_metrics=rt.memory_metrics(),
+        memory_metrics=rt.metrics("memory"),
         loadbalance=(
-            rt.loadbalance_metrics() if cfg.schedule != "static" else None
+            rt.metrics("loadbalance") if cfg.schedule != "static" else None
         ),
     )
 

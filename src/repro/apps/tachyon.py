@@ -280,11 +280,11 @@ def run_tachyon(cfg: TachyonConfig) -> TachyonResult:
         mem=sampler.report(),
         comm=rt.stats,
         checksum=float(sums[0]),
-        memory_metrics=rt.memory_metrics(),
+        memory_metrics=rt.metrics("memory"),
         elided_messages=rt.stats.elided,
         elided_bytes=rt.stats.elided_bytes,
         loadbalance=(
-            rt.loadbalance_metrics() if cfg.schedule != "static" else None
+            rt.metrics("loadbalance") if cfg.schedule != "static" else None
         ),
     )
 

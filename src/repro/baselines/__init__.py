@@ -2,11 +2,10 @@
 
 * :mod:`~repro.baselines.sbllmalloc` -- automatic page-granularity
   merging of identical pages across tasks (SBLLmalloc [23]);
-* :mod:`~repro.baselines.shared_windows` -- the MPI-3 shared-memory
-  window proposal [14], the manual alternative to HLS.
+* the MPI-3 shared-memory window proposal [14], the manual alternative
+  to HLS, is :meth:`repro.runtime.rma.Win.allocate_shared`.
 """
 
 from repro.baselines.sbllmalloc import PageMerger, MergeStats
-from repro.baselines.shared_windows import SharedWindow
 
-__all__ = ["PageMerger", "MergeStats", "SharedWindow"]
+__all__ = ["PageMerger", "MergeStats"]

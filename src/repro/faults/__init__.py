@@ -31,7 +31,7 @@ Quick use::
     rt = Runtime(machine, n_tasks=8)
     rt.install_faults(plan)
     rt.run(main)            # clean result or clean AbortError -- never a hang
-    print(rt.fault_metrics().render())
+    print(rt.metrics("faults").render())
 """
 
 from repro.faults.plan import ACTIONS, SITES, FaultPlan, FaultSpec

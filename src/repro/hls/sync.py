@@ -27,17 +27,12 @@ import time
 from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
 
 from repro.machine.scopes import ScopeInstance, ScopeKind, ScopeSpec
-from repro.runtime.abort import note_abort, subscribe_abort
-from repro.runtime.errors import AbortError, DeadlockError, MigrationError
+from repro.runtime.abort import Watchdog, subscribe_abort
+from repro.runtime.errors import MigrationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.runtime import Runtime
     from repro.runtime.task import TaskContext
-
-#: cap on one condition wait: abort safety tick for flags that cannot
-#: broadcast a wake (bare-Event unit-test construction); parked waiters
-#: are normally woken by the release notify or the abort broadcast.
-_ABORT_TICK = 1.0
 
 
 class ScopeSyncState:
@@ -112,28 +107,15 @@ class ScopeSyncState:
             self._gcount[g] = 0
 
     def _wait_generation(self, gen: int) -> None:
-        # Monotonic-clock deadline extended only on *arrivals*: neither
-        # spurious wakeups (which the chaos harness injects) nor
-        # notified-but-unreleased waits can postpone deadlock detection
-        # (the old countdown only shrank on timed-out waits, so a
-        # steady notify stream starved the timeout forever).
-        deadline = self._clock() + self._timeout
-        seen = self._arrivals
+        # progress token: arrivals at this scope
+        dog = Watchdog(self._abort, self._clock, self._timeout, lambda: (
+            "job aborted during hls synchronization",
+            f"hls sync on {self.instance} timed out with "
+            f"{self._count}/{self.size} arrived -- did every task of the "
+            f"scope execute the directive?",
+        ))
         while self._generation == gen:
-            if self._abort.is_set():
-                note_abort(self._abort)
-                raise AbortError("job aborted during hls synchronization")
-            now = self._clock()
-            if self._arrivals != seen:
-                seen = self._arrivals
-                deadline = now + self._timeout
-            elif now >= deadline:
-                raise DeadlockError(
-                    f"hls sync on {self.instance} timed out with "
-                    f"{self._count}/{self.size} arrived -- did every "
-                    f"task of the scope execute the directive?"
-                )
-            self._cond.wait(timeout=min(deadline - now, _ABORT_TICK))
+            self._cond.wait(timeout=dog.tick(self._arrivals))
 
     # -------------------------------------------------------------- barrier
     def barrier(self, rank: int) -> None:

@@ -15,7 +15,7 @@ technique.  All bases come from one
 address range is provably disjoint (segments excepted, by design).
 
 On top of the arenas the manager provides the accounting the memory
-experiments (Tables II-IV) and ``Runtime.memory_metrics()`` consume:
+experiments (Tables II-IV) and ``Runtime.metrics("memory")`` consume:
 live bytes per node, per hierarchy level and per allocation kind -- and
 the shutdown-time leak report ``Runtime.finalize`` renders, since every
 arena knows its owner and every allocation its kind.

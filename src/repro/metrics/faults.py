@@ -5,7 +5,7 @@ are observable: how many injections actually fired (a plan whose specs
 never trigger tests nothing), how many blocked operations the abort
 broadcast terminated, how often the comm-buffer retry path saved a
 send, and how long the job took to come down once the abort was raised.
-``FaultMetrics.from_runtime(rt)`` -- or ``rt.fault_metrics()`` --
+``FaultMetrics.from_runtime(rt)`` -- or ``rt.metrics("faults")`` --
 aggregates all of it into one snapshot, the same pattern as
 :class:`~repro.metrics.p2p.P2PMetrics`.
 """

@@ -5,7 +5,7 @@ chunks claimed locally vs stolen, steal attempts and failures, finish
 time) and rank 0 registers the resulting
 :class:`~repro.scheduler.api.LoopReport` on the runtime.
 ``LoadBalanceMetrics.from_runtime(rt)`` -- or
-``rt.loadbalance_metrics()`` -- aggregates those reports; the headline
+``rt.metrics("loadbalance")`` -- aggregates those reports; the headline
 figure is the coefficient of variation of task finish times (0 = a
 perfectly balanced loop), which the benchmarks compare between the
 static oracle and the dynamic policies.

@@ -13,7 +13,7 @@ their max -- the ``avg. mem.`` / ``max. mem.`` columns of Tables II-IV.
 
 The arena layer (:mod:`repro.memory`) additionally lets every report
 say *where* the bytes live: :class:`MemoryMetrics` (the value of
-``Runtime.memory_metrics()``) snapshots live bytes per node, per
+``Runtime.metrics("memory")``) snapshots live bytes per node, per
 hierarchy level (``node`` / ``numa`` / ``cache(L)`` / ``core`` /
 ``task`` / ``segment``) and per allocation kind, and the sampler
 carries a time-averaged per-level breakdown into :class:`MemoryReport`.

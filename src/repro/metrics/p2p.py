@@ -24,7 +24,7 @@ from repro.metrics.report import Table
 class P2PMetrics:
     """One runtime's aggregated point-to-point counters."""
 
-    #: matcher algorithm in use ("indexed" | "linear")
+    #: matcher algorithm of the runtime's mailboxes
     matcher: str = "indexed"
     #: envelopes posted to / matched out of all mailboxes
     posted: int = 0
@@ -49,7 +49,7 @@ class P2PMetrics:
     def from_runtime(cls, runtime: Any) -> "P2PMetrics":
         """Aggregate the per-mailbox and per-task-shard counters of one
         runtime into a snapshot."""
-        m = cls(matcher=runtime.matcher)
+        m = cls(matcher=runtime.mailbox(0).matcher.algorithm)
         for rank in range(runtime.n_tasks):
             mbox = runtime.mailbox(rank)
             m.posted += mbox.posted

@@ -1,18 +1,16 @@
 """The unified metrics snapshot registry.
 
-Eight subsystems grew eight ad-hoc ``Runtime.*_metrics()`` methods
-(p2p, collectives, rma, sched, faults, memory, storage, loadbalance),
-each returning its own snapshot class.  A multi-tenant job service
-(:mod:`repro.service`) wants *one* machine-readable snapshot per job it
-can stream from an observability endpoint -- so this module registers
-every subsystem behind one table and one entry point:
+Eight subsystems (p2p, collectives, rma, sched, faults, memory,
+storage, loadbalance) each have their own snapshot class.  A
+multi-tenant job service (:mod:`repro.service`) wants *one*
+machine-readable snapshot per job it can stream from an observability
+endpoint -- so this module registers every subsystem behind one table
+and one entry point:
 
 * :data:`SUBSYSTEMS` -- ordered ``name -> builder`` table.  A builder
-  takes a runtime and returns the subsystem's metrics object (the same
-  classes the per-subsystem methods always returned, so nothing about
-  their shape changes).
-* :func:`build_subsystem` -- one subsystem's metrics object.  The
-  legacy ``Runtime.*_metrics()`` methods are thin shims over this.
+  takes a runtime and returns the subsystem's metrics object.
+* :func:`build_subsystem` -- one subsystem's metrics object;
+  ``Runtime.metrics(name)`` returns this.
 * :func:`build_snapshot` -- a :class:`MetricsSnapshot` covering every
   registered subsystem, with the JSON-ready dict frozen at build time.
   ``Runtime.metrics()`` returns this.
@@ -95,8 +93,7 @@ SUBSYSTEM_NAMES: Tuple[str, ...] = tuple(SUBSYSTEMS)
 
 
 def build_subsystem(name: str, runtime) -> Any:
-    """One subsystem's metrics object (what the legacy per-subsystem
-    ``Runtime.*_metrics()`` methods return -- they delegate here)."""
+    """One subsystem's metrics object."""
     try:
         builder = SUBSYSTEMS[name]
     except KeyError:
@@ -110,8 +107,8 @@ def build_subsystem(name: str, runtime) -> Any:
 class MetricsSnapshot:
     """Point-in-time metrics over every registered subsystem.
 
-    ``objects`` holds the per-subsystem metrics instances (the same
-    classes the legacy methods return); ``data`` the JSON-ready dicts,
+    ``objects`` holds the per-subsystem metrics instances; ``data`` the
+    JSON-ready dicts,
     frozen when the snapshot was built.  Subsystems are also reachable
     as attributes: ``snap.p2p``, ``snap.memory``, ...
     """

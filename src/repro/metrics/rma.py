@@ -7,7 +7,7 @@ shared state (:class:`repro.runtime.rma._WinShared`) and are
 *aggregated on read* across every window a runtime ever created, the
 same snapshot pattern as :class:`~repro.metrics.p2p.P2PMetrics`.
 
-``RMAMetrics.from_runtime(rt)`` -- or ``rt.rma_metrics()`` -- takes the
+``RMAMetrics.from_runtime(rt)`` -- or ``rt.metrics("rma")`` -- takes the
 snapshot; ``snapshot()`` returns it as a plain dict for benchmark
 ``extra_info`` and the ``BENCH_rma.json`` trajectory artifact.
 """

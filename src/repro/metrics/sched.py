@@ -1,6 +1,6 @@
 """Scheduler counters: what the cooperative backend did with the CPU.
 
-``SchedMetrics.from_runtime(rt)`` -- or ``rt.sched_metrics()`` -- reads
+``SchedMetrics.from_runtime(rt)`` -- or ``rt.metrics("sched")`` -- reads
 the :class:`~repro.runtime.sched.coop.CoopScheduler` counters of one
 runtime: how many context switches and explicit scheduling decisions
 were made, how many parks ended by notify vs. virtual-clock timer, the

@@ -6,7 +6,7 @@ reads/writes, bytes, manifest commits), and the runtime's
 :class:`~repro.storage.residency.SpillManager` contributes the
 residency statistics (spills, faults, resident/peak bytes and chunk
 count).  ``StorageMetrics.from_runtime(rt)`` -- or
-``rt.storage_metrics()`` -- takes the snapshot; ``snapshot()`` feeds
+``rt.metrics("storage")`` -- takes the snapshot; ``snapshot()`` feeds
 benchmark ``extra_info`` and the ``BENCH_storage.json`` trajectory.
 """
 

@@ -1,4 +1,4 @@
-"""Abort signalling: a subscribable abort flag.
+"""Abort signalling and the one blocking-wait watchdog.
 
 The runtime's blocking primitives are event-driven -- a parked task is
 woken by the notify of the event it waits for, not by a fixed-rate
@@ -12,8 +12,20 @@ primitive registers a waker callback at construction time, and
 class subclasses :class:`threading.Event`, so every pre-existing call
 site that only checks ``abort_flag.is_set()`` -- and every test that
 hands a bare ``threading.Event`` to a primitive -- keeps working; the
-primitives degrade to their 1 s safety tick when the flag cannot be
-subscribed to.
+primitives degrade to the :data:`ABORT_TICK` safety tick when the flag
+cannot be subscribed to.
+
+Every blocking wait of the runtime (mailbox receive/probe, flat and
+tree collective barriers, nonblocking-collective completion, HLS
+``barrier``/``single``, RMA epoch waits, the scheduler's donate spin)
+takes its abort check and deadline from one :class:`Watchdog`, which
+enforces: (1) an abort ends the wait with the site's ``AbortError``;
+(2) a wait nobody answers raises its ``DeadlockError`` once ``timeout``
+passed on the runtime's clock; (3) a change of the site's progress
+token (arrivals, deliveries, executed cells, epoch transitions)
+restarts the deadline, so a slow-but-advancing wait never times out;
+(4) wakeups without progress (spurious notifies, non-matching traffic)
+do not.
 
 The signal also keeps the abort bookkeeping the chaos metrics report
 (:mod:`repro.metrics.faults`): when the flag was first raised
@@ -25,7 +37,17 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
+
+from repro.runtime.errors import AbortError, DeadlockError
+
+#: cap on one condition wait: a safety tick for abort flags set without
+#: a wake (bare-``Event`` construction in unit tests), not a poll --
+#: releases, posts and aborts notify the condition
+ABORT_TICK = 1.0
+
+#: "no token seen yet": the first tick always starts the deadline
+_UNSEEN = object()
 
 
 class AbortSignal(threading.Event):
@@ -79,4 +101,64 @@ def note_abort(flag: threading.Event) -> None:
         note()
 
 
-__all__ = ["AbortSignal", "subscribe_abort", "note_abort"]
+def raise_if_aborted(flag: threading.Event, message: str, *args: Any) -> None:
+    """Raise ``AbortError(message % args)`` (counting the propagation)
+    when ``flag`` is set; formatting is deferred like ``logging``'s, so
+    a hot path pays one ``is_set()``."""
+    if flag.is_set():
+        note_abort(flag)
+        raise AbortError(message % args if args else message)
+
+
+class Watchdog:
+    """Abort check + progress-extended deadline of one blocking wait.
+
+    Built when the wait first has to park; the wait loop then parks
+    with ``cond.wait(timeout=dog.tick(token))`` and the deadline runs
+    from the first tick.  ``messages`` returns the site's
+    ``(AbortError text, DeadlockError text)`` and is only called to
+    raise (the second usually quotes arrival counts as of that moment).
+    """
+
+    __slots__ = ("_flag", "_clock", "_timeout", "_messages", "_deadline",
+                 "_seen")
+
+    def __init__(
+        self,
+        abort_flag: threading.Event,
+        clock: Callable[[], float],
+        timeout: float,
+        messages: Callable[[], Tuple[str, str]],
+    ) -> None:
+        self._flag = abort_flag
+        self._clock = clock
+        self._timeout = timeout
+        self._messages = messages
+        self._seen: Any = _UNSEEN
+
+    def tick(self, progress: Any = None) -> float:
+        """One turn of a wait loop: raise on abort, restart the deadline
+        when ``progress`` differs from the last tick's token, raise on a
+        passed deadline; otherwise return how long the caller may park
+        before ticking again (at most :data:`ABORT_TICK`)."""
+        if self._flag.is_set():
+            note_abort(self._flag)
+            raise AbortError(self._messages()[0])
+        now = self._clock()
+        if progress != self._seen:
+            self._seen = progress
+            self._deadline = now + self._timeout
+        elif now >= self._deadline:
+            raise DeadlockError(self._messages()[1])
+        left = self._deadline - now
+        return left if left < ABORT_TICK else ABORT_TICK
+
+
+__all__ = [
+    "ABORT_TICK",
+    "AbortSignal",
+    "Watchdog",
+    "note_abort",
+    "raise_if_aborted",
+    "subscribe_abort",
+]

@@ -43,21 +43,14 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.machine.treemap import TreeLevel
 from repro.metrics.collectives import CollectiveMetrics
-from repro.runtime.abort import note_abort, subscribe_abort
+from repro.runtime.abort import Watchdog, subscribe_abort
 from repro.runtime.errors import (
     AbortError,
     CountMismatchError,
-    DeadlockError,
     MPIError,
 )
 from repro.runtime.ops import Op
 from repro.runtime.payload import clone_would_copy
-
-#: cap on one condition wait.  Waits are event-driven -- releases and
-#: aborts notify the condition -- so this is a safety tick for abort
-#: flags set without a wake (bare-Event construction in unit tests) and
-#: the granularity of progress-based deadline extension, not a poll.
-_ABORT_TICK = 1.0
 
 
 class CollectiveState:
@@ -138,27 +131,14 @@ class CollectiveState:
             self._wait_release(gen)
 
     def _wait_release(self, gen: int) -> None:
-        # Monotonic-clock deadline, extended whenever another task
-        # arrives: a slow-but-progressing barrier never spuriously
-        # raises, only a genuinely stalled one does.  The deadline is
-        # extended only on *arrivals* -- spurious wakeups (which the
-        # chaos harness injects) cannot postpone deadlock detection.
-        deadline = self._clock() + self._timeout
-        seen = self._count
+        # progress token: arrivals at this barrier
+        dog = Watchdog(self._abort, self._clock, self._timeout, lambda: (
+            "job aborted during barrier",
+            f"barrier timed out with {self._count}/{self.size} arrived -- "
+            f"collective mismatch?",
+        ))
         while self._generation == gen:
-            if self._abort.is_set():
-                note_abort(self._abort)
-                raise AbortError("job aborted during barrier")
-            now = self._clock()
-            if self._count != seen:
-                seen = self._count
-                deadline = now + self._timeout
-            elif now >= deadline:
-                raise DeadlockError(
-                    f"barrier timed out with {self._count}/{self.size} "
-                    f"arrived -- collective mismatch?"
-                )
-            self._cond.wait(timeout=min(deadline - now, _ABORT_TICK))
+            self._cond.wait(timeout=dog.tick(self._count))
 
     # ------------------------------------------------------------ collectives
     def bcast(self, rank: int, obj: Any, root: int) -> Any:
@@ -453,25 +433,14 @@ class HierarchicalCollectiveState(CollectiveState):
                 node.cond.notify_all()
 
     def _wait_node(self, node: _TreeNode, gen: int) -> Any:
-        deadline = self._clock() + self._timeout
-        seen = self._arrivals
+        # progress token: arrivals anywhere in the tree
+        dog = Watchdog(self._abort, self._clock, self._timeout, lambda: (
+            f"job aborted during collective ({node.label} group)",
+            f"hierarchical collective timed out at {node.label} group "
+            f"with {node.count}/{node.arity} arrived -- collective mismatch?",
+        ))
         while node.generation == gen:
-            if self._abort.is_set():
-                note_abort(self._abort)
-                raise AbortError(
-                    f"job aborted during collective ({node.label} group)"
-                )
-            now = self._clock()
-            if self._arrivals != seen:       # progress anywhere in the tree
-                seen = self._arrivals
-                deadline = now + self._timeout
-            elif now >= deadline:
-                raise DeadlockError(
-                    f"hierarchical collective timed out at {node.label} "
-                    f"group with {node.count}/{node.arity} arrived -- "
-                    f"collective mismatch?"
-                )
-            node.cond.wait(timeout=min(deadline - now, _ABORT_TICK))
+            node.cond.wait(timeout=dog.tick(self._arrivals))
         entry = node.down[gen]
         entry[1] -= 1
         if entry[1] == 0:

@@ -45,11 +45,10 @@ import numpy as np
 
 from repro.machine.treemap import TreeLevel
 from repro.metrics.collectives import CollectiveMetrics
-from repro.runtime.abort import note_abort, subscribe_abort
+from repro.runtime.abort import Watchdog, raise_if_aborted, subscribe_abort
 from repro.runtime.errors import (
     AbortError,
     CountMismatchError,
-    DeadlockError,
     MPIError,
 )
 from repro.runtime.message import Status
@@ -65,9 +64,6 @@ DEFAULT_CHUNK_BYTES = 64 << 10
 #: may opt in by setting ``op.elementwise = True`` and honouring the
 #: same contract.
 _ELEMENTWISE_OPS = (SUM, PROD, MAX, MIN)
-
-#: cap on one condition wait (see collectives._ABORT_TICK)
-_ABORT_TICK = 1.0
 
 # cell states
 _WAITING, _READY, _RUNNING, _DONE = 0, 1, 2, 3
@@ -788,15 +784,13 @@ class IcollState:
             self._progress_count += 1
             self._cond.notify_all()
 
-    def _progress(self, rank: int, ep: _Episode) -> bool:
-        """Drain every currently-claimable cell; True if any ran."""
-        ran = False
+    def _progress(self, rank: int, ep: _Episode) -> None:
+        """Drain every currently-claimable cell."""
         while True:
             with self._cond:
                 got = self._scan_claim(rank, ep, take=True)
             if got is None:
-                return ran
-            ran = True
+                return
             self._execute(rank, got[0], got[1])
 
     # ------------------------------------------------------------ completion
@@ -839,39 +833,26 @@ class IcollState:
     def wait_complete(self, rank: int, ep: _Episode) -> Tuple[Any, Status]:
         """Blocking completion: alternate progress bursts with
         event-driven parks; the deadline extends on any engine progress
-        (arrivals or cells anywhere), so only a genuinely stalled
-        collective raises DeadlockError."""
+        (arrivals or cells anywhere, this rank's bursts included), so
+        only a genuinely stalled collective raises DeadlockError."""
         with self._cond:
             self._engaged[rank] += 1
-            deadline = self._clock() + self._timeout
-            seen = self._progress_count
+            dog = Watchdog(self._abort, self._clock, self._timeout, lambda: (
+                f"job aborted during {ep.kind} #{ep.seq}",
+                f"nonblocking collective {ep.kind} #{ep.seq} stalled with "
+                f"{ep.n_arrived}/{self.size} arrived -- collective mismatch?",
+            ))
         try:
             while True:
-                ran = self._progress(rank, ep)
+                self._progress(rank, ep)
                 with self._cond:
                     if ep.failed is not None:
                         self._raise_failed(ep)
                     if self._complete_for(ep, rank):
                         return self._take(ep, rank), Status()
-                    if self._abort.is_set():
-                        note_abort(self._abort)
-                        raise AbortError(
-                            f"job aborted during {ep.kind} #{ep.seq}"
-                        )
-                    now = self._clock()
-                    if ran or self._progress_count != seen:
-                        seen = self._progress_count
-                        deadline = now + self._timeout
-                    elif now >= deadline:
-                        raise DeadlockError(
-                            f"nonblocking collective {ep.kind} #{ep.seq} "
-                            f"stalled with {ep.n_arrived}/{self.size} "
-                            f"arrived -- collective mismatch?"
-                        )
+                    pause = dog.tick(self._progress_count)
                     if self._scan_claim(rank, ep, take=False) is None:
-                        self._cond.wait(
-                            timeout=min(deadline - now, _ABORT_TICK)
-                        )
+                        self._cond.wait(timeout=pause)
         finally:
             with self._cond:
                 self._engaged[rank] -= 1
@@ -885,12 +866,9 @@ class IcollState:
         """Park until engine progress, an abort, or ``timeout`` -- the
         same contract as ``Mailbox.park_for_activity``."""
         with self._cond:
-            if self._abort.is_set():
-                note_abort(self._abort)
-                raise AbortError("job aborted")
-            if self._progress_count != token:
-                return
-            self._cond.wait(timeout=timeout)
+            raise_if_aborted(self._abort, "job aborted")
+            if self._progress_count == token:
+                self._cond.wait(timeout=timeout)
 
 
 class CollectiveRequest(Request):

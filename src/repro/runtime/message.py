@@ -2,18 +2,18 @@
 
 Each task owns one :class:`Mailbox`.  Senders post an
 :class:`Envelope`; receivers match on ``(communicator context, source,
-tag)`` with MPI wildcard semantics.  Two interchangeable matchers
-implement the pending-message store (``Runtime(matcher=...)``):
+tag)`` with MPI wildcard semantics.  Two matchers implement the
+pending-message store:
 
+* :class:`IndexedMatcher` -- what every runtime mailbox uses:
+  per-``(context, src, tag)`` bucketed FIFO queues plus a monotone
+  arrival stamp.  Exact receives are O(1) bucket lookups; wildcard
+  (``ANY_SOURCE``/``ANY_TAG``) receives scan only the *non-empty*
+  buckets of the context and pick the head with the smallest stamp,
+  reproducing the linear matcher's arrival-order semantics exactly.
 * :class:`LinearMatcher` -- the seed-era reference: one arrival-order
-  list, O(pending) scan per receive.  Kept as the semantics oracle for
-  the property suite and as the benchmark baseline.
-* :class:`IndexedMatcher` -- per-``(context, src, tag)`` bucketed FIFO
-  queues plus a monotone arrival stamp.  Exact receives are O(1) bucket
-  lookups; wildcard (``ANY_SOURCE``/``ANY_TAG``) receives scan only the
-  *non-empty* buckets of the context and pick the head with the
-  smallest stamp, reproducing the linear matcher's arrival-order
-  semantics exactly.
+  list, O(pending) scan per receive.  Kept as the semantics oracle the
+  property suite drives through ``Mailbox(matcher="linear")``.
 
 Either way, matching in arrival order together with a per-(src, dst)
 sequence number gives the MPI non-overtaking guarantee: two messages
@@ -22,12 +22,11 @@ the order they were sent.
 
 Blocking receives are event-driven: a receiver parks on the mailbox
 condition until a post (targeted ``notify`` -- only the owner task ever
-blocks on its own mailbox), an abort wake, or its monotonic deadline.
-There is no fixed-rate poll; the deadline is absolute wall-clock from
-the start of the receive, so a stream of wakeups for non-matching
-traffic cannot stall a receive past its configured timeout (the PR 1
-barrier-timeout bug class).  Matching progress -- another request
-draining this mailbox between waits -- extends the deadline.
+blocks on its own mailbox), an abort wake, or its deadline
+(:class:`repro.runtime.abort.Watchdog`).  The progress token is
+``delivered``: another request draining this mailbox between waits
+extends the deadline, mere arrivals of non-matching traffic do not, so
+a receive nobody answers still times out on schedule.
 """
 
 from __future__ import annotations
@@ -38,17 +37,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from repro.runtime.abort import note_abort, subscribe_abort
-from repro.runtime.errors import AbortError, DeadlockError
+from repro.runtime.abort import Watchdog, raise_if_aborted, subscribe_abort
 
 ANY_SOURCE = -1
 ANY_TAG = -1
 
-#: cap on one condition wait: bounds the latency of noticing an abort
-#: flag set by code that does not go through ``Runtime.signal_abort``
-#: (which wakes mailboxes explicitly).  This is a safety tick, not a
-#: poll -- a healthy receive is woken by the matching post long before.
-_ABORT_TICK = 1.0
+#: AbortError text of this module: (owner task, " during <verb>" or "")
+_ABORTED = "task %s: job aborted%s"
 
 
 @dataclass
@@ -299,74 +294,62 @@ class Mailbox:
             self.delivered += 1
         return env
 
+    def _watchdog(self, verb: str, source: int, tag: int, hint: str) -> Watchdog:
+        return Watchdog(self._abort, self._clock, self._timeout, lambda: (
+            _ABORTED % (self.owner, f" during {verb}"),
+            f"task {self.owner}: {verb}(source={source}, tag={tag}) "
+            f"timed out{hint}",
+        ))
+
     def receive(self, source: int, tag: int, context: int) -> Envelope:
-        """Block until a matching message arrives."""
+        """Block until a matching message arrives (an abort wins over a
+        pending match)."""
         if self.faults is not None:
             # slow receiver / crash-mid-receive injection site
             self.faults.hit("p2p.recv", self.owner)
-        deadline = self._clock() + self._timeout
+        dog = None
         with self._cond:
             while True:
-                if self._abort.is_set():
-                    note_abort(self._abort)
-                    raise AbortError(f"task {self.owner}: job aborted during recv")
+                raise_if_aborted(self._abort, _ABORTED, self.owner, " during recv")
                 env = self._take(source, tag, context)
                 if env is not None:
                     return env
-                remaining = deadline - self._clock()
-                if remaining <= 0:
-                    raise DeadlockError(
-                        f"task {self.owner}: recv(source={source}, tag={tag}) "
-                        f"timed out -- likely deadlock"
-                    )
-                delivered = self.delivered
-                self._cond.wait(timeout=min(remaining, _ABORT_TICK))
+                if dog is None:
+                    dog = self._watchdog("recv", source, tag, " -- likely deadlock")
+                self._cond.wait(timeout=dog.tick(self.delivered))
                 self.wakeups += 1
-                if self.delivered != delivered:
-                    # Matching progress (another request drained this
-                    # mailbox while we slept) extends the deadline; mere
-                    # arrivals of non-matching traffic do not, so a
-                    # receive nobody answers still times out on schedule.
-                    deadline = self._clock() + self._timeout
 
     def try_receive(self, source: int, tag: int, context: int) -> Optional[Envelope]:
         """Non-blocking matched receive (None if nothing matches)."""
         with self._cond:
-            if self._abort.is_set():
-                note_abort(self._abort)
-                raise AbortError(f"task {self.owner}: job aborted")
+            raise_if_aborted(self._abort, _ABORTED, self.owner, "")
             return self._take(source, tag, context)
+
+    def _peek(self, source: int, tag: int, context: int) -> Optional[Status]:
+        if self._held:
+            self._release_held()
+        env = self.matcher.peek(source, tag, context)
+        if env is None:
+            return None
+        return Status(source=env.src, tag=env.tag, nbytes=env.nbytes)
 
     def probe(self, source: int, tag: int, context: int) -> Optional[Status]:
         """Non-destructive match: status of the first matching message."""
         with self._cond:
-            if self._held:
-                self._release_held()
-            env = self.matcher.peek(source, tag, context)
-            if env is None:
-                return None
-            return Status(source=env.src, tag=env.tag, nbytes=env.nbytes)
+            return self._peek(source, tag, context)
 
     def probe_blocking(self, source: int, tag: int, context: int) -> Status:
         """Block until a matching message is pending; do not consume it."""
-        deadline = self._clock() + self._timeout
+        dog = None
         with self._cond:
             while True:
-                if self._abort.is_set():
-                    note_abort(self._abort)
-                    raise AbortError(f"task {self.owner}: job aborted during probe")
-                if self._held:
-                    self._release_held()
-                env = self.matcher.peek(source, tag, context)
-                if env is not None:
-                    return Status(source=env.src, tag=env.tag, nbytes=env.nbytes)
-                remaining = deadline - self._clock()
-                if remaining <= 0:
-                    raise DeadlockError(
-                        f"task {self.owner}: probe(source={source}, tag={tag}) "
-                        f"timed out"
-                    )
-                self._cond.wait(timeout=min(remaining, _ABORT_TICK))
+                raise_if_aborted(self._abort, _ABORTED, self.owner, " during probe")
+                status = self._peek(source, tag, context)
+                if status is not None:
+                    return status
+                if dog is None:
+                    dog = self._watchdog("probe", source, tag, "")
+                self._cond.wait(timeout=dog.tick())
                 self.wakeups += 1
 
     def activity_token(self) -> int:
@@ -388,13 +371,10 @@ class Mailbox:
         sweep.  Returns immediately when ``token`` is stale (a message
         arrived since the caller's poll)."""
         with self._cond:
-            if self._abort.is_set():
-                note_abort(self._abort)
-                raise AbortError(f"task {self.owner}: job aborted")
-            if self.posted != token:
-                return
-            self._cond.wait(timeout=timeout)
-            self.wakeups += 1
+            raise_if_aborted(self._abort, _ABORTED, self.owner, "")
+            if self.posted == token:
+                self._cond.wait(timeout=timeout)
+                self.wakeups += 1
 
     def pending_count(self) -> int:
         with self._cond:

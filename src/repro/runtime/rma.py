@@ -23,7 +23,7 @@ share an address space and either the runtime runs ``sharing="shared"``
 or the window was allocated shared, an access is *direct*: the one
 semantic transfer touches the exposed segment with plain loads/stores
 and no staging copy is made (``zero_copy_hits`` in
-:meth:`~repro.runtime.runtime.Runtime.rma_metrics`).  Otherwise the
+``Runtime.metrics("rma")``).  Otherwise the
 payload is staged through a private copy at the origin, and the
 process backend (:mod:`repro.runtime.process_mpi`) additionally
 emulates the window with lazily allocated **per-origin mirror copies**
@@ -40,25 +40,17 @@ reports it offline as well.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.runtime.abort import note_abort, subscribe_abort
-from repro.runtime.errors import (
-    AbortError,
-    DeadlockError,
-    MPIError,
-    RMAEpochError,
-)
+from repro.runtime.abort import Watchdog, subscribe_abort
+from repro.runtime.errors import MPIError, RMAEpochError
 from repro.runtime.ops import Op, SUM
 from repro.runtime.payload import clone
 from repro.storage.array import ChunkedArray
 from repro.storage.chunkstore import DEFAULT_CHUNK_ELEMS
 from repro.storage.sync import ChunkSynchronizer
-
-_ABORT_TICK = 1.0
 
 #: lock modes (MPI_LOCK_SHARED / MPI_LOCK_EXCLUSIVE)
 LOCK_SHARED = "shared"
@@ -172,6 +164,10 @@ class _WinShared:
         self.lockall_holders: set = set()
         self.excl_count: Dict[int, int] = {}
         self.excl_total = 0
+        #: epoch transitions (post / complete / unlock / unlock_all): the
+        #: progress token of :meth:`wait_for`, so a lock queue that keeps
+        #: advancing never trips the watchdog
+        self.progress = 0
         # per-(origin world-rank, target comm-rank) mirror allocations of
         # the process backend's window emulation
         self.mirrors: Dict[Tuple[int, int], Tuple[Any, Any]] = {}
@@ -182,26 +178,27 @@ class _WinShared:
             self.cond.notify_all()
 
     # ------------------------------------------------------------- waiting
-    def wait_for(self, pred: Callable[[], bool], what: str) -> bool:
+    def advance(self) -> None:
+        """Record an epoch transition and wake the epoch waiters
+        (``self.cond`` held)."""
+        self.progress += 1
+        self.cond.notify_all()
+
+    def wait_for(self, pred: Callable[[], bool], what: str) -> None:
         """Block (``self.cond`` held) until ``pred()``; abort-aware with
-        the runtime's deadlock watchdog.  Returns True when the call
-        actually parked at least once (the ``epoch_waits`` unit)."""
-        waited = False
-        clock = getattr(self.runtime, "now", time.monotonic)
-        deadline = clock() + self.runtime.timeout
+        the runtime's deadlock watchdog.  Counts one ``epoch_waits``
+        when the call actually parked."""
+        if pred():
+            return
+        rt = self.runtime
+        dog = Watchdog(rt.abort_flag, rt.now, rt.timeout, lambda: (
+            f"job aborted during {what}",
+            f"{what} timed out after {rt.timeout}s -- "
+            f"RMA synchronisation mismatch?",
+        ))
         while not pred():
-            if self.runtime.abort_flag.is_set():
-                note_abort(self.runtime.abort_flag)
-                raise AbortError(f"job aborted during {what}")
-            now = clock()
-            if now >= deadline:
-                raise DeadlockError(
-                    f"{what} timed out after {self.runtime.timeout}s -- "
-                    f"RMA synchronisation mismatch?"
-                )
-            waited = True
-            self.cond.wait(timeout=min(deadline - now, _ABORT_TICK))
-        return waited
+            self.cond.wait(timeout=dog.tick(self.progress))
+        self.note(epoch_waits=1)
 
     def note(self, **deltas: int) -> None:
         with self.stats_lock:
@@ -924,7 +921,7 @@ class Win:
             st.exposure[self.rank] = {
                 "gen": gen, "origins": origins, "completed": set(),
             }
-            st.cond.notify_all()
+            st.advance()
 
     def start(self, group: Iterable[int]) -> None:
         """Open an access epoch to the targets in ``group``; blocks
@@ -955,8 +952,7 @@ class Win:
             return all(fresh(t) for t in targets)
 
         with st.cond:
-            if st.wait_for(posted, f"start({sorted(targets)})"):
-                st.note(epoch_waits=1)
+            st.wait_for(posted, f"start({sorted(targets)})")
             self._started_gens = {
                 t: st.exposure[t]["gen"] for t in targets
             }
@@ -983,7 +979,7 @@ class Win:
                 self._completed_gen[t] = self._started_gens.get(
                     t, self._completed_gen.get(t, 0)
                 )
-            st.cond.notify_all()
+            st.advance()
         self._started = None
         self._started_gens = {}
 
@@ -1002,8 +998,7 @@ class Win:
             def done() -> bool:
                 return exp["completed"] >= exp["origins"]
 
-            if st.wait_for(done, "wait(exposure epoch)"):
-                st.note(epoch_waits=1)
+            st.wait_for(done, "wait(exposure epoch)")
             del st.exposure[self.rank]
             st.cond.notify_all()
 
@@ -1030,8 +1025,7 @@ class Win:
             return st.excl_count.get(target, 0) == 0
 
         with st.cond:
-            if st.wait_for(grantable, f"lock({target}, {mode})"):
-                st.note(epoch_waits=1)
+            st.wait_for(grantable, f"lock({target}, {mode})")
             st.lock_holders.setdefault(target, {})[self.rank] = mode
             if mode == LOCK_EXCLUSIVE:
                 st.excl_count[target] = st.excl_count.get(target, 0) + 1
@@ -1061,7 +1055,7 @@ class Win:
                 else:
                     st.excl_count.pop(target, None)
                 st.excl_total -= 1
-            st.cond.notify_all()
+            st.advance()
         del self._held_locks[target]
 
     def lock_all(self) -> None:
@@ -1078,8 +1072,7 @@ class Win:
             return st.excl_total == 0
 
         with st.cond:
-            if st.wait_for(grantable, "lock_all()"):
-                st.note(epoch_waits=1)
+            st.wait_for(grantable, "lock_all()")
             st.lockall_holders.add(self.rank)
         self._lock_all = True
         st.note(locks=1)
@@ -1094,7 +1087,7 @@ class Win:
         st = self._shared
         with st.cond:
             st.lockall_holders.discard(self.rank)
-            st.cond.notify_all()
+            st.advance()
         self._lock_all = False
 
     # -------------------------------------------------------------- free

@@ -117,7 +117,6 @@ class Runtime:
         pinning: Optional[Sequence[int]] = None,
         algorithm: Optional[str] = None,
         sharing: str = "private",
-        matcher: str = "indexed",
         faults: Optional[Any] = None,
         backend: str = "threads",
         schedule: Optional[Any] = None,
@@ -133,9 +132,6 @@ class Runtime:
         #: HLS sharing policy: governs the zero-copy fast path of both
         #: collectives and point-to-point deliveries
         self.sharing = sharing
-        if matcher not in ("indexed", "linear"):
-            raise MPIError(f"unknown mailbox matcher {matcher!r}")
-        self.matcher = matcher
         if machine is None:
             if n_tasks is None:
                 raise MPIError("provide a machine, n_tasks, or both")
@@ -180,7 +176,7 @@ class Runtime:
         self.abort_recovery_s: Optional[float] = None
         self._mailboxes = [
             Mailbox(
-                r, self.abort_flag, timeout=timeout, matcher=matcher,
+                r, self.abort_flag, timeout=timeout,
                 condition=self._backend.condition(), clock=self._backend.now,
             )
             for r in range(self.n_tasks)
@@ -233,7 +229,7 @@ class Runtime:
         self.name = name
         self.memory = MemoryManager(self, registry=registry, namespace=name)
         #: RMA windows ever created on this runtime (repro.runtime.rma);
-        #: aggregated by rma_metrics()
+        #: aggregated by metrics("rma")
         self._windows: List[Any] = []
         self._win_lock = threading.Lock()
         #: chunk-residency LRU + spill policy (repro.storage): arenas
@@ -244,11 +240,11 @@ class Runtime:
         self.storage_spill = SpillManager(self)
         self.memory.set_spiller(self.storage_spill)
         #: ChunkStores bound to this runtime (repro.storage); aggregated
-        #: by storage_metrics()
+        #: by metrics("storage")
         self._stores: List[Any] = []
         self._stores_lock = threading.Lock()
         #: per-loop reports registered by repro.scheduler.dynamic_for;
-        #: aggregated by loadbalance_metrics()
+        #: aggregated by metrics("loadbalance")
         self._loop_reports: List[Any] = []
         self._loop_lock = threading.Lock()
         #: the runtime's own pool allocations, released by finalize();
@@ -302,24 +298,6 @@ class Runtime:
         with self._loop_lock:
             return list(self._loop_reports)
 
-    def loadbalance_metrics(self):
-        """Aggregated self-scheduling counters of every
-        ``repro.scheduler.dynamic_for`` loop this runtime ran: per-task
-        busy/idle time, chunks claimed locally vs stolen, steal
-        attempts/failures, and the c.o.v. of task finish times.
-
-        Deprecation shim: delegates to the unified registry
-        (``metrics("loadbalance")``)."""
-        return self.metrics("loadbalance")
-
-    def sched_metrics(self):
-        """Snapshot of the scheduler counters (context switches, parks,
-        wake sources, run-queue depth; zeros under the threads backend
-        where the OS owns the interleaving).
-
-        Deprecation shim: delegates to ``metrics("sched")``."""
-        return self.metrics("sched")
-
     # ----------------------------------------------------------- metrics
     def metrics(self, subsystem: Optional[str] = None):
         """The unified metrics entry point (repro.metrics.registry).
@@ -329,20 +307,12 @@ class Runtime:
         registered subsystem (p2p, collectives, rma, sched, faults,
         memory, storage, loadbalance) -- the JSON-ready unit the job
         service streams per job.  With a subsystem name, returns that
-        subsystem's metrics object (exactly what the legacy
-        ``*_metrics()`` methods return; they are shims over this)."""
+        subsystem's metrics object."""
         from repro.metrics.registry import build_snapshot, build_subsystem
 
         if subsystem is None:
             return build_snapshot(self)
         return build_subsystem(subsystem, self)
-
-    def collectives_metrics(self):
-        """The collective-path counters (episode/clone/elision tallies;
-        the live object also reachable as ``collective_metrics``).
-
-        Deprecation shim: delegates to ``metrics("collectives")``."""
-        return self.metrics("collectives")
 
     def schedule_trace(self):
         """The canonical schedule trace recorded by the last coop run
@@ -381,13 +351,6 @@ class Runtime:
             for st in self._icoll_states.values():
                 st.faults = injector
         return injector
-
-    def fault_metrics(self):
-        """Snapshot of the chaos counters (injections fired, aborts
-        propagated, comm-buffer retries, recovery latency).
-
-        Deprecation shim: delegates to ``metrics("faults")``."""
-        return self.metrics("faults")
 
     # ------------------------------------------------------------- placement
     def task_pu(self, rank: int) -> int:
@@ -428,14 +391,6 @@ class Runtime:
         """Live simulated bytes attributed to a node, over every arena
         resident there (application + runtime + HLS at any scope)."""
         return self.memory.node_live_bytes(node)
-
-    def memory_metrics(self):
-        """Snapshot of the arena layer's accounting: live bytes per
-        node, broken down by hierarchy level (node/numa/cache(L)/core/
-        task/segment) and by allocation kind.
-
-        Deprecation shim: delegates to ``metrics("memory")``."""
-        return self.metrics("memory")
 
     def finalize(self) -> LeakReport:
         """Shut the runtime's memory accounting down: release the comm
@@ -480,12 +435,6 @@ class Runtime:
         with self._ctx_lock:
             self._contexts += 1
             return self._contexts
-
-    @property
-    def collective_sharing(self) -> str:
-        """Backwards-compatible alias: the sharing policy is one knob
-        governing collectives and point-to-point alike."""
-        return self.sharing
 
     def _collective_share_check(self) -> Optional[Callable[[int, int], bool]]:
         """The zero-copy legality predicate, or None when the sharing
@@ -616,13 +565,6 @@ class Runtime:
             total.merge(shard)
         return total
 
-    def p2p_metrics(self):
-        """Snapshot of the point-to-point path counters (matcher
-        comparisons, wakeups, traffic and copy-elision statistics).
-
-        Deprecation shim: delegates to ``metrics("p2p")``."""
-        return self.metrics("p2p")
-
     # ------------------------------------------------------------------- rma
     def register_window(self, shared: Any) -> int:
         """Reserve a slot in the window registry and return its id (the
@@ -631,20 +573,12 @@ class Runtime:
             self._windows.append(shared)
             return len(self._windows) - 1
 
-    def rma_metrics(self):
-        """Snapshot of the one-sided counters aggregated over every
-        window (ops, bytes, staged copies, zero-copy hits, epoch
-        waits, chunk-lock acquisitions/waits).
-
-        Deprecation shim: delegates to ``metrics("rma")``."""
-        return self.metrics("rma")
-
     # --------------------------------------------------------------- storage
     def attach_store(self, store: Any) -> None:
         """Register a bound :class:`~repro.storage.chunkstore.ChunkStore`
         (called by ``ChunkStore.bind``; idempotent).  Attached stores
         feed fault-site hits through this runtime's injector and are
-        aggregated by :meth:`storage_metrics`."""
+        aggregated by ``metrics("storage")``."""
         with self._stores_lock:
             if store not in self._stores:
                 self._stores.append(store)
@@ -663,15 +597,6 @@ class Runtime:
         from repro.storage.chunkstore import ChunkStore
 
         return ChunkStore.open(root).bind(self)
-
-    def storage_metrics(self):
-        """Snapshot of the out-of-core counters: chunk reads/writes and
-        bytes, manifest commits per attached store, plus the spill
-        layer's residency statistics (spills, faults, resident/peak
-        bytes).
-
-        Deprecation shim: delegates to ``metrics("storage")``."""
-        return self.metrics("storage")
 
     def _comm_alloc(
         self, space: AddressSpace, nbytes: int, *, label: str, owner: int,

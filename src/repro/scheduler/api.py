@@ -93,7 +93,7 @@ class TaskLoopStats:
 @dataclass
 class LoopReport:
     """Rank 0's gathered view of one loop (registered on the runtime
-    and aggregated by ``rt.loadbalance_metrics()``)."""
+    and aggregated by ``rt.metrics("loadbalance")``)."""
 
     label: str
     policy: str

@@ -56,8 +56,7 @@ import numpy as np
 
 from repro.hls import HLSProgram
 from repro.hls.program import HLSHandle
-from repro.runtime.abort import note_abort
-from repro.runtime.errors import AbortError, DeadlockError
+from repro.runtime.abort import Watchdog
 from repro.runtime.rma import Win
 from repro.scheduler.policy import SelfSchedPolicy
 
@@ -336,16 +335,13 @@ class ChunkQueue:
         """Abort- and deadline-aware tick for the donate retry loops
         (a cooperative scheduling point plus the runtime's watchdog)."""
         rt = self.runtime
-        deadline = rt.now() + rt.timeout
+        dog = Watchdog(rt.abort_flag, rt.now, rt.timeout, lambda: (
+            f"job aborted during {what}",
+            f"{what} timed out after {rt.timeout}s",
+        ))
         def tick() -> None:
             rt.checkpoint()
-            if rt.abort_flag.is_set():
-                note_abort(rt.abort_flag)
-                raise AbortError(f"job aborted during {what}")
-            if rt.now() >= deadline:
-                raise DeadlockError(
-                    f"{what} timed out after {rt.timeout}s"
-                )
+            dog.tick()
         return tick
 
     def _descriptor(self, node: int, idx: int) -> Tuple[int, int]:

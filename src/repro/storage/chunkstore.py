@@ -117,7 +117,7 @@ class ChunkStore:
 
     def bind(self, runtime: Any) -> "ChunkStore":
         """Bind the store to a runtime: fault-site hits are routed to
-        its injector and ``runtime.storage_metrics()`` aggregates this
+        its injector and ``runtime.metrics("storage")`` aggregates this
         store's counters.  Idempotent."""
         with self._lock:
             self.runtime = runtime

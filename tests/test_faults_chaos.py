@@ -281,7 +281,7 @@ def test_crash_at_each_site_aborts_everyone(site, workload):
     # still blocked; the clock proves the abort woke the parked ones
     # rather than their timeouts expiring.
     assert elapsed < TIMEOUT, f"abort propagation took {elapsed:.1f}s"
-    m = rt.fault_metrics()
+    m = rt.metrics("faults")
     assert m.fired.get("crash") == 1
     assert m.aborts_propagated >= 1, "no parked task was woken by the abort"
     assert m.recovery_latency_s is not None
@@ -514,7 +514,7 @@ def test_crash_then_restore_storage_is_bit_equal(site, victim, tmp_path):
     store1 = rt1.restore_storage(root)
     with pytest.raises(InjectedCrash):
         rt1.run(wl_storage(store1, store1.epoch, S_ITERS))
-    assert rt1.fault_metrics().fired.get("crash") == 1
+    assert rt1.metrics("faults").fired.get("crash") == 1
 
     # phase 3: restore from whatever the crash left behind and finish
     rt2 = make_runtime()
@@ -606,7 +606,7 @@ def test_crash_at_step_n_during_hierarchical_reduce(victim, step):
     with pytest.raises(InjectedCrash):
         rt.run(chain)
     # run() joined all threads: nobody is blocked.  Stats consistency:
-    m = rt.fault_metrics()
+    m = rt.metrics("faults")
     assert m.fired == {"crash": 1}
     assert m.hits >= step            # the victim reached its window
     assert m.aborts_propagated >= 1

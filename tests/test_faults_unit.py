@@ -233,7 +233,7 @@ class TestAllocRetry:
         res = rt.run(self._pingpong)
         assert res[1] == b"x" * 64
         assert rt.comm_alloc_retries == 2
-        assert rt.fault_metrics().alloc_retries == 2
+        assert rt.metrics("faults").alloc_retries == 2
 
     def test_sustained_exhaustion_propagates_after_budget(self):
         # more consecutive failures than ALLOC_RETRIES allows: the
@@ -275,7 +275,7 @@ class TestZeroCostWhenOff:
 
     def test_fault_metrics_without_plan(self):
         rt = Runtime(core2_cluster(1), n_tasks=2)
-        m = rt.fault_metrics()
+        m = rt.metrics("faults")
         assert not m.chaos
         assert m.injections == 0 and m.aborts_propagated == 0
         assert m.recovery_latency_s is None

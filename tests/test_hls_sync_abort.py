@@ -158,7 +158,7 @@ class TestRuntimeIntegration:
         with pytest.raises(InjectedCrash):
             rt.run(main)
         assert time.monotonic() - start < 10.0
-        assert rt.fault_metrics().aborts_propagated >= 1
+        assert rt.metrics("faults").aborts_propagated >= 1
 
     def test_runtime_exception_wakes_single_waiters(self):
         """The original bug: task 3 dies *outside* hls before entering

@@ -243,7 +243,7 @@ class TestScopeArenaAcceptance:
             return 0
 
         rt.run(main)
-        metrics = rt.memory_metrics()
+        metrics = rt.metrics("memory")
         for node, levels in metrics.per_node_by_level.items():
             assert sum(levels.values()) == metrics.per_node[node]
             assert metrics.per_node[node] == rt.node_live_bytes(node)

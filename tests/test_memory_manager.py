@@ -125,7 +125,7 @@ class TestMemoryMetrics:
             return 0
 
         rt.run(main)
-        m = rt.memory_metrics()
+        m = rt.metrics("memory")
         assert set(m.per_node) == {0, 1}
         for node, total in m.per_node.items():
             assert total == rt.node_live_bytes(node)

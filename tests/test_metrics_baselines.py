@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.baselines import PageMerger, SharedWindow
+from repro.baselines import PageMerger
 from repro.baselines.sbllmalloc import PAGE
 from repro.machine import core2_cluster
 from repro.metrics import MemorySampler, Table, parallel_efficiency
 from repro.runtime import MPIError, Runtime
+from repro.runtime.rma import Win
 
 
 class TestMemorySampler:
@@ -168,12 +169,14 @@ class TestPageMerger:
 
 
 class TestSharedWindow:
+    """The MPI-3 shared-window comparator (``Win.allocate_shared``)."""
+
     def test_allocate_and_cross_rank_stores(self):
         rt = Runtime(core2_cluster(1), n_tasks=4, timeout=5.0)
 
         def main(ctx):
             node_comm = ctx.comm_world.split_by_node()
-            win = SharedWindow.allocate_shared(node_comm, 4)
+            win = Win.allocate_shared(node_comm, 4)
             win.local()[:] = node_comm.rank
             win.fence()
             # read the neighbour's portion with plain loads
@@ -190,9 +193,10 @@ class TestSharedWindow:
 
         def main(ctx):
             c = ctx.comm_world.split_by_node()
-            win = SharedWindow.allocate_shared(c, 2)
+            win = Win.allocate_shared(c, 2)
             if c.rank == 0:
-                win._state.buffer[:] = 42.0
+                for r in range(c.size):
+                    win.shared_query(r)[:] = 42.0
             win.fence()
             return float(win.local().sum())
 
@@ -202,7 +206,7 @@ class TestSharedWindow:
         rt = Runtime(core2_cluster(2), n_tasks=16, timeout=5.0)
 
         def main(ctx):
-            SharedWindow.allocate_shared(ctx.comm_world, 1)
+            Win.allocate_shared(ctx.comm_world, 1)
 
         with pytest.raises(MPIError):
             rt.run(main)
@@ -212,7 +216,7 @@ class TestSharedWindow:
 
         def main(ctx):
             c = ctx.comm_world.split_by_node()
-            win = SharedWindow.allocate_shared(c, 1)
+            win = Win.allocate_shared(c, 1)
             with pytest.raises(MPIError):
                 win.shared_query(99)
             win.fence()
@@ -224,7 +228,7 @@ class TestSharedWindow:
 
         def main(ctx):
             c = ctx.comm_world.split_by_node()
-            win = SharedWindow.allocate_shared(c, 1024)
+            win = Win.allocate_shared(c, 1024)
             before = rt.node_space(0).live_bytes
             win.free()
             after = rt.node_space(0).live_bytes
@@ -238,7 +242,7 @@ class TestSharedWindow:
 
         def main(ctx):
             c = ctx.comm_world.split_by_node()
-            SharedWindow.allocate_shared(c, 4, offsets={0: 0, 1: 2})
+            Win.allocate_shared(c, 4, offsets={0: 0, 1: 2})
 
         with pytest.raises(MPIError, match="overlap"):
             rt.run(main)
@@ -248,7 +252,7 @@ class TestSharedWindow:
 
         def main(ctx):
             c = ctx.comm_world.split_by_node()
-            SharedWindow.allocate_shared(c, 4, offsets={0: 0, 1: 6})
+            Win.allocate_shared(c, 4, offsets={0: 0, 1: 6})
 
         with pytest.raises(MPIError, match="exceeds the window"):
             rt.run(main)
@@ -263,7 +267,7 @@ class TestSharedWindow:
 
         def main(ctx):
             c = ctx.comm_world.split_by_node()
-            SharedWindow.allocate_shared(c, 4)
+            Win.allocate_shared(c, 4)
 
         with pytest.raises(MPIError, match="no shared address space"):
             rt.run(main)
@@ -272,7 +276,7 @@ class TestSharedWindow:
         rt = Runtime(core2_cluster(1), n_tasks=2, timeout=5.0)
 
         def main(ctx):
-            SharedWindow.allocate_shared(
+            Win.allocate_shared(
                 ctx.comm_world.split_by_node(), -1
             )
 

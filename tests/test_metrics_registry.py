@@ -1,7 +1,7 @@
 """Unit tests for the unified metrics registry: ``Runtime.metrics()``
-covers every subsystem in one snapshot, the legacy per-subsystem
-methods are delegating shims over the same table, and snapshots render
-to canonical JSON."""
+covers every subsystem in one snapshot, ``Runtime.metrics(name)`` one
+subsystem from the same table, and snapshots render to canonical
+JSON."""
 
 from __future__ import annotations
 
@@ -125,42 +125,23 @@ class TestCanonicalJSON:
         rt.finalize()
 
 
-class TestDeprecationShims:
-    """The eight legacy methods must keep working, now as thin
-    delegates over ``metrics(name)`` -- no test churn for callers."""
+class TestSubsystemAccess:
+    """``metrics(name)`` is the one per-subsystem accessor: the eight
+    ``Runtime.*_metrics()`` methods it replaced are gone."""
 
-    def test_shims_return_registry_built_objects(self):
+    def test_subsystem_objects_match_unified_snapshot(self):
         rt = Runtime(small_test_machine(), n_tasks=4, timeout=10.0)
         rt.run(_ring)
-        shims = {
-            "p2p": rt.p2p_metrics,
-            "collectives": rt.collectives_metrics,
-            "rma": rt.rma_metrics,
-            "sched": rt.sched_metrics,
-            "faults": rt.fault_metrics,
-            "memory": rt.memory_metrics,
-            "storage": rt.storage_metrics,
-            "loadbalance": rt.loadbalance_metrics,
-        }
-        assert tuple(sorted(shims)) == tuple(sorted(EXPECTED))
-        for name, method in shims.items():
-            via_shim = method()
-            via_registry = rt.metrics(name)
-            assert type(via_shim) is type(via_registry), name
-            assert via_shim.snapshot() == via_registry.snapshot(), name
+        snap = rt.metrics()
+        for name in EXPECTED:
+            obj = rt.metrics(name)
+            assert type(obj) is type(snap.objects[name]), name
+            assert obj.snapshot() == snap.snapshot()[name], name
         rt.finalize()
 
-    def test_shim_docstrings_mark_deprecation(self):
+    def test_per_subsystem_methods_are_gone(self):
         for meth in ("p2p_metrics", "collectives_metrics", "rma_metrics",
                      "sched_metrics", "fault_metrics", "memory_metrics",
-                     "storage_metrics", "loadbalance_metrics"):
-            doc = getattr(Runtime, meth).__doc__ or ""
-            assert "Deprecation shim" in doc, meth
-
-    def test_shim_values_match_unified_snapshot(self):
-        rt = Runtime(n_tasks=4, timeout=10.0)
-        rt.run(_ring)
-        snap = rt.metrics()
-        assert rt.p2p_metrics().snapshot() == snap.snapshot()["p2p"]
-        assert rt.memory_metrics().snapshot() == snap.snapshot()["memory"]
-        rt.finalize()
+                     "storage_metrics", "loadbalance_metrics",
+                     "collective_sharing"):
+            assert not hasattr(Runtime, meth), meth

@@ -172,8 +172,16 @@ def test_property_runtime_matchers_agree_end_to_end(plan):
     from repro.runtime import ANY_SOURCE as ANY_SRC, ANY_TAG as ANY_T
     from repro.runtime import Runtime, Status
 
+    from repro.runtime.message import Mailbox
+
     def job(matcher):
-        rt = Runtime(n_tasks=3, timeout=10.0, matcher=matcher)
+        rt = Runtime(n_tasks=3, timeout=10.0)
+        # runtime mailboxes are always indexed; swap in the matcher
+        # under test before any task runs
+        rt._mailboxes = [
+            Mailbox(r, rt.abort_flag, timeout=10.0, matcher=matcher)
+            for r in range(rt.n_tasks)
+        ]
 
         def main(ctx):
             c = ctx.comm_world

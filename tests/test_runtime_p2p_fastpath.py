@@ -221,21 +221,12 @@ class TestReceiveTimeoutAccounting:
 
 
 class TestLinearMatcherBackend:
-    def test_runtime_runs_on_linear_matcher(self):
-        rt = Runtime(n_tasks=4, timeout=5.0, matcher="linear")
-
-        def main(ctx):
-            c = ctx.comm_world
-            right = (ctx.rank + 1) % ctx.size
-            left = (ctx.rank - 1) % ctx.size
-            return c.sendrecv(ctx.rank, dest=right, source=left)
-
-        assert rt.run(main) == [3, 0, 1, 2]
-        assert rt.p2p_metrics().matcher == "linear"
-
     def test_unknown_matcher_rejected(self):
-        with pytest.raises(MPIError):
-            Runtime(n_tasks=2, matcher="quantum")
+        """Runtime mailboxes always use the indexed matcher: the
+        ``matcher=`` keyword is gone, not silently ignored."""
+        with pytest.raises(TypeError):
+            Runtime(n_tasks=2, matcher="linear")
+        assert Runtime(n_tasks=2).metrics("p2p").matcher == "indexed"
 
 
 class TestCheapClones:
@@ -332,18 +323,18 @@ class TestShardedStats:
                 c.recv(source=0, tag=5)
 
         rt.run(main)
-        snap = rt.p2p_metrics().snapshot()
+        snap = rt.metrics("p2p").snapshot()
         assert snap["matcher"] == "indexed"
         assert snap["posted"] == snap["delivered"] == snap["messages"] == 1
         assert snap["pending"] == 0
         assert snap["comparisons"] >= 1
-        assert "p2p metrics" in rt.p2p_metrics().render()
+        assert "p2p metrics" in rt.metrics("p2p").render()
 
 
 class TestAbortWakesEventDrivenReceives:
     def test_signal_abort_wakes_parked_receiver_quickly(self):
         """Event-driven receives have no poll; signal_abort must wake
-        them immediately (well under the _ABORT_TICK safety cap)."""
+        them immediately (well under the ABORT_TICK safety cap)."""
         rt = Runtime(n_tasks=2, timeout=30.0)
 
         def main(ctx):

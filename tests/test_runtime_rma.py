@@ -167,7 +167,7 @@ def test_pscw_start_blocks_until_post():
 
     rt = thread_rt()
     rt.run(main)
-    assert rt.rma_metrics().epoch_waits >= 1
+    assert rt.metrics("rma").epoch_waits >= 1
 
 
 @pytest.mark.parametrize("factory", RUNTIMES.values(), ids=RUNTIMES.keys())
@@ -256,7 +256,7 @@ def test_shared_locks_coexist_exclusive_waits():
     res = rt.run(main)
     # the readers all saw the pre-write value (they held the lock first)
     assert res[1:] == [0.0, 0.0, 0.0]
-    m = rt.rma_metrics()
+    m = rt.metrics("rma")
     assert m.epoch_waits >= 1      # the exclusive locker provably parked
     assert m.locks == N            # 3 shared grants + 1 exclusive grant
 
@@ -411,7 +411,7 @@ def test_shared_sharing_moves_zero_staged_bytes():
 
     rt = thread_rt("shared")
     rt.run(main)
-    m = rt.rma_metrics()
+    m = rt.metrics("rma")
     assert m.ops == 2 * N
     assert m.staged_bytes == 0 and m.staged_copies == 0
     assert m.zero_copy_hits == 2 * N
@@ -429,7 +429,7 @@ def test_private_sharing_stages_every_transfer():
 
     rt = thread_rt("private")
     rt.run(main)
-    m = rt.rma_metrics()
+    m = rt.metrics("rma")
     assert m.zero_copy_hits == 0
     assert m.staged_copies == N
     assert m.staged_bytes == m.bytes == N * 8 * 8
@@ -447,7 +447,7 @@ def test_allocate_shared_window_is_direct_even_under_private_sharing():
 
     rt = thread_rt("private")
     rt.run(main)
-    m = rt.rma_metrics()
+    m = rt.metrics("rma")
     assert m.staged_bytes == 0 and m.zero_copy_hits == N
 
 
@@ -468,7 +468,7 @@ def test_process_backend_pays_mirror_copies_and_double_staging():
     before = prt.node_live_bytes(0)
     prt.run(main)
     after = prt.node_live_bytes(0)
-    m = prt.rma_metrics()
+    m = prt.metrics("rma")
     assert m.zero_copy_hits == 0
     assert m.staged_bytes == 2 * m.bytes          # origin + mirror delivery
     assert m.mirror_bytes == N * 8 * 8            # one mirror per (o, t) pair
@@ -478,7 +478,7 @@ def test_process_backend_pays_mirror_copies_and_double_staging():
 
     trt = thread_rt("shared")
     trt.run(main)
-    assert trt.rma_metrics().mirror_bytes == 0
+    assert trt.metrics("rma").mirror_bytes == 0
 
 
 def test_zero_copy_get_view_is_read_only_and_gated():
@@ -609,7 +609,7 @@ def test_rma_crash_site_aborts_everyone():
         rt.install_faults(plan)
         with pytest.raises(InjectedCrash):
             rt.run(_rma_chaos_job)
-        m = rt.fault_metrics()
+        m = rt.metrics("faults")
         assert m.fired.get("crash") == 1
         assert m.recovery_latency_s is not None
         assert m.recovery_latency_s < TIMEOUT

@@ -186,7 +186,7 @@ def test_atomics_mix_with_accumulate(factory):
 
 @runtime_param
 def test_atomics_metrics_counters(factory):
-    """rma_metrics counts the new atomics separately and in ops."""
+    """metrics("rma") counts the new atomics separately and in ops."""
     def main(ctx):
         c = ctx.comm_world
         win = Win.create(c, np.zeros(1, dtype=np.int64))
@@ -200,7 +200,7 @@ def test_atomics_metrics_counters(factory):
 
     rt = factory()
     assert all(rt.run(main))
-    m = rt.rma_metrics()
+    m = rt.metrics("rma")
     assert m.fetch_and_ops == 2 * N
     assert m.compare_and_swaps == N
     assert m.ops >= 3 * N

@@ -127,5 +127,5 @@ def test_sharing_policies_observationally_equivalent(seed):
     res_priv = rt_priv.run(main)
     res_shared = rt_shared.run(main)
     assert res_priv == res_shared
-    assert rt_shared.rma_metrics().staged_bytes == 0
-    assert rt_priv.rma_metrics().staged_bytes > 0
+    assert rt_shared.metrics("rma").staged_bytes == 0
+    assert rt_priv.metrics("rma").staged_bytes > 0

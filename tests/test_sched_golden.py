@@ -66,7 +66,7 @@ def run_case(workload, schedule):
         rt.run(main)
     finally:
         getattr(main, "cleanup", lambda: None)()
-    m = rt.sched_metrics()
+    m = rt.metrics("sched")
     return rt.schedule_trace(), {c: getattr(m, c) for c in COUNTERS}
 
 

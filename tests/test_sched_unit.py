@@ -224,7 +224,7 @@ class TestPreemption:
             )
 
         rt.run(main)
-        assert rt.sched_metrics().preemptions == 0
+        assert rt.metrics("sched").preemptions == 0
 
     def test_random_policy_preempts_at_sends(self):
         rt = coop_runtime(schedule="random:2")
@@ -239,7 +239,7 @@ class TestPreemption:
             assert got == sorted(set(range(ctx.size)) - {ctx.rank})
 
         rt.run(main)
-        m = rt.sched_metrics()
+        m = rt.metrics("sched")
         assert m.preemptions > 0
         # every preemption is a recorded decision point
         assert len(rt.schedule_trace()) == m.decisions
@@ -256,7 +256,7 @@ class TestSchedMetrics:
 
         res = rt.run(main)
         assert res == [N_TASKS] * N_TASKS
-        m = rt.sched_metrics()
+        m = rt.metrics("sched")
         assert m.backend == "coop"
         assert m.n_tasks == N_TASKS
         assert m.context_switches > 0
@@ -270,7 +270,7 @@ class TestSchedMetrics:
 
     def test_threads_snapshot_is_degenerate(self):
         rt = Runtime(core2_cluster(1), n_tasks=2)
-        m = rt.sched_metrics()
+        m = rt.metrics("sched")
         assert m.backend == "threads"
         assert m.context_switches == 0 and m.decisions == 0
 
@@ -438,10 +438,10 @@ class TestTokenHandoff:
 
         first = rt.run(main)
         trace = rt.schedule_trace().to_json()
-        switches = rt.sched_metrics().context_switches
+        switches = rt.metrics("sched").context_switches
         assert rt.run(main) == first
         assert rt.schedule_trace().to_json() == trace
-        assert rt.sched_metrics().context_switches == 2 * switches
+        assert rt.metrics("sched").context_switches == 2 * switches
         assert _live_carriers() == []
 
     def test_replay_divergence_in_a_carrier_drains_the_job(self):

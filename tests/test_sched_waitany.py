@@ -43,7 +43,7 @@ def test_waitany_parks_instead_of_vtime_spin(seed):
     assert res[0][0] == "late"
     # vtime advanced by the sender's timer, not by polling micro-sleeps
     assert res[0][1] == pytest.approx(1.0, abs=0.2)
-    sm = rt.sched_metrics()
+    sm = rt.metrics("sched")
     assert sm.timer_wakes < 20, sm.timer_wakes
 
 
@@ -65,7 +65,7 @@ def test_waitany_cap_bounds_each_park(seed):
     rt = coop_rt(seed)
     res = rt.run(main)
     assert res[0] == pytest.approx(3.0, abs=0.2)
-    sm = rt.sched_metrics()
+    sm = rt.metrics("sched")
     # ~3 cap-bounded timer wakes (one per WAITANY_PARK_CAP second), far
     # from the thousands the escalating micro-backoff produced
     assert sm.timer_wakes < 30, sm.timer_wakes

@@ -164,7 +164,7 @@ def test_4x_capacity_workload_bit_equal_to_in_memory(tmp_path):
             chunk_elems=chunk))
 
     assert rt.run(main_storage) == baseline
-    m = rt.storage_metrics()
+    m = rt.metrics("storage")
     assert m.spills > 0, "4x workload must page"
     assert m.faults > 0, "spilled chunks must fault back in"
     assert rt.finalize().by_kind().get("storage", 0) == 0
@@ -236,7 +236,7 @@ def test_disjoint_chunk_accesses_do_not_serialise(tmp_path):
         return None if final is None else [float(x) for x in final]
 
     results = rt.run(main)
-    m = rt.rma_metrics()
+    m = rt.metrics("rma")
     assert m.chunk_lock_acquisitions > 0
     assert m.chunk_lock_waits == 0, (
         "disjoint-chunk traffic must not contend"

@@ -170,7 +170,7 @@ def test_storage_equivalence_survives_spill_pressure(seed):
             return run_program(ctx, win, phases)
 
         assert rt.run(main) == baseline
-        assert rt.storage_metrics().spills > 0, (
+        assert rt.metrics("storage").spills > 0, (
             "the cap was meant to force paging"
         )
     finally:

@@ -277,7 +277,7 @@ def test_storage_metrics_snapshot(tmp_path):
         win.free()
 
     rt.run(main)
-    m = rt.storage_metrics()
+    m = rt.metrics("storage")
     assert m.stores == 1
     assert m.chunk_writes >= 4
     assert m.commits >= 1
