@@ -31,11 +31,10 @@ SITES: Dict[str, Tuple[str, ...]] = {
     "p2p.recv": ("delay", "crash"),
     # eager comm-buffer allocation attempt (transient exhaustion)
     "p2p.alloc": ("transient",),
-    # per-rank entry of a collective episode (flat barrier arrival or
-    # hierarchical tree sweep)
+    # per-rank entry of a blocking collective (repro.runtime.icoll)
     "coll.sweep": ("delay", "crash", "wake"),
-    # nonblocking collectives (repro.runtime.icoll): once per rank on
-    # episode deposit, then once per dataflow cell an executor runs
+    # once per rank on a nonblocking collective's deposit, and once per
+    # dataflow cell an executor runs (blocking or not)
     "coll.ichunk": ("delay", "crash", "wake"),
     # HLS scope synchronisation directives
     "hls.barrier": ("delay", "crash", "wake"),

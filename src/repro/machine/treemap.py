@@ -1,11 +1,11 @@
 """Mapping communicators onto the memory hierarchy.
 
-The hierarchical collectives engine (:mod:`repro.runtime.collectives`)
-synchronises tasks in per-scope groups -- tasks sharing a core first,
-then a cache, then a NUMA socket, then a node -- and only one
-representative per group crosses into the next, wider scope.  This
-module derives that nesting from a :class:`~repro.machine.topology.Machine`
-and the PU pinning of a communicator's members.
+The collective engine (:mod:`repro.runtime.icoll`) lays its tree-shaped
+cells along per-scope groups -- tasks sharing a core first, then a
+cache, then a NUMA socket, then a node -- with one representative per
+group forwarding into the next, wider scope.  This module derives that
+nesting from a :class:`~repro.machine.topology.Machine` and the PU
+pinning of a communicator's members.
 
 :func:`collective_levels` returns the chain of partitions, innermost
 first.  Each level is a strict coarsening of the previous one (the
@@ -29,8 +29,7 @@ class TreeLevel:
 
     ``groups`` are sorted by their smallest member; members are sorted.
     ``label`` names the scope the partition came from (``core``,
-    ``cache<L>``, ``numa``, ``node``, ``comm``) and keys the per-level
-    metrics counters.
+    ``cache<L>``, ``numa``, ``node``, ``comm``).
     """
 
     label: str

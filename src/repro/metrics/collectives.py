@@ -1,12 +1,12 @@
 """Collective-operation counters.
 
-The hierarchical collectives engine is a performance claim; these
-counters make it observable.  A *barrier episode* is one completion of
-one shared arrival counter: the flat algorithm completes two episodes
-spanning the whole communicator per data collective, the hierarchical
-algorithm completes one small episode per tree node.  ``clones`` counts
-payload copies actually performed; ``clones_elided`` counts copies
-skipped by the zero-copy fast path.
+What the collective engine (:mod:`repro.runtime.icoll`) did, observably:
+``clones`` counts payload copies actually performed, ``clones_elided``
+copies skipped by the zero-copy fast path; an *episode* is one
+collective on one communicator, counted under the cell shape it was
+planned with, and ``icoll_cells`` / ``icoll_steals`` count the cells
+those episodes executed and how many ran on a rank other than their
+owner.
 """
 
 from __future__ import annotations
@@ -22,30 +22,20 @@ class CollectiveMetrics:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        #: completed barrier episodes per tree level ("comm" = flat)
-        self.episodes: Dict[str, int] = {}
-        #: episodes where every communicator member hit one shared counter
-        self.full_comm_episodes = 0
         #: payload clones actually performed (copies of mutable payloads)
         self.clones = 0
         #: clones skipped by the zero-copy fast path
         self.clones_elided = 0
-        #: planned nonblocking-collective episodes per algorithm
-        #: ("flat" | "hierarchical" | "pipelined")
+        #: planned collective episodes, blocking and nonblocking, per
+        #: algorithm ("flat" | "hierarchical" | "pipelined")
         self.icoll_episodes: Dict[str, int] = {}
-        #: dataflow cells executed by the nonblocking engine
+        #: dataflow cells executed by the engine
         self.icoll_cells = 0
         #: cells executed by a rank other than their owner (work
         #: stealing: a waiting rank progressing a busy peer's cells)
         self.icoll_steals = 0
 
     # ------------------------------------------------------------- recording
-    def note_episode(self, label: str, arity: int, comm_size: int) -> None:
-        with self._lock:
-            self.episodes[label] = self.episodes.get(label, 0) + 1
-            if arity == comm_size and comm_size > 1:
-                self.full_comm_episodes += 1
-
     def note_icoll_episode(self, algorithm: str) -> None:
         with self._lock:
             self.icoll_episodes[algorithm] = (
@@ -67,20 +57,9 @@ class CollectiveMetrics:
             self.clones_elided += 1
 
     # ------------------------------------------------------------- reporting
-    @property
-    def total_episodes(self) -> int:
-        return sum(self.episodes.values())
-
-    @property
-    def group_episodes(self) -> int:
-        """Episodes on sub-communicator-sized (scope-local) counters."""
-        return self.total_episodes - self.full_comm_episodes
-
     def snapshot(self) -> Dict[str, Any]:
         with self._lock:
             return {
-                "episodes": dict(self.episodes),
-                "full_comm_episodes": self.full_comm_episodes,
                 "clones": self.clones,
                 "clones_elided": self.clones_elided,
                 "icoll_episodes": dict(self.icoll_episodes),
@@ -90,9 +69,6 @@ class CollectiveMetrics:
 
     def render(self) -> str:
         table = Table(["counter", "value"], title="collective metrics")
-        for label in sorted(self.episodes):
-            table.add_row(f"episodes[{label}]", self.episodes[label])
-        table.add_row("full-comm episodes", self.full_comm_episodes)
         table.add_row("clones", self.clones)
         table.add_row("clones elided", self.clones_elided)
         for label in sorted(self.icoll_episodes):
@@ -103,8 +79,8 @@ class CollectiveMetrics:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"CollectiveMetrics(episodes={self.episodes}, "
-            f"full_comm={self.full_comm_episodes}, clones={self.clones}, "
+            f"CollectiveMetrics(episodes={self.icoll_episodes}, "
+            f"cells={self.icoll_cells}, clones={self.clones}, "
             f"elided={self.clones_elided})"
         )
 

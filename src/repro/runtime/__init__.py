@@ -41,7 +41,7 @@ from repro.runtime.message import (
 )
 from repro.runtime.ops import LAND, LOR, MAX, MIN, PROD, SUM
 from repro.runtime.request import Request
-from repro.runtime.collectives import CollectiveState, HierarchicalCollectiveState
+from repro.runtime.collectives import CollectiveState
 from repro.runtime.icoll import DEFAULT_CHUNK_BYTES, CollectiveRequest, IcollState
 from repro.runtime.autotune import CollectiveTuner
 from repro.runtime.communicator import Comm
@@ -87,7 +87,6 @@ __all__ = [
     "LOR",
     "Request",
     "CollectiveState",
-    "HierarchicalCollectiveState",
     "CollectiveRequest",
     "IcollState",
     "CollectiveTuner",

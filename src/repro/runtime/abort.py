@@ -4,7 +4,7 @@ The runtime's blocking primitives are event-driven -- a parked task is
 woken by the notify of the event it waits for, not by a fixed-rate
 poll.  That makes abort a *broadcast* problem: whoever sets the flag
 must wake every parked waiter, wherever it is parked (a mailbox
-condition, a collective tree node, an HLS scope state).
+condition, a collective engine, an HLS scope state).
 
 :class:`AbortSignal` solves it by subscription: each synchronisation
 primitive registers a waker callback at construction time, and
@@ -15,9 +15,9 @@ hands a bare ``threading.Event`` to a primitive -- keeps working; the
 primitives degrade to the :data:`ABORT_TICK` safety tick when the flag
 cannot be subscribed to.
 
-Every blocking wait of the runtime (mailbox receive/probe, flat and
-tree collective barriers, nonblocking-collective completion, HLS
-``barrier``/``single``, RMA epoch waits, the scheduler's donate spin)
+Every blocking wait of the runtime (mailbox receive/probe, collective
+completion, HLS ``barrier``/``single``, RMA epoch waits, the scheduler's
+donate spin)
 takes its abort check and deadline from one :class:`Watchdog`, which
 enforces: (1) an abort ends the wait with the site's ``AbortError``;
 (2) a wait nobody answers raises its ``DeadlockError`` once ``timeout``

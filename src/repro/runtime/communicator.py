@@ -2,8 +2,8 @@
 
 Each task holds its *own* :class:`Comm` instance per communicator (rank
 differs per task); instances of the same communicator share a context id
-(isolating message matching), a rank group, and one shared-memory
-:class:`~repro.runtime.collectives.CollectiveState`.
+(isolating message matching), a rank group, and one collective engine,
+:class:`~repro.runtime.icoll.IcollState`.
 
 API mirrors MPI 1.3 in pythonic dress: ``send/recv/isend/irecv/
 sendrecv/probe`` for point-to-point, the full set of collectives, and
@@ -12,9 +12,10 @@ sendrecv/probe`` for point-to-point, the full set of collectives, and
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.runtime.errors import MPIError
+from repro.runtime.icoll import CollectiveRequest
 from repro.runtime.message import ANY_SOURCE, ANY_TAG, Status
 from repro.runtime.ops import Op, SUM
 from repro.runtime.payload import clone, clone_would_copy, deliver_into
@@ -52,11 +53,10 @@ class Comm:
         self._world_to_comm: Optional[Dict[int, int]] = (
             None if self._identity else {w: c for c, w in enumerate(group)}
         )
-        self._coll = runtime.collective_state(context, group)
+        #: the collective engine shared by this communicator's handles
+        self._engine = runtime.icoll_state(context, group)
         self._epoch = 0               # per-task count of collectives on this comm
-        # nonblocking engine, created on first i* call; the shared
-        # per-communicator state lives on the runtime, this is a cache
-        self._icoll_engine: Optional[Any] = None
+        self._seq = 0                 # per-task count of engine deposits
 
     # ------------------------------------------------------------------ shape
     @property
@@ -211,6 +211,11 @@ class Comm:
         return clone(env.payload)
 
     # ------------------------------------------------------------ collectives
+    #
+    # Every collective is a deposit into the communicator's engine
+    # (repro.runtime.icoll): the blocking form waits on the episode, the
+    # i* form hands it out as a request.  MPI defines blocking as
+    # start + wait, and that is all the difference there is.
     def _collective(self, kind: str) -> None:
         self._epoch += 1
         tracer = self.runtime.tracer
@@ -219,94 +224,100 @@ class Comm:
                 self.world_rank, self.context, kind, self.group, self._epoch
             )
 
+    def _deposit(
+        self, kind: str, payload: Any, site: str, root: int = 0,
+        op: Optional[Op] = None, algorithm: Optional[str] = None,
+        chunk_bytes: Optional[int] = None,
+    ) -> Any:
+        """Deposit into episode ``_seq + 1`` of the engine.  The per-task
+        deposit count is the episode id, so ranks calling collectives in
+        different orders meet in one episode and are caught by its
+        kind/root mismatch checks; a call the engine rejects consumes no
+        id."""
+        ep = self._engine.start(
+            self._seq + 1, kind, self.rank, payload, site, root, op,
+            algorithm, chunk_bytes,
+        )
+        self._seq += 1
+        return ep
+
+    def _blocking(
+        self, kind: str, payload: Any = None, root: int = 0,
+        op: Optional[Op] = None,
+    ) -> Any:
+        ep = self._deposit(kind, payload, "coll.sweep", root, op)
+        return self._engine.wait_complete(self.rank, ep)[0]
+
+    def _istart(self, kind: str, payload: Any = None, **kw: Any) -> Request:
+        self._collective("i" + kind)
+        ep = self._deposit(kind, payload, "coll.ichunk", **kw)
+        return CollectiveRequest(self._engine, ep, self.rank)
+
+    def _exchange(self, obj: Any) -> Sequence[Any]:
+        """allgather by reference (no clone, no trace event): how
+        ``split``, ``Win`` creation and ``ChunkQueue`` set-up publish one
+        rank's object to the others."""
+        return self._blocking("exchange", obj)
+
     def barrier(self) -> None:
         self._collective("barrier")
-        self._coll.barrier(self.rank)
+        self._blocking("barrier")
 
     def bcast(self, obj: Any = None, root: int = 0) -> Any:
         self._collective("bcast")
-        return self._coll.bcast(self.rank, obj, root)
+        return self._blocking("bcast", obj, root)
 
     def gather(self, obj: Any, root: int = 0) -> Optional[List[Any]]:
         self._collective("gather")
-        return self._coll.gather(self.rank, obj, root)
+        return self._blocking("gather", obj, root)
 
     def allgather(self, obj: Any) -> List[Any]:
         self._collective("allgather")
-        return self._coll.allgather(self.rank, obj)
+        return self._blocking("allgather", obj)
 
     def scatter(self, objs: Optional[List[Any]] = None, root: int = 0) -> Any:
         self._collective("scatter")
-        return self._coll.scatter(self.rank, objs, root)
+        return self._blocking("scatter", objs, root)
 
     def reduce(self, obj: Any, op: Op = SUM, root: int = 0) -> Optional[Any]:
         self._collective("reduce")
-        return self._coll.reduce(self.rank, obj, op, root)
+        return self._blocking("reduce", obj, root, op)
 
     def allreduce(self, obj: Any, op: Op = SUM) -> Any:
         self._collective("allreduce")
-        return self._coll.allreduce(self.rank, obj, op)
+        return self._blocking("allreduce", obj, 0, op)
 
     def scan(self, obj: Any, op: Op = SUM) -> Any:
+        """Inclusive prefix reduction."""
         self._collective("scan")
-        return self._coll.scan(self.rank, obj, op)
+        return self._blocking("scan", obj, 0, op)
 
     def alltoall(self, objs: List[Any]) -> List[Any]:
         self._collective("alltoall")
-        return self._coll.alltoall(self.rank, objs)
+        return self._blocking("alltoall", objs)
 
     def reduce_scatter(self, objs: List[Any], op: Op = SUM) -> Any:
         """Element-wise reduce of per-rank lists, then scatter: rank i
         gets op-fold over ranks of objs[i]."""
-        if len(objs) != self.size:
-            from repro.runtime.errors import CountMismatchError
-
-            raise CountMismatchError(
-                f"reduce_scatter needs {self.size} items, got {len(objs)}"
-            )
         self._collective("reduce_scatter")
-        columns = self._coll.alltoall(self.rank, objs)
+        columns = self._blocking("reduce_scatter", objs)
         out = columns[0]
         for v in columns[1:]:
             out = op(out, v)
         return out
 
     # ------------------------------------------------- nonblocking collectives
-    def _istart(
-        self,
-        kind: str,
-        payload: Any,
-        *,
-        root: int = 0,
-        op: Optional[Op] = None,
-        algorithm: Optional[str] = None,
-        chunk_bytes: Optional[int] = None,
-    ) -> Request:
-        """Deposit into the shared nonblocking engine and return the
-        request.  The collective epoch doubles as the episode id --
-        ranks calling collectives in different orders are caught by the
-        engine's kind/root mismatch checks."""
-        self._collective(kind)
-        if self._icoll_engine is None:
-            self._icoll_engine = self.runtime.icoll_state(
-                self.context, self.group
-            )
-        return self._icoll_engine.start(
-            self._epoch, kind, self.rank, payload,
-            root=root, op=op, algorithm=algorithm, chunk_bytes=chunk_bytes,
-        )
-
     def ibarrier(self) -> Request:
         """Nonblocking barrier: the request completes once every rank
         has entered (progressed by test/wait like any icoll)."""
-        return self._istart("ibarrier", None)
+        return self._istart("barrier")
 
     def ibcast(
         self, obj: Any = None, root: int = 0, *,
         algorithm: Optional[str] = None, chunk_bytes: Optional[int] = None,
     ) -> Request:
         return self._istart(
-            "ibcast", obj, root=root,
+            "bcast", obj, root=root,
             algorithm=algorithm, chunk_bytes=chunk_bytes,
         )
 
@@ -315,7 +326,7 @@ class Comm:
         algorithm: Optional[str] = None, chunk_bytes: Optional[int] = None,
     ) -> Request:
         return self._istart(
-            "ireduce", obj, root=root, op=op,
+            "reduce", obj, root=root, op=op,
             algorithm=algorithm, chunk_bytes=chunk_bytes,
         )
 
@@ -324,22 +335,30 @@ class Comm:
         algorithm: Optional[str] = None, chunk_bytes: Optional[int] = None,
     ) -> Request:
         return self._istart(
-            "iallreduce", obj, op=op,
+            "allreduce", obj, op=op,
             algorithm=algorithm, chunk_bytes=chunk_bytes,
         )
+
+    def iscan(self, obj: Any, op: Op = SUM) -> Request:
+        return self._istart("scan", obj, op=op)
 
     def igather(
         self, obj: Any, root: int = 0, *, algorithm: Optional[str] = None
     ) -> Request:
-        return self._istart("igather", obj, root=root, algorithm=algorithm)
+        return self._istart("gather", obj, root=root, algorithm=algorithm)
 
     def iallgather(self, obj: Any, *, algorithm: Optional[str] = None) -> Request:
-        return self._istart("iallgather", obj, algorithm=algorithm)
+        return self._istart("allgather", obj, algorithm=algorithm)
+
+    def iscatter(
+        self, objs: Optional[List[Any]] = None, root: int = 0
+    ) -> Request:
+        return self._istart("scatter", objs, root=root)
 
     def ialltoall(
         self, objs: List[Any], *, algorithm: Optional[str] = None
     ) -> Request:
-        return self._istart("ialltoall", objs, algorithm=algorithm)
+        return self._istart("alltoall", objs, algorithm=algorithm)
 
     def ineighbor_exchange(
         self, sends: Dict[int, Any], *, algorithm: Optional[str] = None
@@ -348,30 +367,29 @@ class Comm:
         ``{neighbor_rank: payload}`` dict; the request's result is the
         inverse view, ``{source_rank: payload}`` of everything sent to
         this rank.  The stencil-halo primitive (see apps/eulermhd.py)."""
-        return self._istart("ineighbor_exchange", sends, algorithm=algorithm)
+        return self._istart("neighbor_exchange", sends, algorithm=algorithm)
 
     # -------------------------------------------------------------- management
     def dup(self) -> "Comm":
         """Duplicate the communicator (fresh context, same group)."""
         self._collective("dup")
-        if self.rank == 0:
-            ctx = self.runtime.alloc_context()
-        else:
-            ctx = None
-        ctx = self._coll.bcast(self.rank, ctx, 0)
+        ctx = self.runtime.alloc_context() if self.rank == 0 else None
+        ctx = self._blocking("bcast", ctx)
         return Comm(self.runtime, ctx, self.group, self.rank)
 
     def split(self, color: Optional[int], key: Optional[int] = None) -> Optional["Comm"]:
         """Partition into sub-communicators by ``color`` (None = do not
         participate); ranks within a color are ordered by ``(key, rank)``."""
         self._collective("split")
-        triples = self._coll.exchange(self.rank, (color, key if key is not None else self.rank, self.rank))
+        triples = self._exchange(
+            (color, key if key is not None else self.rank, self.rank)
+        )
         colors = sorted({c for c, _, _ in triples if c is not None})
         if self.rank == 0:
             ctx_map = {c: self.runtime.alloc_context() for c in colors}
         else:
             ctx_map = None
-        ctx_map = self._coll.bcast(self.rank, ctx_map, 0)
+        ctx_map = self._blocking("bcast", ctx_map)
         if color is None:
             return None
         members = sorted(

@@ -1,20 +1,25 @@
-"""Nonblocking collectives: a dataflow cell engine with chunk pipelining.
+"""The collective engine: deposit + wait over a dataflow of cells.
 
-Every ``Comm.i*`` collective deposits its contribution into a shared
-per-communicator :class:`IcollState` and returns a
-:class:`CollectiveRequest` immediately.  When the last rank has
-deposited, the episode is compiled into a DAG of *cells* -- one bounded
-unit of data movement each (copy one chunk along one tree edge, fold one
-rank's chunk into a running partial, deliver one result).  Cells then
-execute inside whichever rank happens to be testing or waiting on its
-request: ``test()`` drains ready cells and returns, ``wait()`` parks
-event-driven between bursts, and a rank that is busy computing has its
-cells *stolen* by the ranks that are waiting -- so the collective makes
-progress exactly while the application overlaps it with computation.
+Every ``Comm`` collective, blocking or not, deposits its contribution
+into the shared per-communicator :class:`IcollState`; the blocking form
+is deposit + :meth:`IcollState.wait_complete`, the ``i*`` form wraps the
+same episode in a :class:`CollectiveRequest`.  When the last rank has
+deposited, the episode is compiled into *cells* -- bounded units of data
+movement (copy one chunk along one tree edge, fold one rank's chunk into
+a running partial, deliver one result).  Cells execute inside whichever
+rank happens to be testing or waiting on its request: ``test()`` drains
+ready cells and returns, ``wait()`` parks event-driven between bursts,
+and a rank that is busy computing has its cells *stolen* by the ranks
+that are waiting -- so a collective makes progress exactly while the
+application overlaps it with computation.
 
-Three algorithms, selected per call, per runtime default, or by the
-measured-trajectory tuner (``Runtime(algorithm="auto")``, see
-:mod:`repro.runtime.autotune`):
+How many cells an episode gets is derived from what the engine can
+observe.  With no modeled link time and nothing to pipeline (payload not
+chunkable) there is nothing a DAG could overlap, so the whole movement
+is **one cell**, run by the rank whose deposit completed the episode.
+Otherwise the cells take one of three shapes, selected per call, per
+runtime default, or by the measured-trajectory tuner
+(``Runtime(algorithm="auto")``, see :mod:`repro.runtime.autotune`):
 
 * ``flat`` -- direct source->destination cells, whole payloads;
 * ``hierarchical`` -- cells follow the topology tree of
@@ -24,10 +29,15 @@ measured-trajectory tuner (``Runtime(algorithm="auto")``, see
   payloads split into chunks, so chunk *k+1* streams into level *L*
   while chunk *k* drains level *L+1* (Zhou et al., arXiv:2007.06892).
 
-Reductions chunk only for the elementwise builtin ops (fold order per
-element is then identical to the blocking engines' ascending-rank fold,
-so results stay bit-identical); any other op falls back to the
-unchunked ascending-rank chain.
+Invariants, whatever the shape: reductions fold in ascending rank order
+and clone every contribution at the fold boundary (so results are
+bit-identical across shapes and a mutating op never touches a peer's
+buffer); reductions chunk only for the elementwise builtin ops, whose
+per-element fold order is the unchunked one; a request completes only
+once this rank's output is materialised *and* every cell reading its
+contribution has run (send-buffer gates); and parked waiters are woken
+once per state change that concerns them (plan ready, a cell claimable,
+a gate at zero, failure), never per deposit or per cell.
 
 Time is modeled, not measured: when ``Runtime.icoll_link_time_per_mib``
 is nonzero every cell sleeps (virtually, under ``backend="coop"``) in
@@ -39,7 +49,10 @@ pipelined measurable and deterministic in ``BENCH_collectives.json``.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+import time
+from functools import partial
+from itertools import chain
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,18 +81,42 @@ _ELEMENTWISE_OPS = (SUM, PROD, MAX, MIN)
 # cell states
 _WAITING, _READY, _RUNNING, _DONE = 0, 1, 2, 3
 
-_KINDS = (
-    "ibarrier", "ibcast", "ireduce", "iallreduce", "igather",
-    "iallgather", "ialltoall", "ineighbor_exchange",
-)
+#: kinds that deliver ``out[dst][key] = contrib[src]...`` payload by
+#: payload (see IcollState._moves); ``reduce_scatter`` moves like
+#: ``alltoall`` and its caller folds the columns
+_MOVE_KINDS = frozenset((
+    "gather", "allgather", "scatter", "alltoall", "reduce_scatter",
+    "neighbor_exchange",
+))
+_KINDS = _MOVE_KINDS | {
+    "barrier", "exchange", "bcast", "reduce", "allreduce", "scan",
+}
+_ALGORITHMS = (None, "flat", "hierarchical", "pipelined")
+#: kinds whose payload has a shape to check at deposit: a dict of
+#: neighbours, or one item per rank (kind -> CountMismatchError text)
+_SHAPED = {
+    "neighbor_exchange": None,
+    "scatter": "scatter at root needs a list of {n} items",
+    "alltoall": "alltoall needs exactly {n} items, got {got}",
+    "reduce_scatter": "reduce_scatter needs {n} items, got {got}",
+}
 
 
 def _is_elementwise(op: Op) -> bool:
     return op in _ELEMENTWISE_OPS or bool(getattr(op, "elementwise", False))
 
 
-def _chunk_slices(arr: np.ndarray, chunk_bytes: int) -> List[slice]:
-    """Slices of the flattened array, each about ``chunk_bytes`` big."""
+def _chunk_slices(arr: Any, chunk_bytes: int) -> Optional[List[slice]]:
+    """Slices of the flattened array, each about ``chunk_bytes`` big, or
+    None when ``arr`` is not a payload worth chunking."""
+    if not (
+        chunk_bytes > 0
+        and isinstance(arr, np.ndarray)
+        and arr.flags.c_contiguous
+        and arr.size > 0
+        and arr.nbytes > chunk_bytes
+    ):
+        return None
     per = max(1, chunk_bytes // max(1, arr.itemsize))
     return [slice(i, min(i + per, arr.size)) for i in range(0, arr.size, per)]
 
@@ -101,18 +138,18 @@ class _Cell:
         #: ranks whose request must not complete before this cell runs
         #: (the rank receiving its output, and the rank whose live
         #: buffer the cell reads -- send-buffer safety)
-        self.gates: Tuple[int, ...] = ()
+        self.gates: Sequence[int] = ()
         #: modeled link occupancy of this cell (seconds)
         self.link_s = 0.0
 
 
 class _Episode:
-    """One in-flight nonblocking collective on one communicator."""
+    """One in-flight collective on one communicator."""
 
     __slots__ = (
         "seq", "kind", "root", "op", "req_algorithm", "req_chunk",
         "algorithm", "chunk_bytes", "contrib", "arrived", "n_arrived",
-        "planned", "cells", "ready", "results", "gates_left", "collected",
+        "planned", "cells", "ready", "results", "gates_left", "n_collected",
         "failed", "partial",
     )
 
@@ -139,7 +176,7 @@ class _Episode:
         self.ready: List[int] = []
         self.results: List[Any] = [None] * size
         self.gates_left = [0] * size
-        self.collected = [False] * size
+        self.n_collected = 0
         #: exception that poisoned the episode (peer crash mid-cell)
         self.failed: Optional[BaseException] = None
         #: running partial of the unchunked reduction chain
@@ -190,15 +227,19 @@ class _PlanBuilder:
 
 
 class IcollState:
-    """Shared nonblocking-collective engine of one communicator.
+    """The shared collective engine of one communicator.
 
-    Constructor mirrors
-    :class:`~repro.runtime.collectives.HierarchicalCollectiveState`;
-    extras: ``sleep`` (the runtime's task sleep, used for the modeled
-    link time), ``link_time`` (callable returning seconds per MiB per
-    cell) and ``selector`` (callable ``(kind, nbytes, size) ->
-    (algorithm, chunk_bytes)`` consulted when a call does not pin the
-    algorithm explicitly)."""
+    ``levels`` is the scope-group chain from
+    :func:`repro.machine.treemap.collective_levels` (innermost first);
+    ``group`` maps comm rank -> world rank for the zero-copy legality
+    check ``share(world_a, world_b)`` (``None`` = every delivery
+    clones).  ``make_cond``/``clock``/``sleep`` come from the execution
+    backend (``sleep`` serves the modeled link time), ``link_time``
+    returns seconds per MiB per cell, and ``selector`` is the callable
+    ``(kind, nbytes, size) -> (algorithm, chunk_bytes)`` consulted when
+    a call does not pin the algorithm explicitly (``nbytes`` is itself
+    a callable: only a size-driven selector pays for measuring the
+    largest contribution)."""
 
     def __init__(
         self,
@@ -226,11 +267,9 @@ class IcollState:
         self._timeout = timeout
         self._clone = clone
         self.metrics = metrics if metrics is not None else CollectiveMetrics()
+        #: fault injector (None = chaos off; one attribute test per op)
         self.faults = faults
-        self._make_cond = make_cond if make_cond is not None else threading.Condition
-        import time as _time
-
-        self._clock = clock if clock is not None else _time.monotonic
+        self._clock = clock if clock is not None else time.monotonic
         self._sleep = sleep
         self._link_time = link_time
         self._selector = selector
@@ -245,7 +284,7 @@ class IcollState:
                 f"group of {len(self.group)} ranks for size-{size} state"
             )
         self._share = share
-        self._cond = self._make_cond()
+        self._cond = (make_cond or threading.Condition)()
         self._episodes: Dict[int, _Episode] = {}
         #: bumped on every arrival and cell completion: the waitany park
         #: token and the progress measure for deadline extension
@@ -277,11 +316,19 @@ class IcollState:
             self.group[src], self.group[dst]
         )
 
-    def _deliver_ref(self, ep: _Episode, obj: Any, dst: int) -> None:
-        """Prefill a zero-copy by-reference delivery at plan time."""
+    def _by_ref(self, obj: Any) -> Any:
+        """A zero-copy delivery: count the clone it saved."""
         if clone_would_copy(obj):
             self.metrics.note_elision()
-        ep.results[dst] = obj
+        return obj
+
+    def _deliver(self, obj: Any, src: int, dst: int) -> Any:
+        """Hand ``obj`` (owned by comm rank ``src``) to comm rank
+        ``dst``: by reference where the sharing policy allows it, by
+        clone otherwise."""
+        if self._may_share(src, dst):
+            return self._by_ref(obj)
+        return self._do_clone(obj)
 
     # ------------------------------------------------------------------ start
     def start(
@@ -290,47 +337,35 @@ class IcollState:
         kind: str,
         rank: int,
         payload: Any,
-        *,
+        site: str = "coll.ichunk",
         root: int = 0,
         op: Optional[Op] = None,
         algorithm: Optional[str] = None,
         chunk_bytes: Optional[int] = None,
-    ) -> "CollectiveRequest":
-        """Deposit rank's contribution to collective ``seq``; returns
-        the request handle.  The last depositor compiles the plan."""
-        if kind not in _KINDS:
-            raise MPIError(f"unknown nonblocking collective {kind!r}")
-        if not 0 <= root < self.size:
-            raise MPIError(
-                f"root {root} outside communicator of size {self.size}"
-            )
-        if algorithm is not None and algorithm not in (
-            "flat", "hierarchical", "pipelined"
-        ):
-            raise MPIError(f"unknown icoll algorithm {algorithm!r}")
-        self._validate_payload(kind, payload)
+    ) -> _Episode:
+        """Deposit rank's contribution to collective ``seq`` and return
+        the episode (to wait on, or to wrap in a request).  ``site`` is
+        the fault site of the entry (``coll.sweep`` for blocking calls).
+        The last depositor compiles the plan, and runs it when it is a
+        single cell."""
+        self._validate(kind, rank, payload, root, algorithm)
         if self.faults is not None:
-            # per-rank episode-entry site (the chaos harness's handle on
-            # the icoll path; executors hit it again per cell)
-            self.faults.hit("coll.ichunk", rank, wake=self._wake_all)
+            self.faults.hit(site, rank, wake=self._wake_all)
         with self._cond:
             ep = self._episodes.get(seq)
             if ep is None:
-                ep = _Episode(
+                ep = self._episodes[seq] = _Episode(
                     self.size, seq, kind, root, op, algorithm, chunk_bytes
                 )
-                self._episodes[seq] = ep
-            else:
-                if ep.kind != kind:
-                    raise MPIError(
-                        f"collective mismatch on icoll #{seq}: {ep.kind} "
-                        f"already in flight, rank {rank} called {kind}"
-                    )
-                if ep.root != root:
-                    raise MPIError(
-                        f"root mismatch on {kind} #{seq}: "
-                        f"{ep.root} vs {root}"
-                    )
+            elif ep.kind != kind:
+                raise MPIError(
+                    f"collective mismatch on #{seq}: {ep.kind} already in "
+                    f"flight, rank {rank} called {kind}"
+                )
+            elif ep.root != root:
+                raise MPIError(
+                    f"root mismatch on {kind} #{seq}: {ep.root} vs {root}"
+                )
             if ep.arrived[rank]:
                 raise MPIError(
                     f"rank {rank} deposited twice into {kind} #{seq}"
@@ -341,43 +376,61 @@ class IcollState:
             self._progress_count += 1
             if ep.n_arrived == self.size:
                 try:
-                    self._build_plan(ep)
+                    whole = self._build_plan(ep)
                     ep.planned = True
+                    if whole is not None:
+                        self._execute(rank, ep, whole)
                 except BaseException as exc:
-                    ep.failed = exc
-                    self._cond.notify_all()
+                    self._fail(ep, exc)
                     raise
-            self._cond.notify_all()
-        return CollectiveRequest(self, ep, rank)
+                if whole is None:
+                    self._cond.notify_all()
+        return ep
 
-    def _validate_payload(self, kind: str, payload: Any) -> None:
-        if kind == "ialltoall":
-            if not isinstance(payload, (list, tuple)) or len(payload) != self.size:
-                raise CountMismatchError(
-                    f"ialltoall needs exactly {self.size} items"
-                )
-        elif kind == "ineighbor_exchange":
+    def _validate(
+        self, kind: str, rank: int, payload: Any, root: int,
+        algorithm: Optional[str],
+    ) -> None:
+        """The one argument check, in the calling rank before it
+        deposits anything."""
+        n = self.size
+        if not 0 <= root < n:
+            raise MPIError(f"root {root} outside communicator of size {n}")
+        if algorithm not in _ALGORITHMS:
+            raise MPIError(f"unknown collective algorithm {algorithm!r}")
+        if kind not in _SHAPED:
+            if kind not in _KINDS:
+                raise MPIError(f"unknown collective {kind!r}")
+            return
+        if kind == "neighbor_exchange":
             if not isinstance(payload, dict):
                 raise MPIError(
                     "ineighbor_exchange takes a {neighbor_rank: payload} dict"
                 )
             for dst in payload:
-                if not 0 <= dst < self.size:
+                if not 0 <= dst < n:
                     raise MPIError(
-                        f"neighbor {dst} outside communicator of size "
-                        f"{self.size}"
+                        f"neighbor {dst} outside communicator of size {n}"
                     )
+        elif kind != "scatter" or rank == root:
+            got = len(payload) if hasattr(payload, "__len__") else None
+            if got != n:
+                raise CountMismatchError(_SHAPED[kind].format(n=n, got=got))
 
     # ------------------------------------------------------------------- plan
     def _resolve_algorithm(self, ep: _Episode) -> None:
         algo, cb = ep.req_algorithm, ep.req_chunk
         if algo is None:
-            nbytes = max(
-                (payload_nbytes(c) for c in ep.contrib if c is not None),
-                default=0,
-            )
             if self._selector is not None:
-                algo, sel_cb = self._selector(ep.kind, nbytes, self.size)
+                # the tuner's trajectory names ops after the i* methods
+                algo, sel_cb = self._selector(
+                    "i" + ep.kind,
+                    lambda: max(
+                        (payload_nbytes(c) for c in ep.contrib
+                         if c is not None), default=0,
+                    ),
+                    self.size,
+                )
                 if cb is None:
                     cb = sel_cb
             else:
@@ -387,24 +440,71 @@ class IcollState:
         ep.algorithm = algo
         ep.chunk_bytes = int(cb) if algo == "pipelined" else 0
 
-    def _build_plan(self, ep: _Episode) -> None:
+    def _build_plan(self, ep: _Episode) -> Optional[int]:
+        """Compile the episode's cells.  Returns the index of its single
+        whole-payload cell, already claimed for the caller, when there
+        is nothing to pipeline and no link time to model."""
         self._resolve_algorithm(ep)
-        b = _PlanBuilder(ep, self._link_s_per_byte())
-        if ep.kind == "ibarrier":
-            pass
-        elif ep.kind == "ibcast":
-            self._plan_bcast(ep, b)
-        elif ep.kind in ("ireduce", "iallreduce"):
-            self._plan_reduce(ep, b, deliver_all=ep.kind == "iallreduce")
-        elif ep.kind == "igather":
-            self._plan_gather(ep, b, all_ranks=False)
-        elif ep.kind == "iallgather":
-            self._plan_gather(ep, b, all_ranks=True)
-        elif ep.kind == "ialltoall":
-            self._plan_alltoall(ep, b)
-        elif ep.kind == "ineighbor_exchange":
-            self._plan_neighbor(ep, b)
         self.metrics.note_icoll_episode(ep.algorithm)
+        kind, n = ep.kind, self.size
+        if kind == "barrier":
+            return None
+        if kind == "exchange":
+            # allgather by reference: nothing moves, nothing is gated
+            ep.results = [tuple(ep.contrib)] * n
+            return None
+        slices = None
+        if kind == "bcast":
+            slices = _chunk_slices(ep.contrib[ep.root], ep.chunk_bytes)
+        elif kind in ("reduce", "allreduce"):
+            slices = self._reduce_slices(ep)
+        link = self._link_s_per_byte()
+        if link == 0.0 and slices is None:
+            cell = _Cell(partial(self._move_whole, ep), -1)
+            cell.gates = range(n)
+            cell.state = _RUNNING
+            ep.gates_left = [1] * n
+            ep.cells.append(cell)
+            return 0
+        b = _PlanBuilder(ep, link)
+        if kind == "bcast":
+            self._plan_bcast(ep, b, slices)
+        elif kind == "scan":
+            nbytes = payload_nbytes(ep.contrib[0])
+            for d in range(n):
+                b.add(
+                    partial(self._scan_to, ep, d), owner=d, port=("rx", d),
+                    gates=range(d + 1), nbytes=(d + 1) * nbytes,
+                )
+        elif kind in _MOVE_KINDS:
+            self._plan_moves(ep, b)
+        else:
+            self._plan_reduce(ep, b, slices)
+        return None
+
+    def _move_whole(self, ep: _Episode) -> None:
+        """The one-cell plan: an episode's entire data movement as plain
+        loops, in the same fold order and with the same clones as the
+        cell shapes below."""
+        kind, n = ep.kind, self.size
+        if kind in _MOVE_KINDS:
+            self._plan_moves(ep, None)
+        elif kind == "scan":
+            for d in range(n):
+                self._scan_to(ep, d)
+        elif kind == "bcast":
+            src = ep.contrib[ep.root]
+            for d in range(n):
+                ep.results[d] = (
+                    src if d == ep.root else self._deliver(src, ep.root, d)
+                )
+        else:
+            owner = self._fold_owner(ep)
+            out = ep.results[owner] = self._fold(ep, n - 1)
+            if kind == "allreduce":
+                for d in range(n):
+                    if d != owner:
+                        ep.results[d] = self._deliver(out, owner, d)
 
     # ----------------------------------------------------------- bcast tree
     def _bcast_parents(self, root: int) -> Dict[int, int]:
@@ -420,7 +520,18 @@ class IcollState:
                         parent[r] = rep
         return parent
 
-    def _plan_bcast(self, ep: _Episode, b: _PlanBuilder) -> None:
+    def _copy_chunk(
+        self, dst: np.ndarray, src: np.ndarray, sl: slice, first: bool
+    ) -> None:
+        """One chunk of a chunked whole-array copy; the chunks of one
+        array together count as one clone."""
+        dst.reshape(-1)[sl] = src.reshape(-1)[sl]
+        if first:
+            self.metrics.note_clone()
+
+    def _plan_bcast(
+        self, ep: _Episode, b: _PlanBuilder, slices: Optional[List[slice]]
+    ) -> None:
         root = ep.root
         src_obj = ep.contrib[root]
         ep.results[root] = src_obj
@@ -429,93 +540,79 @@ class IcollState:
             if d == root:
                 continue
             if self._may_share(root, d):
-                self._deliver_ref(ep, src_obj, d)
+                ep.results[d] = self._by_ref(src_obj)
             else:
                 copy_dsts.append(d)
-        if not copy_dsts:
-            return
         use_tree = ep.algorithm in ("hierarchical", "pipelined")
         parents = self._bcast_parents(root) if use_tree else {}
         copy_set = set(copy_dsts)
-        chunkable = (
-            isinstance(src_obj, np.ndarray)
-            and src_obj.flags.c_contiguous
-            and src_obj.size > 0
-            and ep.chunk_bytes > 0
-            and src_obj.nbytes > ep.chunk_bytes
-        )
-        cell_of: Dict[Tuple[int, int], int] = {}   # (dst, chunk) -> cell
-        if chunkable:
-            slices = _chunk_slices(src_obj, ep.chunk_bytes)
-            for d in copy_dsts:
-                ep.results[d] = np.empty_like(src_obj)
-            # parents must be visited before children so their cells
-            # exist for the dependency edges; sort by tree depth
-            def depth(d: int) -> int:
-                n, p = 0, d
-                while p != root:
-                    p = parents.get(p, root)
-                    n += 1
-                return n
 
-            for d in sorted(copy_dsts, key=depth):
-                p = parents.get(d, root)
-                src_arr = ep.results[p] if p in copy_set else src_obj
-                gate_src = p if p in copy_set else root
-                dst_arr = ep.results[d]
-                for c, sl in enumerate(slices):
-
-                    def fn(src=src_arr, dst=dst_arr, sl=sl, d=d, c=c):
-                        dst.reshape(-1)[sl] = src.reshape(-1)[sl]
-                        if c == 0:
-                            self.metrics.note_clone()
-
-                    deps = []
-                    if (p, c) in cell_of:
-                        deps.append(cell_of[(p, c)])
-                    nb = (sl.stop - sl.start) * src_obj.itemsize
-                    cell_of[(d, c)] = b.add(
-                        fn, owner=d, deps=deps, port=("tx", p),
-                        gates=(d, gate_src), nbytes=nb,
-                    )
-            return
-        # store-and-forward: one whole-payload clone per destination,
-        # sourced from the parent's already-delivered copy on the tree
-        def depth2(d: int) -> int:
+        def depth(d: int) -> int:
             n, p = 0, d
             while p != root:
                 p = parents.get(p, root)
                 n += 1
             return n
 
+        if slices is not None:
+            for d in copy_dsts:
+                ep.results[d] = np.empty_like(src_obj)
         nbytes = payload_nbytes(src_obj)
-        for d in sorted(copy_dsts, key=depth2):
+        cell_of: Dict[Tuple[int, int], int] = {}   # (dst, chunk) -> cell
+        # parents must be visited before children so their cells exist
+        # for the dependency edges; sort by tree depth
+        for d in sorted(copy_dsts, key=depth):
             p = parents.get(d, root)
             gate_src = p if p in copy_set else root
+            if slices is None:
+                # store-and-forward: one whole-payload clone, sourced
+                # from the parent's already-delivered copy on the tree
 
-            def fn(d=d, p=p):
-                src = ep.results[p] if p in copy_set else src_obj
-                ep.results[d] = self._do_clone(src)
+                def fn(d=d, p=p):
+                    src = ep.results[p] if p in copy_set else src_obj
+                    ep.results[d] = self._do_clone(src)
 
-            deps = [cell_of[(p, 0)]] if (p, 0) in cell_of else []
-            cell_of[(d, 0)] = b.add(
-                fn, owner=d, deps=deps, port=("tx", p),
-                gates=(d, gate_src), nbytes=nbytes,
-            )
+                deps = [cell_of[(p, 0)]] if (p, 0) in cell_of else []
+                cell_of[(d, 0)] = b.add(
+                    fn, owner=d, deps=deps, port=("tx", p),
+                    gates=(d, gate_src), nbytes=nbytes,
+                )
+                continue
+            src_arr = ep.results[p] if p in copy_set else src_obj
+            for c, sl in enumerate(slices):
+                deps = [cell_of[(p, c)]] if (p, c) in cell_of else []
+                cell_of[(d, c)] = b.add(
+                    partial(self._copy_chunk, ep.results[d], src_arr, sl,
+                            c == 0),
+                    owner=d, deps=deps, port=("tx", p), gates=(d, gate_src),
+                    nbytes=(sl.stop - sl.start) * src_obj.itemsize,
+                )
 
     # -------------------------------------------------------------- reduce
-    def _plan_reduce(
-        self, ep: _Episode, b: _PlanBuilder, *, deliver_all: bool
-    ) -> None:
-        op = ep.op
-        # the rank whose result slot owns the fold output outright; the
-        # root for ireduce, rank 0 for iallreduce
-        owner = ep.root if not deliver_all else 0
+    def _fold_owner(self, ep: _Episode) -> int:
+        """The rank whose result slot owns the fold output outright."""
+        return ep.root if ep.kind == "reduce" else 0
+
+    def _fold(self, ep: _Episode, upto: int) -> Any:
+        """Serial fold of contributions ``0..upto`` in ascending rank
+        order, cloning each at the fold boundary: a mutating op -- or
+        one returning a view of an argument -- never touches the buffer
+        a peer contributed."""
+        out = self._do_clone(ep.contrib[0])
+        for r in range(1, upto + 1):
+            out = ep.op(out, self._do_clone(ep.contrib[r]))
+        return out
+
+    def _scan_to(self, ep: _Episode, d: int) -> None:
+        ep.results[d] = self._fold(ep, d)
+
+    def _reduce_slices(self, ep: _Episode) -> Optional[List[slice]]:
         c0 = ep.contrib[0]
-        chunkable = (
-            self.size > 1
-            and ep.chunk_bytes > 0
-            and _is_elementwise(op)
+        slices = _chunk_slices(c0, ep.chunk_bytes)
+        if (
+            slices is not None
+            and self.size > 1
+            and _is_elementwise(ep.op)
             and all(
                 isinstance(c, np.ndarray)
                 and c.flags.c_contiguous
@@ -523,19 +620,45 @@ class IcollState:
                 and c.shape == c0.shape
                 for c in ep.contrib
             )
-            and isinstance(c0, np.ndarray)
-            and c0.size > 0
-            and c0.nbytes > ep.chunk_bytes
-        )
-        if chunkable:
-            slices = _chunk_slices(c0, ep.chunk_bytes)
-            out = np.empty_like(c0)
+        ):
+            return slices
+        return None
+
+    def _plan_reduce(
+        self, ep: _Episode, b: _PlanBuilder, slices: Optional[List[slice]]
+    ) -> None:
+        op, n = ep.op, self.size
+        owner = self._fold_owner(ep)
+        c0 = ep.contrib[0]
+        if slices is None:
+            # the ascending-rank chain of _fold, one cell per rank
+            nbytes = payload_nbytes(c0)
+            prev = None
+            for r in range(n):
+                last = r == n - 1
+
+                def fn(r=r, last=last):
+                    c = self._do_clone(ep.contrib[r])
+                    ep.partial = c if r == 0 else op(ep.partial, c)
+                    if last:
+                        ep.results[owner] = ep.partial
+                        ep.partial = None
+
+                prev = b.add(
+                    fn, owner=r, deps=() if prev is None else (prev,),
+                    port=("rx", r),
+                    gates=(r, owner) if last else (r,), nbytes=nbytes,
+                )
+            tails: List[int] = [prev]
+            out = None
+        else:
+            out = ep.results[owner] = np.empty_like(c0)
             partials: List[Any] = [None] * len(slices)
-            last_fold: List[int] = [0] * len(slices)
+            tails = []
             for c, sl in enumerate(slices):
                 prev = None
-                for r in range(1, self.size):
-                    last = r == self.size - 1
+                for r in range(1, n):
+                    last = r == n - 1
 
                     def fn(r=r, c=c, sl=sl, last=last):
                         a = (
@@ -559,186 +682,112 @@ class IcollState:
                         gates.append(0)
                     if last:
                         gates.append(owner)
-                    nb = (sl.stop - sl.start) * c0.itemsize
                     prev = b.add(
                         fn, owner=r, deps=() if prev is None else (prev,),
-                        port=("rx", r), gates=gates, nbytes=nb,
+                        port=("rx", r), gates=gates,
+                        nbytes=(sl.stop - sl.start) * c0.itemsize,
                     )
-                last_fold[c] = prev
-            ep.results[owner] = out
-            if not deliver_all:
-                return
-            self._plan_reduce_delivery(
-                ep, b, owner, out, deps_per_chunk=(slices, last_fold),
-            )
+                tails.append(prev)
+        if ep.kind != "allreduce":
             return
-        # generic ascending-rank chain, cloning at every fold boundary
-        # (exactly the blocking engines' discipline and order)
-        nbytes = payload_nbytes(c0)
-        prev = None
-        for r in range(self.size):
-            last = r == self.size - 1
-
-            def fn(r=r, last=last):
-                if r == 0:
-                    ep.partial = self._do_clone(ep.contrib[0])
-                else:
-                    ep.partial = op(ep.partial, self._do_clone(ep.contrib[r]))
-                if last:
-                    ep.results[owner] = ep.partial
-                    ep.partial = None
-
-            prev = b.add(
-                fn, owner=r, deps=() if prev is None else (prev,),
-                port=("rx", r),
-                gates=(r, owner) if last else (r,), nbytes=nbytes,
-            )
-        if deliver_all:
-            self._plan_reduce_delivery(
-                ep, b, owner, None, deps_per_chunk=None, chain_tail=prev,
-            )
-
-    def _plan_reduce_delivery(
-        self,
-        ep: _Episode,
-        b: _PlanBuilder,
-        owner: int,
-        out: Optional[np.ndarray],
-        *,
-        deps_per_chunk: Optional[Tuple[List[slice], List[int]]],
-        chain_tail: Optional[int] = None,
-    ) -> None:
-        """Fan the folded result out to every rank but ``owner``."""
-        for d in range(self.size):
+        # Fan the folded result out to every rank but ``owner``.  Every
+        # delivery gates the owner too: its completion would null the
+        # results slot the cell reads (see _complete).
+        for d in range(n):
             if d == owner:
                 continue
             if self._may_share(owner, d):
-                if deps_per_chunk is not None:
-                    slices, last_fold = deps_per_chunk
 
-                    def fn_ref(d=d):
-                        self._deliver_ref(ep, ep.results[owner], d)
+                def fn_ref(d=d):
+                    ep.results[d] = self._by_ref(ep.results[owner])
 
-                    # gate the owner too: its completion would null the
-                    # results slot this cell reads (see _take)
-                    b.add(
-                        fn_ref, owner=d, deps=tuple(last_fold),
-                        gates=(d, owner), nbytes=0,
-                    )
-                else:
+                b.add(fn_ref, owner=d, deps=tails, gates=(d, owner))
+            elif slices is None:
 
-                    def fn_ref2(d=d):
-                        self._deliver_ref(ep, ep.results[owner], d)
-
-                    b.add(
-                        fn_ref2, owner=d,
-                        deps=() if chain_tail is None else (chain_tail,),
-                        gates=(d, owner), nbytes=0,
-                    )
-                continue
-            if deps_per_chunk is not None:
-                slices, last_fold = deps_per_chunk
-                ep.results[d] = np.empty_like(out)
-                for c, sl in enumerate(slices):
-
-                    def fn(d=d, sl=sl, c=c):
-                        ep.results[d].reshape(-1)[sl] = out.reshape(-1)[sl]
-                        if c == 0:
-                            self.metrics.note_clone()
-
-                    nb = (sl.stop - sl.start) * out.itemsize
-                    b.add(
-                        fn, owner=d, deps=(last_fold[c],), port=("rx", d),
-                        gates=(d, owner), nbytes=nb,
-                    )
-            else:
-
-                def fn2(d=d):
+                def fn_clone(d=d):
                     ep.results[d] = self._do_clone(ep.results[owner])
 
                 b.add(
-                    fn2, owner=d,
-                    deps=() if chain_tail is None else (chain_tail,),
-                    port=("rx", d), gates=(d, owner),
-                    nbytes=payload_nbytes(ep.contrib[0]),
+                    fn_clone, owner=d, deps=tails, port=("rx", d),
+                    gates=(d, owner), nbytes=payload_nbytes(c0),
                 )
+            else:
+                ep.results[d] = np.empty_like(out)
+                for c, sl in enumerate(slices):
+                    b.add(
+                        partial(self._copy_chunk, ep.results[d], out, sl,
+                                c == 0),
+                        owner=d, deps=(tails[c],), port=("rx", d),
+                        gates=(d, owner),
+                        nbytes=(sl.stop - sl.start) * out.itemsize,
+                    )
 
     # ---------------------------------------------------- gather-family
-    def _plan_gather(
-        self, ep: _Episode, b: _PlanBuilder, *, all_ranks: bool
-    ) -> None:
-        dsts = range(self.size) if all_ranks else (ep.root,)
+    def _moves(self, ep: _Episode) -> Iterator[Tuple[int, int, Any, Any]]:
+        """``(src, dst, key, obj)`` for every payload a move kind
+        delivers: ``obj``, owned by ``src``, lands in ``dst``'s result
+        under ``key`` (``None`` = it *is* the result).  Sets up the
+        result containers first."""
+        kind, n, contrib = ep.kind, self.size, ep.contrib
+        if kind == "neighbor_exchange":
+            for d in range(n):
+                ep.results[d] = {}
+            return (
+                (s, d, s, obj) for s in range(n)
+                for d, obj in contrib[s].items()
+            )
+        if kind == "scatter":
+            items = contrib[ep.root]
+            return ((ep.root, d, None, items[d]) for d in range(n))
+        dsts = (ep.root,) if kind == "gather" else range(n)
         for d in dsts:
-            out: List[Any] = [None] * self.size
-            ep.results[d] = out
-            for src in range(self.size):
-                obj = ep.contrib[src]
-                if self._may_share(src, d):
-                    if clone_would_copy(obj):
-                        self.metrics.note_elision()
-                    out[src] = obj
-                    continue
+            ep.results[d] = [None] * n
+        if kind in ("gather", "allgather"):
+            return ((s, d, s, contrib[s]) for d in dsts for s in range(n))
+        return ((s, d, s, contrib[s][d]) for d in dsts for s in range(n))
 
-                def fn(out=out, src=src):
-                    out[src] = self._do_clone(ep.contrib[src])
-
+    def _plan_moves(self, ep: _Episode, b: Optional[_PlanBuilder]) -> None:
+        """Deliver every move of the episode: right now when ``b`` is
+        None (inside the one-cell plan), else by-reference deliveries
+        now and one clone cell per remaining move."""
+        results = ep.results
+        scatter = ep.kind == "scatter"
+        for src, dst, key, obj in self._moves(ep):
+            if scatter and dst == src:
+                val = obj                  # the root keeps its own item
+            elif self._may_share(src, dst):
+                val = self._by_ref(obj)
+            elif b is None:
+                val = self._do_clone(obj)
+            else:
                 b.add(
-                    fn, owner=d, port=("rx", d), gates=(src, d),
+                    partial(self._move, ep, dst, key, obj), owner=dst,
+                    port=("rx", dst), gates=(src, dst),
                     nbytes=payload_nbytes(obj),
                 )
+                continue
+            if key is None:
+                results[dst] = val
+            else:
+                results[dst][key] = val
 
-    def _plan_alltoall(self, ep: _Episode, b: _PlanBuilder) -> None:
-        for d in range(self.size):
-            out: List[Any] = [None] * self.size
-            ep.results[d] = out
-            for src in range(self.size):
-                obj = ep.contrib[src][d]
-                if self._may_share(src, d):
-                    if clone_would_copy(obj):
-                        self.metrics.note_elision()
-                    out[src] = obj
-                    continue
-
-                def fn(out=out, src=src, d=d):
-                    out[src] = self._do_clone(ep.contrib[src][d])
-
-                b.add(
-                    fn, owner=d, port=("rx", d), gates=(src, d),
-                    nbytes=payload_nbytes(obj),
-                )
-
-    def _plan_neighbor(self, ep: _Episode, b: _PlanBuilder) -> None:
-        for d in range(self.size):
-            ep.results[d] = {}
-        for src in range(self.size):
-            for d, obj in ep.contrib[src].items():
-                if self._may_share(src, d):
-                    if clone_would_copy(obj):
-                        self.metrics.note_elision()
-                    ep.results[d][src] = obj
-                    continue
-
-                def fn(src=src, d=d):
-                    ep.results[d][src] = self._do_clone(ep.contrib[src][d])
-
-                b.add(
-                    fn, owner=d, port=("rx", d), gates=(src, d),
-                    nbytes=payload_nbytes(obj),
-                )
+    def _move(self, ep: _Episode, dst: int, key: Any, obj: Any) -> None:
+        val = self._do_clone(obj)
+        if key is None:
+            ep.results[dst] = val
+        else:
+            ep.results[dst][key] = val
 
     # -------------------------------------------------------------- execute
     def _scan_claim(
-        self, rank: int, ep_first: _Episode, *, take: bool
+        self, rank: int, ep_first: _Episode
     ) -> Optional[Tuple[_Episode, int]]:
-        """Find a runnable cell: rank's own first (preferring the
+        """Claim a runnable cell: rank's own first (preferring the
         episode it is asking about), else steal one whose owner is not
         engaged in the engine right now.  Under ``self._cond``."""
-        episodes = [ep_first] + [
-            e for e in self._episodes.values() if e is not ep_first
-        ]
         best: Optional[Tuple[_Episode, int]] = None
-        for ep in episodes:
-            if not ep.planned or ep.failed is not None:
+        for ep in chain((ep_first,), self._episodes.values()):
+            if not ep.ready or ep.failed is not None:
                 continue
             for idx in ep.ready:
                 owner = ep.cells[idx].owner
@@ -749,113 +798,122 @@ class IcollState:
                     best = (ep, idx)
             if best is not None and best[0].cells[best[1]].owner == rank:
                 break
-        if best is not None and take:
+        if best is not None:
             ep, idx = best
             ep.ready.remove(idx)
             ep.cells[idx].state = _RUNNING
         return best
 
+    def _fail(self, ep: _Episode, exc: BaseException) -> None:
+        """Poison the episode and wake its waiters.  Under ``_cond``."""
+        if ep.failed is None:
+            ep.failed = exc
+        self._progress_count += 1
+        self._cond.notify_all()
+
     def _execute(self, rank: int, ep: _Episode, idx: int) -> None:
+        """Run one claimed cell.  Called, and returns, with ``_cond``
+        held; the cell body runs without it.  Waiters are woken only
+        when the cell changed something for them: a dependent became
+        claimable or some rank's last gate opened."""
         cell = ep.cells[idx]
+        cond = self._cond
+        cond.release()
         try:
             if self.faults is not None:
                 self.faults.hit("coll.ichunk", rank, wake=self._wake_all)
             if cell.link_s > 0.0 and self._sleep is not None:
                 self._sleep(cell.link_s)
             cell.fn()
-        except BaseException as exc:
-            with self._cond:
-                if ep.failed is None:
-                    ep.failed = exc
-                self._progress_count += 1
-                self._cond.notify_all()
-            raise
-        with self._cond:
-            cell.state = _DONE
-            self.metrics.note_icoll_cell(stolen=cell.owner != rank)
-            for r in cell.gates:
-                ep.gates_left[r] -= 1
-            for d in cell.dependents:
-                dep = ep.cells[d]
-                dep.ndeps -= 1
-                if dep.ndeps == 0:
-                    dep.state = _READY
-                    ep.ready.append(d)
-            self._progress_count += 1
-            self._cond.notify_all()
-
-    def _progress(self, rank: int, ep: _Episode) -> None:
-        """Drain every currently-claimable cell."""
-        while True:
-            with self._cond:
-                got = self._scan_claim(rank, ep, take=True)
-            if got is None:
-                return
-            self._execute(rank, got[0], got[1])
+        finally:
+            cond.acquire()
+        cell.state = _DONE
+        self.metrics.note_icoll_cell(stolen=cell.owner not in (rank, -1))
+        wake = False
+        gates_left = ep.gates_left
+        for r in cell.gates:
+            gates_left[r] -= 1
+            if gates_left[r] == 0:
+                wake = True
+        for d in cell.dependents:
+            dep = ep.cells[d]
+            dep.ndeps -= 1
+            if dep.ndeps == 0:
+                dep.state = _READY
+                ep.ready.append(d)
+                wake = True
+        self._progress_count += 1
+        if wake:
+            cond.notify_all()
 
     # ------------------------------------------------------------ completion
-    def _complete_for(self, ep: _Episode, rank: int) -> bool:
-        return ep.planned and ep.gates_left[rank] == 0
-
-    def _take(self, ep: _Episode, rank: int) -> Any:
-        res = ep.results[rank]
-        ep.results[rank] = None
-        ep.collected[rank] = True
-        if all(ep.collected):
-            self._episodes.pop(ep.seq, None)
-        return res
-
-    def _raise_failed(self, ep: _Episode) -> None:
-        raise AbortError(
-            f"nonblocking collective {ep.kind} #{ep.seq} aborted by peer "
-            f"failure: {ep.failed!r}"
-        ) from ep.failed
+    def _complete(
+        self, rank: int, ep: _Episode, park: bool
+    ) -> Optional[Tuple[Any, Status]]:
+        """Drive the episode to this rank's completion: run claimable
+        cells, and between bursts either park (``wait``) or give up
+        (``test``).  A complete episode costs one lock acquisition."""
+        cond = self._cond
+        engaged = False
+        dog: Optional[Watchdog] = None
+        with cond:
+            try:
+                while True:
+                    if ep.failed is not None:
+                        raise AbortError(
+                            f"collective {ep.kind} #{ep.seq} aborted by "
+                            f"peer failure: {ep.failed!r}"
+                        ) from ep.failed
+                    if ep.planned and ep.gates_left[rank] == 0:
+                        res = ep.results[rank]
+                        ep.results[rank] = None
+                        ep.n_collected += 1
+                        if ep.n_collected == self.size:
+                            self._episodes.pop(ep.seq, None)
+                        return res, Status()
+                    if not engaged:
+                        engaged = True
+                        self._engaged[rank] += 1
+                    got = self._scan_claim(rank, ep)
+                    if got is not None:
+                        try:
+                            self._execute(rank, *got)
+                        except BaseException as exc:
+                            self._fail(got[0], exc)
+                            raise
+                    elif not park:
+                        return None
+                    else:
+                        if dog is None:
+                            dog = Watchdog(
+                                self._abort, self._clock, self._timeout,
+                                lambda: (
+                                    f"job aborted during {ep.kind} #{ep.seq}",
+                                    f"collective {ep.kind} #{ep.seq} stalled "
+                                    f"with {ep.n_arrived}/{self.size} arrived "
+                                    f"-- collective mismatch?",
+                                ),
+                            )
+                        cond.wait(timeout=dog.tick(self._progress_count))
+            finally:
+                if engaged:
+                    self._engaged[rank] -= 1
 
     def test_complete(
         self, rank: int, ep: _Episode
     ) -> Optional[Tuple[Any, Status]]:
         """One nonblocking progress burst (the ``Request.test`` hook):
         runs ready cells, then reports completion."""
-        with self._cond:
-            self._engaged[rank] += 1
-        try:
-            self._progress(rank, ep)
-            with self._cond:
-                if ep.failed is not None:
-                    self._raise_failed(ep)
-                if self._complete_for(ep, rank):
-                    return self._take(ep, rank), Status()
-                return None
-        finally:
-            with self._cond:
-                self._engaged[rank] -= 1
+        return self._complete(rank, ep, False)
 
     def wait_complete(self, rank: int, ep: _Episode) -> Tuple[Any, Status]:
-        """Blocking completion: alternate progress bursts with
-        event-driven parks; the deadline extends on any engine progress
-        (arrivals or cells anywhere, this rank's bursts included), so
-        only a genuinely stalled collective raises DeadlockError."""
-        with self._cond:
-            self._engaged[rank] += 1
-            dog = Watchdog(self._abort, self._clock, self._timeout, lambda: (
-                f"job aborted during {ep.kind} #{ep.seq}",
-                f"nonblocking collective {ep.kind} #{ep.seq} stalled with "
-                f"{ep.n_arrived}/{self.size} arrived -- collective mismatch?",
-            ))
-        try:
-            while True:
-                self._progress(rank, ep)
-                with self._cond:
-                    if ep.failed is not None:
-                        self._raise_failed(ep)
-                    if self._complete_for(ep, rank):
-                        return self._take(ep, rank), Status()
-                    pause = dog.tick(self._progress_count)
-                    if self._scan_claim(rank, ep, take=False) is None:
-                        self._cond.wait(timeout=pause)
-        finally:
-            with self._cond:
-                self._engaged[rank] -= 1
+        """Blocking completion -- what ``Comm.allreduce(x)`` and
+        ``Comm.iallreduce(x).wait()`` both run: alternate progress
+        bursts with event-driven parks; the deadline extends on any
+        engine progress (arrivals or cells anywhere, this rank's bursts
+        included), so only a genuinely stalled collective raises
+        DeadlockError."""
+        return self._complete(rank, ep, True)
 
     # ----------------------------------------------------------- waitany glue
     def progress_token(self) -> int:

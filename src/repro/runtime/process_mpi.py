@@ -36,7 +36,7 @@ class ProcessRuntime(Runtime):
     backend_name = "openmpi-process"
     copy_at_send_intra_node = True
     shared_node_address_space = False
-    #: no shared address space -> the flat copying collective path
+    #: no shared address space -> direct copying cells, no chunking
     collective_algorithm = "flat"
     #: RMA windows are emulated with per-origin mirror copies of the
     #: target segment (lazily allocated, like the eager buffers) --

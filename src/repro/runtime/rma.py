@@ -280,7 +280,7 @@ class Win:
         # Publish by reference (exchange does not clone), then each rank
         # fills its own slot; the trailing barrier orders the fills
         # before any peer's first access.
-        st = comm._coll.exchange(comm.rank, st)[0]
+        st = comm._exchange(st)[0]
         st.buffers[comm.rank] = local
         st.allocs[comm.rank] = (space, alloc)
         st.sizes[comm.rank] = int(local.size)
@@ -335,7 +335,7 @@ class Win:
             rt._windows[st.id] = st
         else:
             st = None
-        st = comm._coll.exchange(comm.rank, st)[0]
+        st = comm._exchange(st)[0]
         st.buffers[comm.rank] = local
         st.allocs[comm.rank] = None
         st.sizes[comm.rank] = int(count)
@@ -407,7 +407,7 @@ class Win:
                 st.buffers[r] = base[offs[r]:offs[r] + sizes[r]]
         else:
             st = None
-        st = comm._coll.exchange(comm.rank, st)[0]
+        st = comm._exchange(st)[0]
         comm.barrier()
         return cls(st, comm)
 

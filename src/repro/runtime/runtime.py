@@ -30,9 +30,9 @@ from repro.memory import LeakReport, MemoryManager
 from repro.memsim.address_space import AddressSpace, Allocation
 from repro.metrics.collectives import CollectiveMetrics
 from repro.runtime.abort import AbortSignal
-from repro.runtime.collectives import CollectiveState, HierarchicalCollectiveState
 from repro.runtime.communicator import Comm
 from repro.runtime.errors import AbortError, MPIError, TransientCommError
+from repro.runtime.icoll import DEFAULT_CHUNK_BYTES, IcollState
 from repro.runtime.message import Envelope, Mailbox
 from repro.runtime.payload import clone, payload_nbytes
 from repro.runtime.sched import make_execution_backend
@@ -79,9 +79,9 @@ class Runtime:
     copy_at_send_intra_node = False
     #: do tasks on the same node share an address space?
     shared_node_address_space = True
-    #: default collective algorithm ("flat" | "hierarchical"); the
-    #: thread backend exploits the topology, the process baseline keeps
-    #: the flat copying path
+    #: default cell shape of collectives ("flat" | "hierarchical" |
+    #: "auto", see _icoll_select); the thread backend exploits the
+    #: topology, the process baseline keeps direct copies
     collective_algorithm = "hierarchical"
     #: does the backend emulate RMA windows with per-origin mirror
     #: copies?  False for the thread backend (one window, shared);
@@ -154,7 +154,7 @@ class Runtime:
         self.timeout = timeout
         # Subscribable abort: every blocking primitive registers a waker,
         # so one set() wakes tasks parked anywhere (mailboxes, collective
-        # trees, HLS scopes) -- abort is announced, never discovered.
+        # engines, HLS scopes) -- abort is announced, never discovered.
         self.abort_flag = AbortSignal()
         # Execution backend: how ranks become running code and how
         # blocking primitives park ("threads" = one OS thread per task,
@@ -190,13 +190,12 @@ class Runtime:
         # references this object instead of materialising its own
         # n_tasks-element tuple (O(n^2) memory across the job at 4k+).
         self._world_group = tuple(range(self.n_tasks))
-        self._coll_states: Dict[int, CollectiveState] = {}
-        #: shared nonblocking-collective engines, keyed by context like
-        #: the blocking states (see repro.runtime.icoll)
-        self._icoll_states: Dict[int, Any] = {}
+        #: the collective engine of each communicator, keyed by context
+        #: (see repro.runtime.icoll)
+        self._icoll_states: Dict[int, IcollState] = {}
         self._coll_lock = threading.Lock()
         #: modeled per-cell link time (seconds per MiB moved) for the
-        #: nonblocking engine; 0.0 = no modeled time.  The scaling
+        #: collective engine; 0.0 = no modeled time.  The scaling
         #: benchmarks set this and run under backend="coop", so the
         #: pipelined-vs-store-and-forward comparison is virtual-clock
         #: deterministic.
@@ -346,8 +345,6 @@ class Runtime:
         for mbox in self._mailboxes:
             mbox.faults = injector
         with self._coll_lock:
-            for st in self._coll_states.values():
-                st.faults = injector
             for st in self._icoll_states.values():
                 st.faults = injector
         return injector
@@ -450,59 +447,11 @@ class Runtime:
         space (never true for the process backend)."""
         return self.sharing == "shared" and self.shares_address_space(src, dst)
 
-    @property
-    def blocking_algorithm(self) -> str:
-        """The blocking engine behind ``algorithm="auto"``: the
-        topology tree when tasks share node address spaces, the flat
-        board otherwise (the process baseline)."""
-        if self.collective_algorithm != "auto":
-            return self.collective_algorithm
-        return "hierarchical" if self.shared_node_address_space else "flat"
-
-    def collective_state(self, context: int, group) -> CollectiveState:
-        """The shared collective engine of one communicator.  ``group``
-        is the comm-rank -> world-rank tuple (a bare int is accepted as
-        a size for contiguous world-rank groups)."""
-        if isinstance(group, int):
-            group = tuple(range(group))
-        size = len(group)
-        with self._coll_lock:
-            st = self._coll_states.get(context)
-            if st is None:
-                if self.blocking_algorithm == "hierarchical":
-                    levels = collective_levels(
-                        self.machine, [self._pin[w] for w in group]
-                    )
-                    st = HierarchicalCollectiveState(
-                        size, self.abort_flag, timeout=self.timeout,
-                        clone=clone, metrics=self.collective_metrics,
-                        levels=levels, group=tuple(group),
-                        share=self._collective_share_check(),
-                        faults=self.faults,
-                        make_cond=self._backend.condition,
-                        clock=self._backend.now,
-                    )
-                else:
-                    st = CollectiveState(
-                        size, self.abort_flag, timeout=self.timeout,
-                        clone=clone, metrics=self.collective_metrics,
-                        faults=self.faults,
-                        make_cond=self._backend.condition,
-                        clock=self._backend.now,
-                    )
-                self._coll_states[context] = st
-            elif st.size != size:
-                raise MPIError(
-                    f"context {context} already bound to size {st.size}"
-                )
-            return st
-
-    def icoll_state(self, context: int, group):
-        """The shared *nonblocking* collective engine of one
-        communicator (created lazily on the first ``Comm.i*`` call, so
-        communicators that never go nonblocking pay nothing)."""
-        from repro.runtime.icoll import IcollState
-
+    def icoll_state(self, context: int, group) -> IcollState:
+        """The collective engine shared by the handles of one
+        communicator.  ``group`` is the comm-rank -> world-rank tuple (a
+        bare int is accepted as a size for contiguous world-rank
+        groups)."""
         if isinstance(group, int):
             group = tuple(range(group))
         size = len(group)
@@ -528,24 +477,23 @@ class Runtime:
                 self._icoll_states[context] = st
             elif st.size != size:
                 raise MPIError(
-                    f"context {context} already bound to icoll size {st.size}"
+                    f"context {context} already bound to size {st.size}"
                 )
             return st
 
-    def _icoll_select(self, kind: str, nbytes: int, size: int):
-        """Per-episode (algorithm, chunk_bytes) for nonblocking
+    def _icoll_select(self, kind: str, nbytes: Callable[[], int], size: int):
+        """Per-episode (algorithm, chunk_bytes) cell shape for
         collectives whose caller did not pin one.  ``auto`` consults
-        the measured trajectory (repro.runtime.autotune); the fixed
-        algorithms map directly."""
+        the measured trajectory (repro.runtime.autotune) with the
+        largest contribution's size, ``nbytes()``; the fixed algorithms
+        map directly."""
         if self.collective_algorithm == "auto":
             if self._tuner is None:
                 from repro.runtime.autotune import CollectiveTuner
 
                 self._tuner = CollectiveTuner.from_bench()
-            return self._tuner.select(kind, nbytes, size, self.sharing)
+            return self._tuner.select(kind, nbytes(), size, self.sharing)
         if self.collective_algorithm == "hierarchical":
-            from repro.runtime.icoll import DEFAULT_CHUNK_BYTES
-
             return "pipelined", DEFAULT_CHUNK_BYTES
         return "flat", 0
 

@@ -1,7 +1,7 @@
 """The waker: a condition-variable facade over the coop scheduler.
 
 Every blocking primitive in this runtime parks on a
-``threading.Condition`` -- mailboxes, collective tree nodes, HLS scope
+``threading.Condition`` -- mailboxes, collective engines, HLS scope
 states, RMA windows.  :class:`CoopWaker` keeps that exact protocol
 (``with waker: ... waker.wait(t) ... waker.notify_all()``) but turns
 ``wait`` into a scheduler park: the task's carrier thread picks its

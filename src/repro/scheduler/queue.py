@@ -181,7 +181,7 @@ class ChunkQueue:
             )
         else:
             prog = None
-        prog = comm._coll.exchange(comm.rank, prog)[0]
+        prog = comm._exchange(prog)[0]
         self._prog = prog
         # a direct handle: ctx.hls stays owned by the application's own
         # HLS program (attach() would reuse it)

@@ -133,7 +133,9 @@ class TestLoading:
 class TestRuntimeAuto:
     def test_auto_is_accepted_and_resolves_blocking_engine(self):
         rt = Runtime(core2_cluster(1), n_tasks=4, algorithm="auto")
-        assert rt.blocking_algorithm == "hierarchical"
+        # blocking calls run on the engine too: auto picks their shape
+        assert rt.run(lambda ctx: ctx.comm_world.allreduce(1)) == [4] * 4
+        assert sum(rt.collective_metrics.icoll_episodes.values()) == 1
 
     def test_auto_selects_measured_winner(self, tmp_path, monkeypatch):
         """End-to-end: history says flat wins ibcast at this config;

@@ -174,7 +174,7 @@ class FlatBarrierWaiter(Waiter):
     step = wait
 
     def noise(self, ctx, st):
-        ctx.comm_world._coll._abort_wake()
+        ctx.comm_world._engine._wake_all()
 
 
 class TreeSweepWaiter(FlatBarrierWaiter):
@@ -186,15 +186,13 @@ class TreeSweepWaiter(FlatBarrierWaiter):
     step = wait
 
 
-class IallreduceWaiter(Waiter):
+class IallreduceWaiter(FlatBarrierWaiter):
+    runtime_kwargs = {}
+
     def wait(self, ctx, st):
         assert ctx.comm_world.iallreduce(1).wait() == N
 
     step = wait
-
-    def noise(self, ctx, st):
-        c = ctx.comm_world
-        ctx.runtime.icoll_state(c.context, c.group)._wake_all()
 
 
 class HlsBarrierWaiter(Waiter):

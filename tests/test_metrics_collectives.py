@@ -9,8 +9,6 @@ class TestCounting:
     def test_starts_at_zero(self):
         m = CollectiveMetrics()
         assert m.snapshot() == {
-            "episodes": {},
-            "full_comm_episodes": 0,
             "clones": 0,
             "clones_elided": 0,
             "icoll_episodes": {},
@@ -31,22 +29,6 @@ class TestCounting:
         assert snap["icoll_steals"] == 1
         assert "icoll cells" in m.render()
 
-    def test_full_comm_episode_requires_full_arity(self):
-        m = CollectiveMetrics()
-        m.note_episode("comm", 8, 8)     # whole communicator on one counter
-        m.note_episode("node", 4, 8)     # scope-local group
-        m.note_episode("cache2", 2, 8)
-        assert m.full_comm_episodes == 1
-        assert m.group_episodes == 2
-        assert m.total_episodes == 3
-        assert m.episodes == {"comm": 1, "node": 1, "cache2": 1}
-
-    def test_size_one_communicator_is_never_full_comm(self):
-        m = CollectiveMetrics()
-        m.note_episode("comm", 1, 1)
-        assert m.full_comm_episodes == 0
-        assert m.total_episodes == 1
-
     def test_clone_and_elision_counters(self):
         m = CollectiveMetrics()
         for _ in range(3):
@@ -58,11 +40,11 @@ class TestCounting:
 
     def test_snapshot_is_detached(self):
         m = CollectiveMetrics()
-        m.note_episode("node", 2, 4)
+        m.note_icoll_episode("flat")
         snap = m.snapshot()
-        m.note_episode("node", 2, 4)
-        assert snap["episodes"] == {"node": 1}
-        assert m.episodes == {"node": 2}
+        m.note_icoll_episode("flat")
+        assert snap["icoll_episodes"] == {"flat": 1}
+        assert m.icoll_episodes == {"flat": 2}
 
 
 class TestThreadSafety:
@@ -72,7 +54,7 @@ class TestThreadSafety:
 
         def body():
             for _ in range(iters):
-                m.note_episode("cache2", 2, 16)
+                m.note_icoll_episode("pipelined")
                 m.note_clone()
                 m.note_elision()
 
@@ -81,7 +63,7 @@ class TestThreadSafety:
             t.start()
         for t in ts:
             t.join()
-        assert m.episodes["cache2"] == n_threads * iters
+        assert m.icoll_episodes["pipelined"] == n_threads * iters
         assert m.clones == n_threads * iters
         assert m.clones_elided == n_threads * iters
 
@@ -89,11 +71,12 @@ class TestThreadSafety:
 class TestRendering:
     def test_render_mentions_every_counter(self):
         m = CollectiveMetrics()
-        m.note_episode("numa", 4, 8)
-        m.note_episode("comm", 8, 8)
+        m.note_icoll_episode("flat")
+        m.note_icoll_episode("pipelined")
         m.note_clone()
         text = m.render()
-        assert "episodes[numa]" in text
-        assert "episodes[comm]" in text
-        assert "full-comm episodes" in text
-        assert "clones" in text
+        assert "icoll episodes[flat]" in text
+        assert "icoll episodes[pipelined]" in text
+        for counter in ("clones", "clones elided", "icoll cells",
+                        "icoll cells stolen"):
+            assert counter in text

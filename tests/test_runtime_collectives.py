@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.runtime import MAX, MIN, PROD, SUM, CountMismatchError, DeadlockError, Runtime
+from repro.runtime import (
+    MAX, MIN, PROD, SUM, CountMismatchError, DeadlockError, MPIError, Runtime,
+)
 
 
 def run(n, main, **kw):
@@ -67,7 +69,8 @@ class TestBcast:
         def main(ctx):
             ctx.comm_world.bcast(1, root=9)
 
-        with pytest.raises(ValueError):
+        # the one validator: the same class ibcast raises
+        with pytest.raises(MPIError, match="root 9 outside"):
             run(2, main)
 
 

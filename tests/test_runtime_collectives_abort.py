@@ -1,9 +1,10 @@
 """Abort propagation through collectives.
 
 An ``abort()`` fired while peers are blocked inside a collective must
-wake every one of them with :class:`AbortError` -- including tasks that
-are parked at *different levels* of the hierarchical reduction tree
-(leaf winners waiting at an upper node, losers waiting at their leaf).
+wake every one of them with :class:`AbortError`, whatever shape the
+episode was going to take -- the straggler never arrives, so every
+waiter is parked on an unplanned episode.  The flat reference gets the
+same treatment (a hung oracle would hang the suites that use it).
 """
 
 import threading
@@ -12,80 +13,81 @@ import time
 import pytest
 
 from repro.machine import core2_cluster, small_test_machine
-from repro.machine.treemap import collective_levels
 from repro.runtime import AbortError, Runtime, SUM
-from repro.runtime.collectives import (
-    CollectiveState,
-    HierarchicalCollectiveState,
-)
+from repro.runtime.collectives import CollectiveState
 from repro.runtime.payload import clone
+from tests.oracle import RefComm
 
 ALGOS = ["flat", "hierarchical"]
 
 
-def _make_state(state_cls, machine, size, abort_flag, timeout=30.0):
-    kwargs = dict(timeout=timeout, clone=clone)
-    if state_cls is HierarchicalCollectiveState:
-        kwargs["levels"] = collective_levels(machine, list(range(size)))
-    return state_cls(size, abort_flag, **kwargs)
+def run_with_straggler(target, machine, size, body, park_s):
+    """Run ``body(coll)`` on ranks ``0..size-2`` -- ``coll`` offering
+    ``allreduce(obj, op)`` and ``barrier()`` -- while rank ``size-1``
+    never shows up; after ``park_s`` the job is aborted.  ``target`` is
+    ``"CollectiveState"`` (the flat reference on plain threads) or
+    ``"IcollState"`` (the engine, through ``Comm``).  Returns once every
+    rank has terminated."""
+    if target == "IcollState":
+        rt = Runtime(machine, n_tasks=size, timeout=30.0)
 
+        def main(ctx):
+            if ctx.rank == size - 1:
+                time.sleep(park_s)
+                rt.signal_abort()
+            else:
+                body(ctx.comm_world)
 
-@pytest.mark.parametrize("state_cls", [CollectiveState, HierarchicalCollectiveState])
-def test_abort_wakes_tasks_at_every_tree_level(state_cls):
-    """15 of 16 ranks enter an allreduce; the missing straggler means
-    some ranks have already won their leaf/cache/numa round and are
-    blocked higher up the tree.  Setting the abort flag must wake all
-    15, whatever node they are parked at."""
-    machine = core2_cluster(2)
-    size = 16
+        rt.run(main)
+        return
     abort_flag = threading.Event()
-    state = _make_state(state_cls, machine, size, abort_flag)
-
-    outcomes = {}
-
-    def body(rank):
-        try:
-            state.allreduce(rank, rank, SUM)
-            outcomes[rank] = "returned"
-        except AbortError:
-            outcomes[rank] = "aborted"
-        except Exception as exc:  # pragma: no cover - failure path
-            outcomes[rank] = exc
+    state = CollectiveState(size, abort_flag, timeout=30.0, clone=clone)
 
     threads = [
-        threading.Thread(target=body, args=(r,)) for r in range(size - 1)
-    ]  # rank 15 never shows up
+        threading.Thread(target=body, args=(RefComm(state, r),))
+        for r in range(size - 1)
+    ]
     for t in threads:
         t.start()
-    time.sleep(0.3)  # let everyone park somewhere in the tree
+    time.sleep(park_s)  # let everyone park
     abort_flag.set()
     for t in threads:
         t.join(timeout=10.0)
     assert not any(t.is_alive() for t in threads), "abort failed to wake a task"
+
+
+@pytest.mark.parametrize("target", ["CollectiveState", "IcollState"])
+def test_abort_wakes_tasks_at_every_tree_level(target):
+    """15 of 16 ranks enter an allreduce spanning two nodes and every
+    cache level; the straggler never deposits.  Setting the abort flag
+    must wake all 15."""
+    size = 16
+    outcomes = {}
+
+    def body(coll):
+        try:
+            coll.allreduce(coll.rank, SUM)
+            outcomes[coll.rank] = "returned"
+        except AbortError:
+            outcomes[coll.rank] = "aborted"
+        except Exception as exc:  # pragma: no cover - failure path
+            outcomes[coll.rank] = exc
+
+    run_with_straggler(target, core2_cluster(2), size, body, 0.3)
     assert outcomes == {r: "aborted" for r in range(size - 1)}
 
 
-@pytest.mark.parametrize("state_cls", [CollectiveState, HierarchicalCollectiveState])
-def test_abort_wakes_barrier_waiters(state_cls):
-    machine = small_test_machine(n_nodes=2)
+@pytest.mark.parametrize("target", ["CollectiveState", "IcollState"])
+def test_abort_wakes_barrier_waiters(target):
     size = 8
-    abort_flag = threading.Event()
-    state = _make_state(state_cls, machine, size, abort_flag)
-
     hits = []
 
-    def body(rank):
+    def body(coll):
         with pytest.raises(AbortError):
-            state.barrier(rank)
-        hits.append(rank)
+            coll.barrier()
+        hits.append(coll.rank)
 
-    threads = [threading.Thread(target=body, args=(r,)) for r in range(size - 1)]
-    for t in threads:
-        t.start()
-    time.sleep(0.2)
-    abort_flag.set()
-    for t in threads:
-        t.join(timeout=10.0)
+    run_with_straggler(target, small_test_machine(n_nodes=2), size, body, 0.2)
     assert sorted(hits) == list(range(size - 1))
 
 
@@ -136,15 +138,9 @@ def test_comm_abort_mid_subcomm_collective(algorithm):
 
 
 def test_peer_failure_inside_tree_poisons_waiters():
-    """If the winning task's fold blows up at the tree root, every
-    waiting peer must get an AbortError rather than hang (the poison
-    release path)."""
-    machine = small_test_machine(n_nodes=2)
+    """If the fold blows up in the rank executing it, every waiting
+    peer must get an AbortError rather than hang (the poison path)."""
     size = 8
-    abort_flag = threading.Event()
-    state = _make_state(
-        HierarchicalCollectiveState, machine, size, abort_flag
-    )
 
     class Boom(RuntimeError):
         pass
@@ -154,23 +150,20 @@ def test_peer_failure_inside_tree_poisons_waiters():
 
     outcomes = {}
 
-    def body(rank):
+    def main(ctx):
         try:
-            state.allreduce(rank, rank, bad_add)
-            outcomes[rank] = "returned"
+            ctx.comm_world.allreduce(ctx.rank, bad_add)
+            outcomes[ctx.rank] = "returned"
         except Boom:
-            outcomes[rank] = "boom"
-        except AbortError:
-            outcomes[rank] = "aborted"
+            outcomes[ctx.rank] = "boom"
+        except AbortError as exc:
+            assert "aborted by peer failure" in str(exc)
+            outcomes[ctx.rank] = "aborted"
 
-    threads = [threading.Thread(target=body, args=(r,)) for r in range(size)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=10.0)
-    assert not any(t.is_alive() for t in threads), "poison failed to wake a task"
-    # exactly one task (the root winner) sees the original exception;
-    # everyone else gets AbortError
+    rt = Runtime(small_test_machine(n_nodes=2), n_tasks=size, timeout=10.0)
+    rt.run(main)
+    # exactly one task (the one that ran the fold) sees the original
+    # exception; everyone else gets AbortError
     assert sorted(outcomes) == list(range(size))
     vals = list(outcomes.values())
     assert vals.count("boom") == 1

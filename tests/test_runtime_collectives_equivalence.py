@@ -1,10 +1,11 @@
-"""Property-based equivalence: the hierarchical collective engine must
-produce **bit-identical** results to the flat reference algorithm for
-every op, payload type, root, communicator size and machine shape.
+"""Property-based equivalence: the collective engine must produce
+**bit-identical** results to the flat reference algorithm
+(``tests/oracle.py``) for every op, payload type, root, communicator
+size, machine shape and cell-shape default.
 
 Bit-identical matters: floating-point folds are not associative, so the
-hierarchical engine must fold contributions in exactly the flat
-algorithm's rank order no matter how they travelled up the tree.
+engine must fold contributions in exactly the flat algorithm's rank
+order no matter how its cells are laid out.
 """
 
 import struct
@@ -15,6 +16,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.machine import build_machine, core2_cluster, small_test_machine
 from repro.runtime import LAND, LOR, MAX, MIN, PROD, SUM, Runtime
+from tests.oracle import run_reference
 
 OPS = {"SUM": SUM, "PROD": PROD, "MAX": MAX, "MIN": MIN,
        "LAND": LAND, "LOR": LOR}
@@ -84,11 +86,17 @@ def assert_bit_identical(a, b, where=""):
 
 
 def run_both(machine, n, main, **kw):
+    """The flat reference's results and the engine's -- the latter run
+    under both ``algorithm=`` defaults, which must agree."""
     out = {}
     for algo in ("flat", "hierarchical"):
         rt = Runtime(machine, n_tasks=n, algorithm=algo, timeout=20.0, **kw)
         out[algo] = rt.run(main)
-    return out["flat"], out["hierarchical"]
+    for r in range(n):
+        assert_bit_identical(
+            out["flat"][r], out["hierarchical"][r], f"shapes differ, rank {r}"
+        )
+    return run_reference(n, main), out["hierarchical"]
 
 
 # ------------------------------------------------------------------ per-op
@@ -215,8 +223,8 @@ def test_scatter_equivalent(machine, n, data, kind, seed):
 )
 @settings(**SETTINGS)
 def test_mixed_program_equivalent(machine, n, program, data):
-    """Back-to-back mixed collectives reuse blackboard/tree state; both
-    algorithms must agree on the whole transcript."""
+    """Back-to-back mixed collectives reuse blackboard/engine state;
+    reference and engine must agree on the whole transcript."""
     steps = [
         (opname, seed, data.draw(st.integers(0, n - 1), label=f"root{i}"))
         for i, (opname, seed) in enumerate(program)
@@ -276,12 +284,11 @@ def test_zero_copy_values_match_flat(n, kind, seed):
         b = c.allgather(make_payload(kind, seed + 1, ctx.rank))
         return a, b
 
-    rt_flat = Runtime(machine, n_tasks=n, algorithm="flat", timeout=20.0)
     rt_zc = Runtime(
         machine, n_tasks=n, algorithm="hierarchical", sharing="shared",
         timeout=20.0,
     )
-    flat = rt_flat.run(main)
+    flat = run_reference(n, main)
     zc = rt_zc.run(main)
     for r in range(n):
         assert_bit_identical(flat[r], zc[r], f"zero-copy rank {r}")

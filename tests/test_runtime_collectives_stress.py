@@ -1,10 +1,10 @@
 """Stress / interleaving tests for concurrent collectives.
 
-These hammer the generation counters and per-generation release slots of
-both collective engines: several communicators derived from the same
-world run simultaneous, back-to-back collectives from overlapping rank
-sets.  A lost wakeup or a generation mix-up shows up as a wrong value or
-a :class:`DeadlockError` within the runtime timeout.
+These hammer the episode bookkeeping of the collective engine (and the
+generation counter of the flat reference): several communicators derived
+from the same world run simultaneous, back-to-back collectives from
+overlapping rank sets.  A lost wakeup or an episode mix-up shows up as a
+wrong value or a :class:`DeadlockError` within the runtime timeout.
 
 Marked ``stress``: CI reruns this module several times to surface flaky
 interleavings.  Set ``REPRO_SHARING=shared`` to run the whole battery
@@ -12,18 +12,12 @@ with the zero-copy fast path enabled (CI does both).
 """
 
 import os
-import threading
 
 import pytest
 
 from repro.machine import core2_cluster, small_test_machine
 from repro.runtime import Runtime, SUM
-from repro.runtime.collectives import (
-    CollectiveState,
-    HierarchicalCollectiveState,
-)
-from repro.runtime.payload import clone
-from repro.machine.treemap import collective_levels
+from tests.oracle import run_reference
 
 pytestmark = pytest.mark.stress
 
@@ -102,66 +96,43 @@ def test_nested_overlapping_communicators(algorithm):
         assert out == expect, f"rank {rank}"
 
 
-@pytest.mark.parametrize("state_cls", [CollectiveState, HierarchicalCollectiveState])
-def test_back_to_back_barrier_storm(state_cls):
-    """Raw-state hammer: many threads issue hundreds of back-to-back
-    barriers with no delay, the classic trap for generation counters."""
-    machine = core2_cluster(2)
-    size = 16
-    iters = 200
-    kwargs = dict(timeout=30.0, clone=clone)
-    if state_cls is HierarchicalCollectiveState:
-        kwargs["levels"] = collective_levels(machine, list(range(size)))
-    state = state_cls(size, threading.Event(), **kwargs)
-
-    errors = []
-
-    def body(rank):
-        try:
-            for _ in range(iters):
-                state.barrier(rank)
-        except Exception as exc:  # pragma: no cover - failure path
-            errors.append((rank, exc))
-
-    threads = [threading.Thread(target=body, args=(r,)) for r in range(size)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60.0)
-    assert not any(t.is_alive() for t in threads), "barrier storm hung"
-    assert errors == []
+def storm(target, size, body):
+    """Run ``body(comm)`` on ``size`` ranks with no delay between calls:
+    ``target`` is ``"CollectiveState"`` (the flat reference on plain
+    threads) or ``"IcollState"`` (the engine, through ``Comm``)."""
+    if target == "IcollState":
+        rt = Runtime(core2_cluster(2), n_tasks=size, timeout=30.0,
+                     sharing=SHARING)
+        rt.run(lambda ctx: body(ctx.comm_world))
+    else:
+        run_reference(size, lambda ctx: body(ctx.comm_world), timeout=30.0)
 
 
-@pytest.mark.parametrize("state_cls", [CollectiveState, HierarchicalCollectiveState])
-def test_back_to_back_allreduce_storm(state_cls):
+@pytest.mark.parametrize("target", ["CollectiveState", "IcollState"])
+def test_back_to_back_barrier_storm(target):
+    """Many ranks issue hundreds of back-to-back barriers with no delay,
+    the classic trap for generation counters and episode ids."""
+
+    def body(coll):
+        for _ in range(200):
+            coll.barrier()
+
+    storm(target, 16, body)
+
+
+@pytest.mark.parametrize("target", ["CollectiveState", "IcollState"])
+def test_back_to_back_allreduce_storm(target):
     """Same, but with data flowing: the i-th allreduce result must never
     leak into the (i+1)-th even when fast ranks lap slow ones."""
-    machine = core2_cluster(2)
     size = 16
-    iters = 100
-    kwargs = dict(timeout=30.0, clone=clone)
-    if state_cls is HierarchicalCollectiveState:
-        kwargs["levels"] = collective_levels(machine, list(range(size)))
-    state = state_cls(size, threading.Event(), **kwargs)
 
-    errors = []
+    def body(coll):
+        for i in range(100):
+            got = coll.allreduce(coll.rank * (i + 1), SUM)
+            want = (i + 1) * sum(range(size))
+            assert got == want, f"iter {i}: {got} != {want}"
 
-    def body(rank):
-        try:
-            for i in range(iters):
-                got = state.allreduce(rank, rank * (i + 1), SUM)
-                want = (i + 1) * sum(range(size))
-                assert got == want, f"iter {i}: {got} != {want}"
-        except Exception as exc:  # pragma: no cover - failure path
-            errors.append((rank, exc))
-
-    threads = [threading.Thread(target=body, args=(r,)) for r in range(size)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=60.0)
-    assert not any(t.is_alive() for t in threads), "allreduce storm hung"
-    assert errors == []
+    storm(target, size, body)
 
 
 @pytest.mark.parametrize("algorithm", ALGOS)

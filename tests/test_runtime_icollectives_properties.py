@@ -1,11 +1,13 @@
-"""Property-based equivalence for the nonblocking collectives.
+"""Property-based equivalence for the collective engine.
 
 Every ``Comm.i*`` collective must produce **bit-identical** results to
 its blocking twin -- across execution backend (threads / coop /
 process), sharing policy (private / shared), algorithm (flat /
 hierarchical / pipelined, including chunk sizes small enough to force
 multi-chunk pipelines), under injected delays at the ``coll.ichunk``
-fault site, and under random cooperative schedules.
+fault site, and under random cooperative schedules.  Blocking calls
+run on the same engine, so the twin is computed by an oracle that is
+not the engine: the flat reference of ``tests/oracle.py``.
 
 Bit-identical matters doubly here: the pipelined reduction folds each
 chunk independently, and only the per-element identity of chunked and
@@ -39,13 +41,15 @@ from tests.test_runtime_collectives_equivalence import (
     assert_bit_identical,
     make_payload,
 )
+from tests.oracle import run_reference
 
 OPS = {"SUM": SUM, "PROD": PROD, "MAX": MAX, "MIN": MIN}
 
 SCHED_SEED = int(os.environ.get("REPRO_ICOLL_SCHED_SEED", "11"))
 
 #: every valid backend x sharing combination (the process baseline
-#: rejects sharing="shared" by construction; asserted below)
+#: rejects sharing="shared" by construction; asserted below), plus the
+#: coop pair again with a link time (see _with_link_time)
 CONFIGS = {
     "threads-private": lambda n: Runtime(
         core2_cluster(2), n_tasks=n, timeout=20.0, sharing="private"
@@ -66,17 +70,31 @@ CONFIGS = {
     ),
 }
 
+
+def _with_link_time(make):
+    """The same runtime with a modeled link time: episodes that would
+    be one cell are planned as flat / tree cell DAGs instead (virtual
+    time under coop, so it costs nothing)."""
+    def build(n):
+        rt = make(n)
+        rt.icoll_link_time_per_mib = 0.5
+        return rt
+    return build
+
+
+for _name in ("coop-private", "coop-shared"):
+    CONFIGS[_name + "-link"] = _with_link_time(CONFIGS[_name])
+
 config_param = pytest.mark.parametrize("config", sorted(CONFIGS))
 
 ALGORITHMS = ["flat", "hierarchical", "pipelined"]
 
 
 def run_twins(config, n, main):
-    """Run ``main(ctx, icoll=...)`` once blocking, once nonblocking, on
-    fresh identically-configured runtimes; returns both result lists."""
-    blocking = CONFIGS[config](n).run(main, False)
-    nonblocking = CONFIGS[config](n).run(main, True)
-    return blocking, nonblocking
+    """Run ``main(ctx, icoll=...)`` once blocking on the flat reference,
+    once nonblocking on the configured runtime; returns both result
+    lists."""
+    return run_reference(n, main, False), CONFIGS[config](n).run(main, True)
 
 
 # ----------------------------------------------------------- per-collective
@@ -225,6 +243,54 @@ def test_ialltoall_equals_alltoall(config, n, kind, seed):
 
 @config_param
 @given(
+    n=st.integers(1, 8),
+    data=st.data(),
+    kind=st.sampled_from(PAYLOAD_KINDS),
+    seed=st.integers(0, 10_000),
+)
+@settings(**SETTINGS)
+def test_iscatter_equals_scatter(config, n, data, kind, seed):
+    root = data.draw(st.integers(0, n - 1))
+
+    def main(ctx, icoll):
+        c = ctx.comm_world
+        objs = None
+        if ctx.rank == root:
+            objs = [make_payload(kind, seed, r) for r in range(n)]
+        if icoll:
+            return c.iscatter(objs, root=root).wait()
+        return c.scatter(objs, root=root)
+
+    blocking, nonblocking = run_twins(config, n, main)
+    for r in range(n):
+        assert_bit_identical(blocking[r], nonblocking[r], f"iscatter rank {r}")
+
+
+@config_param
+@given(
+    n=st.integers(1, 8),
+    opname=st.sampled_from(sorted(OPS)),
+    kind=st.sampled_from(REDUCIBLE_KINDS),
+    seed=st.integers(0, 10_000),
+)
+@settings(**SETTINGS)
+def test_iscan_equals_scan(config, n, opname, kind, seed):
+    op = OPS[opname]
+
+    def main(ctx, icoll):
+        c = ctx.comm_world
+        mine = make_payload(kind, seed, ctx.rank)
+        if icoll:
+            return c.iscan(mine, op).wait()
+        return c.scan(mine, op)
+
+    blocking, nonblocking = run_twins(config, n, main)
+    for r in range(n):
+        assert_bit_identical(blocking[r], nonblocking[r], f"iscan rank {r}")
+
+
+@config_param
+@given(
     n=st.integers(2, 8),
     kind=st.sampled_from(PAYLOAD_KINDS),
     seed=st.integers(0, 10_000),
@@ -244,7 +310,9 @@ def test_ineighbor_exchange_equals_sendrecv_ring(config, n, kind, seed, stride):
             return got[left]
         return c.sendrecv(mine, dest=right, source=left, sendtag=7)
 
-    blocking, nonblocking = run_twins(config, n, main)
+    # the twin is point-to-point, which shares nothing with the engine
+    blocking = CONFIGS[config](n).run(main, False)
+    nonblocking = CONFIGS[config](n).run(main, True)
     for r in range(n):
         assert_bit_identical(
             blocking[r], nonblocking[r], f"ineighbor rank {r}"
@@ -330,7 +398,7 @@ def test_noncontiguous_and_custom_ops_fall_back():
             c.allreduce(np.full(256, 1.0 + ctx.rank), weird),
         )
 
-    blocking = Runtime(core2_cluster(1), n_tasks=n).run(main, False)
+    blocking = run_reference(n, main, False)
     nonblocking = Runtime(core2_cluster(1), n_tasks=n).run(main, True)
     for r in range(n):
         assert_bit_identical(blocking[r], nonblocking[r], f"fallback rank {r}")
@@ -446,7 +514,7 @@ def test_equivalence_under_ichunk_delays(backend, fault_seed):
         return Runtime(core2_cluster(2), n_tasks=n, timeout=20.0,
                        backend=backend, faults=faults, **kw)
 
-    blocking = rt(None).run(main, False)
+    blocking = run_reference(n, main, False)
     nonblocking = rt(plan).run(main, True)
     for r in range(n):
         assert_bit_identical(blocking[r], nonblocking[r], f"fault rank {r}")
@@ -506,19 +574,17 @@ def test_process_runtime_rejects_shared_sharing():
 
 
 def test_icoll_on_split_subcommunicator():
-    """Nonblocking collectives on a split comm use the sub-group's
-    ranks and tree; results must match the blocking twin."""
+    """Collectives on a split comm use the sub-group's ranks and tree:
+    each parity class sums its own members, blocking or not."""
     n = 8
 
-    def main(ctx, icoll):
-        c = ctx.comm_world
-        sub = c.split(color=ctx.rank % 2, key=ctx.rank)
+    def main(ctx):
+        sub = ctx.comm_world.split(color=ctx.rank % 2, key=ctx.rank)
         mine = np.full(32, float(ctx.rank))
-        if icoll:
-            return sub.iallreduce(mine, SUM).wait()
-        return sub.allreduce(mine, SUM)
+        return sub.allreduce(mine, SUM), sub.iallreduce(mine, SUM).wait()
 
-    blocking = Runtime(core2_cluster(2), n_tasks=n).run(main, False)
-    nonblocking = Runtime(core2_cluster(2), n_tasks=n).run(main, True)
+    got = Runtime(core2_cluster(2), n_tasks=n).run(main)
     for r in range(n):
-        assert_bit_identical(blocking[r], nonblocking[r], f"split rank {r}")
+        want = np.full(32, float(sum(range(r % 2, n, 2))))
+        assert_bit_identical(want, got[r][0], f"split rank {r} blocking")
+        assert_bit_identical(want, got[r][1], f"split rank {r} nonblocking")
