@@ -19,7 +19,7 @@ realistic proportion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from repro.memsim import (
     CacheHierarchy,
     TimingModel,
     blocked_matmul_trace,
-    interleave_round_robin,
+    run_phase,
 )
 from repro.memsim.traces import stream_lines
 from repro.runtime import Runtime
@@ -115,17 +115,6 @@ def run_matmul(cfg: MatmulConfig) -> MatmulResult:
     compute = 2.0 * cfg.n ** 3 / cfg.flops_per_cycle   # per task-step
 
     total = 0.0
-    before = hier.stats()
-
-    def phase(traces: List[np.ndarray], phase_pus: List[int], *, write: bool) -> float:
-        nonlocal before
-        for i, chunk in interleave_round_robin(traces, chunk=64):
-            hier.access_run(phase_pus[i], chunk, write=write)
-        after = hier.stats()
-        t = tm.run_timing(after - before, active_pus=phase_pus).cycles
-        before = after
-        return t
-
     for step in range(cfg.warmup_steps + cfg.steps):
         measured = step >= cfg.warmup_steps
         if cfg.update and step > 0:
@@ -133,10 +122,10 @@ def run_matmul(cfg: MatmulConfig) -> MatmulResult:
                 stream_lines(placements[w][2], nbytes, line_bytes=line)
                 for w in writers
             ]
-            t = phase(wtraces, writer_pus, write=True)
+            t = run_phase(hier, tm, wtraces, writer_pus, write=True)
             if measured:
                 total += t
-        t = phase(gemm_traces, pus, write=False) + compute
+        t = run_phase(hier, tm, gemm_traces, pus) + compute
         if measured:
             total += t
 

@@ -30,10 +30,9 @@ from repro.machine import nehalem_ex_node
 from repro.machine.topology import Machine
 from repro.memsim import (
     CacheHierarchy,
-    RunTiming,
     TimingModel,
-    interleave_round_robin,
     random_table_trace,
+    run_phase,
 )
 from repro.memsim.traces import stream_lines
 from repro.runtime import Runtime
@@ -157,17 +156,6 @@ def _simulate(
     writer_pus = [placements[w][0] for w in writers]
 
     total_cycles = 0.0
-    before = hier.stats()
-
-    def phase(traces: List[np.ndarray], phase_pus: List[int], *, write: bool) -> float:
-        nonlocal before
-        for i, chunk in interleave_round_robin(traces, chunk=64):
-            hier.access_run(phase_pus[i], chunk, write=write)
-        after = hier.stats()
-        t = tm.run_timing(after - before, active_pus=phase_pus).cycles
-        before = after
-        return t
-
     for step in range(cfg.warmup_steps + cfg.steps):
         measured = step >= cfg.warmup_steps
         if step == 0:
@@ -181,7 +169,7 @@ def _simulate(
                 ])
                 for _pu, t_addr, m_addr in placements
             ]
-            phase(warm, pus, write=False)
+            run_phase(hier, tm, warm, pus)
         if cfg.update:
             wtraces = []
             for w in writers:
@@ -189,7 +177,7 @@ def _simulate(
                 first = t_addr // line
                 lines = first + rng.integers(0, table_lines, size=write_lines)
                 wtraces.append(lines)
-            t = phase(wtraces, writer_pus, write=True)
+            t = run_phase(hier, tm, wtraces, writer_pus, write=True)
             if measured:
                 total_cycles += t
         traces = []
@@ -201,7 +189,7 @@ def _simulate(
                 0, mesh_lines_total, size=mesh_sample
             )
             traces.append(np.concatenate([t_trace, m_trace]))
-        t = phase(traces, pus, write=False)
+        t = run_phase(hier, tm, traces, pus)
         t += reads * cfg.compute_cycles_per_cell  # arithmetic per cell
         if measured:
             total_cycles += t

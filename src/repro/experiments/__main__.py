@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.experiments            # quick versions
-    python -m repro.experiments --full     # paper-scale sweeps (minutes)
+    python -m repro.experiments --full     # paper-scale sweeps (~2 minutes)
 """
 
 from __future__ import annotations

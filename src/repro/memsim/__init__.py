@@ -12,7 +12,8 @@ Nehalem-EX hardware; this package is the software stand-in.  It provides:
   coherence tracked through a line directory.
 * :mod:`~repro.memsim.timing` -- a latency + bandwidth-contention cost
   model turning per-PU access profiles into cycle counts and parallel
-  efficiency.
+  efficiency, and :func:`run_phase`, the one driver that feeds a phase's
+  per-PU traces through the hierarchy and costs it.
 * :mod:`~repro.memsim.traces` -- access-trace generators (uniform random
   table lookups, streaming sweeps, blocked matrix multiply).
 
@@ -24,7 +25,7 @@ fit where -- the property all the paper's shapes rest on.
 from repro.memsim.address_space import AddressSpace, AddressSpaceExhausted, Allocation
 from repro.memsim.cache import SetAssociativeCache
 from repro.memsim.hierarchy import CacheHierarchy, AccessStats, MEMORY_LEVEL, REMOTE_LEVEL
-from repro.memsim.timing import TimingModel, RunTiming
+from repro.memsim.timing import TimingModel, RunTiming, run_phase
 from repro.memsim.traces import (
     interleave_round_robin,
     random_table_trace,
@@ -44,6 +45,7 @@ __all__ = [
     "REMOTE_LEVEL",
     "TimingModel",
     "RunTiming",
+    "run_phase",
     "interleave_round_robin",
     "random_table_trace",
     "stream_trace",

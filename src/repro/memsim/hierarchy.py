@@ -111,14 +111,22 @@ class CacheHierarchy:
             ]
         # directory[level][line] = set of instance ids holding the line
         self._dir: Dict[int, Dict[int, Set[int]]] = {lvl: {} for lvl in self.levels}
-        # Per-PU path through the hierarchy, precomputed for the hot loop.
+        # Per-PU path through the hierarchy, precomputed for the hot loop;
+        # _kpath is the same walk with everything the kernel touches
+        # already looked up (set lists and directories are only ever
+        # mutated in place, so the references stay good across flushes).
         self._path: List[Tuple[Tuple[int, int, SetAssociativeCache], ...]] = []
+        self._kpath: List[Tuple[tuple, ...]] = []
         for pu in machine.pus:
             path = []
             for lvl in self.levels:
                 cid = pu.cache_id(lvl)
                 path.append((lvl, cid, self.caches[lvl][cid]))
             self._path.append(tuple(path))
+            self._kpath.append(tuple(
+                (lvl, cid, c, c._sets, c._n_sets, c._ways, self._dir[lvl])
+                for lvl, cid, c in path
+            ))
         n = machine.n_pus
         nl = len(self.levels)
         self._hits = np.zeros((n, nl), dtype=np.int64)
@@ -137,93 +145,99 @@ class CacheHierarchy:
         self, pu: int, lines: Iterable[int], *, write: bool = False
     ) -> None:
         """Simulate a run of accesses given as *line numbers* (hot path)."""
-        access = self._access_line
-        for ln in lines:
-            access(pu, ln, write)
+        if isinstance(lines, np.ndarray):
+            lines = lines.tolist()    # Python ints only: see _run
+        self._run(pu, lines, write)
 
     def _access_line(self, pu: int, line: int, write: bool) -> int:
-        path = self._path[pu]
-        dirs = self._dir
+        return self._run(pu, (int(line),), write)
+
+    def _run(
+        self, pu: int, lines: Iterable[int], write: bool, demand: bool = True
+    ) -> int:
+        """The access kernel: every entry point ends here.
+
+        Walks ``lines`` for one PU with the LRU hit/fill/evict and the
+        directory update inlined, and returns the last service level.
+        It leans on three invariants (DESIGN.md section 7): the
+        directory mirrors the cache contents exactly, so ``cid in
+        holders`` *is* the hit test and an evicted line always has a
+        directory entry; ``lines`` are Python ints, so no NumPy scalar
+        ever reaches a set list or a directory key; and the per-PU
+        counters live in locals until the run ends.  ``demand=False`` is
+        the prefetch fill, which the kernel issues to itself on a DRAM
+        miss: same walk, but a held line is left alone (no LRU move, no
+        stop at the first hit) and only evictions and ``prefetches``
+        are counted.
+        """
+        path = self._kpath[pu]
+        caches = self.caches
+        depth = self.prefetch_depth if demand else 0
+        served = dict.fromkeys((MEMORY_LEVEL, REMOTE_LEVEL) + self.levels, 0)
+        sent = 0
         service = MEMORY_LEVEL
-        missed: List[Tuple[int, int, SetAssociativeCache]] = []
-        for idx, (lvl, cid, cache) in enumerate(path):
-            evicted = cache.access(line)
-            if evicted is None:
-                service = lvl
-                self._hits[pu, idx] += 1
-                break
-            # miss: the access() call already filled the line
-            missed.append((lvl, cid, cache))
-            d = dirs[lvl]
-            holders = d.get(line)
-            if holders is None:
-                d[line] = {cid}
-            else:
-                holders.add(cid)
-            if evicted != -1:
-                ev_holders = d.get(evicted)
-                if ev_holders is not None:
-                    ev_holders.discard(cid)
-                    if not ev_holders:
-                        del d[evicted]
-        else:
-            # Missed everywhere in own hierarchy: remote cache or DRAM?
-            # Own instances were just filled above, so exclude them.
-            own_ids = {lvl: cid for lvl, cid, _ in path}
-            for lvl in reversed(self.levels):
-                holders = dirs[lvl].get(line)
-                if holders and any(c != own_ids[lvl] for c in holders):
-                    service = REMOTE_LEVEL
+        for line in lines:
+            service = MEMORY_LEVEL
+            for lvl, cid, cache, sets, n_sets, ways, d in path:
+                s = sets[line % n_sets]
+                holders = d.get(line)
+                if holders is None:
+                    d[line] = {cid}
+                elif cid in holders:
+                    if not demand:
+                        continue
+                    if s[0] != line:
+                        s.remove(line)
+                        s.insert(0, line)
+                    cache.hits += 1
+                    service = lvl
                     break
-            if service == REMOTE_LEVEL:
-                self._remote[pu] += 1
-            else:
-                self._mem[pu] += 1
-                for d in range(1, self.prefetch_depth + 1):
-                    self._prefetch_line(pu, line + d)
+                else:
+                    holders.add(cid)
+                    service = REMOTE_LEVEL    # some other instance has it
+                cache.misses += demand
+                s.insert(0, line)
+                if len(s) > ways:
+                    cache.evictions += 1
+                    evicted = s.pop()
+                    holders = d[evicted]
+                    if len(holders) == 1:
+                        del d[evicted]
+                    else:
+                        holders.remove(cid)
+            served[service] += 1
+            if depth and service == MEMORY_LEVEL:
+                self._run(pu, range(line + 1, line + 1 + depth), False, False)
+            if write:
+                for lvl, cid, _c, _s, _n, _w, d in path:
+                    holders = d.get(line)
+                    if holders is None or (len(holders) == 1 and cid in holders):
+                        continue
+                    for other in tuple(holders):
+                        if other != cid:
+                            caches[lvl][other].invalidate(line)
+                            holders.remove(other)
+                            sent += 1
+                    if not holders:
+                        del d[line]
+        n = sum(served.values())
+        if not demand:
+            self.prefetches += n
+            return service
+        for idx, lvl in enumerate(self.levels):
+            self._hits[pu, idx] += served[lvl]
+        self._remote[pu] += served[REMOTE_LEVEL]
+        self._mem[pu] += served[MEMORY_LEVEL]
         if write:
-            self._writes[pu] += 1
-            own = {lvl: cid for lvl, cid, _ in path}
-            sent = 0
-            for lvl in self.levels:
-                holders = dirs[lvl].get(line)
-                if not holders:
-                    continue
-                mine = own[lvl]
-                others = [c for c in holders if c != mine]
-                for cid in others:
-                    self.caches[lvl][cid].invalidate(line)
-                    holders.discard(cid)
-                    sent += 1
-                if not holders:
-                    del dirs[lvl][line]
+            self._writes[pu] += n
             self._inval_sent[pu] += sent
         return service
-
-    def _prefetch_line(self, pu: int, line: int) -> None:
-        """Fill ``line`` into the PU's hierarchy without access stats."""
-        dirs = self._dir
-        for lvl, cid, cache in self._path[pu]:
-            if cache.probe(line):
-                continue
-            evicted = cache.fill(line)
-            d = dirs[lvl]
-            holders = d.get(line)
-            if holders is None:
-                d[line] = {cid}
-            else:
-                holders.add(cid)
-            if evicted is not None:
-                ev = d.get(evicted)
-                if ev is not None:
-                    ev.discard(cid)
-                    if not ev:
-                        del d[evicted]
-        self.prefetches += 1
 
     # ---------------------------------------------------------------- helpers
     def touch_range(self, pu: int, addr: int, nbytes: int, *, write: bool = False) -> None:
         """Access every line of ``[addr, addr+nbytes)`` once, in order."""
+        if nbytes <= 0:
+            return
         first = addr // self.line_bytes
         last = (addr + nbytes - 1) // self.line_bytes
         self.access_run(pu, range(first, last + 1), write=write)
@@ -236,6 +250,7 @@ class CacheHierarchy:
             self._dir[lvl].clear()
 
     def reset_stats(self) -> None:
+        self.prefetches = 0
         self._hits[:] = 0
         self._remote[:] = 0
         self._mem[:] = 0

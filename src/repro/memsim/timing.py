@@ -21,12 +21,13 @@ program shares these resources between 8 cores".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.machine.topology import Machine
-from repro.memsim.hierarchy import AccessStats
+from repro.memsim.hierarchy import AccessStats, CacheHierarchy
+from repro.memsim.traces import interleave_round_robin
 
 
 @dataclass(frozen=True)
@@ -143,4 +144,22 @@ class TimingModel:
         return seq.cycles / par.cycles
 
 
-__all__ = ["TimingModel", "RunTiming"]
+def run_phase(
+    hier: CacheHierarchy,
+    tm: TimingModel,
+    traces: Sequence[np.ndarray],
+    pus: List[int],
+    *,
+    write: bool = False,
+) -> float:
+    """Cycles of one barrier-delimited phase: ``traces[i]`` is what
+    ``pus[i]`` does, fed to ``hier`` in round-robin chunks of 64 lines
+    (approximating concurrent execution) and costed from the phase's own
+    stats delta."""
+    before = hier.stats()
+    for i, chunk in interleave_round_robin(traces, chunk=64):
+        hier.access_run(pus[i], chunk, write=write)
+    return tm.run_timing(hier.stats() - before, active_pus=pus).cycles
+
+
+__all__ = ["TimingModel", "RunTiming", "run_phase"]
