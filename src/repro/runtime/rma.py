@@ -48,7 +48,7 @@ from repro.runtime.abort import Watchdog, subscribe_abort
 from repro.runtime.errors import MPIError, RMAEpochError
 from repro.runtime.ops import Op, SUM
 from repro.runtime.payload import clone
-from repro.storage.array import ChunkedArray
+from repro.storage.array import ChunkedArray, copy_in, copy_out
 from repro.storage.chunkstore import DEFAULT_CHUNK_ELEMS
 from repro.storage.sync import ChunkSynchronizer
 
@@ -532,25 +532,6 @@ class Win:
         first, last = disp // ce, (disp + count - 1) // ce
         return st.sync, [(target, c) for c in range(first, last + 1)]
 
-    @staticmethod
-    def _storage_chunkwise(
-        buf: Any, disp: int, count: int, task: int,
-        fn: Callable[[int, int, int], None],
-    ) -> None:
-        """Run ``fn(chunk_lo, chunk_hi, payload_off)`` for each chunk
-        overlapped by ``[disp, disp+count)``, holding only that chunk's
-        lock.  MPI one-sided semantics guarantee at most element-wise
-        atomicity across a multi-chunk access, so locking chunk-at-a-time
-        is sound -- and it bounds the residency an access pins to one
-        chunk, which is what lets accesses far larger than the arena
-        capacity stream through the spill layer."""
-        ce = buf.chunk_elems
-        for idx in buf.chunk_range(disp, count):
-            lo = max(disp, idx * ce)
-            hi = min(disp + count, idx * ce + min(ce, buf.length - idx * ce))
-            with buf.sync.span([idx]):
-                fn(lo, hi, lo - disp)
-
     def _mirror(self, target: int, nbytes: int) -> None:
         """Process-backend emulation: the first access from this origin
         to ``target`` allocates a private mirror copy of the target
@@ -612,13 +593,8 @@ class Win:
         if st.kind == "storage":
             buf = self.shared_query(target)
             self._check_bounds(target, buf.size, target_disp, int(arr.size))
-            flat = arr.reshape(-1)
-            task = self.comm.world_rank
-
-            def write(lo: int, hi: int, off: int) -> None:
-                buf.write_locked(lo, flat[off:off + hi - lo], task=task)
-
-            self._storage_chunkwise(buf, target_disp, int(arr.size), task, write)
+            buf.chunkwise(target_disp, int(arr.size), copy_in(arr.reshape(-1)),
+                          task=self.comm.world_rank, dirty=True)
             st.note(puts=1, bytes=nbytes, staged_copies=1, staged_bytes=nbytes)
             return
         seg = self._segment(target, target_disp, int(arr.size))
@@ -669,22 +645,23 @@ class Win:
                     "storage-backed windows: chunks are cached, not mapped"
                 )
             self._check_bounds(target, full.size, target_disp, int(count))
-            staged = np.empty(int(count), dtype=full.dtype)
-            task = self.comm.world_rank
-
-            def read(lo: int, hi: int, off: int) -> None:
-                staged[off:off + hi - lo] = full.read_locked(
-                    lo, hi - lo, task=task
-                )
-
-            self._storage_chunkwise(full, target_disp, int(count), task, read)
+            # resident chunk slices land straight in the caller's buffer;
+            # one the walk cannot fill slice by slice (strided, another
+            # dtype, the wrong size) goes through a staging array
+            staged = buf is None or not (
+                buf.dtype == full.dtype and buf.flags.c_contiguous
+                and buf.size == count
+            )
+            dest = (np.empty(int(count), dtype=full.dtype) if staged
+                    else buf.reshape(-1))
+            full.chunkwise(target_disp, int(count), copy_out(dest),
+                           task=self.comm.world_rank)
             if buf is None:
-                out = staged
-            else:
-                np.copyto(buf.reshape(staged.shape), staged)
-                out = buf
+                buf = dest
+            elif staged:
+                np.copyto(buf, dest.reshape(buf.shape))
             st.note(gets=1, bytes=nbytes, staged_copies=1, staged_bytes=nbytes)
-            return out
+            return buf
         seg = self._segment(target, target_disp, int(count))
         direct = self._direct(target)
         if not copy:
@@ -747,22 +724,20 @@ class Win:
         if st.kind == "storage":
             buf = self.shared_query(target)
             self._check_bounds(target, buf.size, target_disp, int(arr.size))
-            contrib = clone(arr).reshape(-1)
-            task = self.comm.world_rank
+            contrib = arr.reshape(-1)
             results: List[Any] = []
 
-            def rmw(lo: int, hi: int, off: int) -> None:
-                # gather-apply-scatter under the chunk's lock: the same
-                # ``apply`` callable the in-memory path uses, run against
-                # the cached region.  The reduction ops are elementwise,
-                # so applying per chunk slice preserves MPI's (element-
-                # wise) accumulate atomicity; the single-element atomics
-                # always span exactly one chunk.
-                region = buf.read_locked(lo, hi - lo, task=task)
-                results.append(apply(region, contrib[off:off + hi - lo]))
-                buf.write_locked(lo, region, task=task)
+            def rmw(region: np.ndarray, pos: int) -> None:
+                # the same ``apply`` callable the in-memory path uses, run
+                # in place on the resident chunk slice under the chunk's
+                # lock.  The reduction ops are elementwise, so applying
+                # per chunk slice preserves MPI's (element-wise)
+                # accumulate atomicity; the single-element atomics always
+                # span exactly one chunk.
+                results.append(apply(region, contrib[pos:pos + region.size]))
 
-            self._storage_chunkwise(buf, target_disp, int(arr.size), task, rmw)
+            buf.chunkwise(target_disp, contrib.size, rmw,
+                          task=self.comm.world_rank, dirty=True)
             st.note(bytes=nbytes, staged_copies=1, staged_bytes=nbytes,
                     **{counter: 1})
             return results[0] if results else None

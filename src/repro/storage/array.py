@@ -9,10 +9,13 @@ arena *capacity* pressure is what drives eviction (via the runtime's
 
 Locking follows the zarr per-chunk-synchronizer shape: every operation
 spans the chunk indices it touches via :class:`ChunkSynchronizer.span`
-(sorted acquisition, deadlock-free), and the ``*_locked`` entry points
-assume the caller already holds that span -- which is how
-``Win`` storage windows compose puts/accumulates/atomics with chunk
-residency without ever holding a whole-window lock.
+(sorted acquisition, deadlock-free).  All access goes through one walk,
+:meth:`ChunkedArray.chunkwise`, which hands the caller each resident
+chunk's own slice under that chunk's lock -- which is how ``Win``
+storage windows compose puts/gets/accumulates/atomics with chunk
+residency without ever holding a whole-window lock or copying a byte
+twice; the ``*_locked`` entry points are the same walk for a caller
+that already holds the span.
 """
 
 from __future__ import annotations
@@ -33,6 +36,20 @@ def _new_uid() -> int:
     with _next_uid_lock:
         _next_uid[0] += 1
         return _next_uid[0]
+
+
+def copy_out(out: np.ndarray) -> Callable[[np.ndarray, int], None]:
+    """Walk step: copy each chunk slice to its place in ``out``."""
+    def step(region: np.ndarray, pos: int) -> None:
+        out[pos:pos + region.size] = region
+    return step
+
+
+def copy_in(values: np.ndarray) -> Callable[[np.ndarray, int], None]:
+    """Walk step: overwrite each chunk slice from its place in ``values``."""
+    def step(region: np.ndarray, pos: int) -> None:
+        region[...] = values[pos:pos + region.size]
+    return step
 
 
 class _Chunk:
@@ -152,45 +169,74 @@ class ChunkedArray:
 
     def evict_locked(self, idx: int, *, task: int = 0) -> int:
         """Write chunk ``idx`` back if dirty and drop it from memory.
-        Caller holds the chunk's lock.  Returns bytes freed."""
+        Caller holds the chunk's lock.  Returns bytes freed.  The chunk
+        leaves memory only after its write-back succeeded: if that
+        raises, it stays resident, dirty and charged."""
         with self._chunks_lock:
-            chunk = self._chunks.pop(idx, None)
+            chunk = self._chunks.get(idx)
         if chunk is None:
             return 0
         if chunk.dirty:
             self.store.write_chunk(self.name, idx, chunk.data, task=task)
-        freed = chunk.data.nbytes
+        with self._chunks_lock:
+            del self._chunks[idx]
         if chunk.alloc is not None:
             self.arena.free(chunk.alloc)
-        return freed
+        return chunk.data.nbytes
 
-    # ------------------------------------------------------- locked access
-    def read_locked(self, start: int, count: int, *, task: int = 0) -> np.ndarray:
-        """Copy out ``[start, start+count)`` (caller holds the span)."""
-        out = np.empty(count, dtype=self.dtype)
-        pos = 0
+    # ------------------------------------------------------------ access
+    def chunkwise(
+        self,
+        start: int,
+        count: int,
+        fn: Callable[[np.ndarray, int], None],
+        *,
+        task: int = 0,
+        dirty: bool = False,
+        lock: bool = True,
+    ) -> None:
+        """The one chunk-slice walk: for each chunk overlapped by
+        ``[start, start+count)`` run ``fn(region, pos)``, where ``region``
+        is the resident chunk's own slice (a view, never a copy) and
+        ``pos`` its offset in the access; ``dirty`` marks the chunk
+        modified.  Holds only that chunk's lock -- MPI one-sided
+        semantics promise at most element-wise atomicity across a
+        multi-chunk access, and an access that pins one chunk at a time
+        can stream through the spill layer however large it is (a span
+        over every chunk would pin the whole array resident).
+        ``lock=False`` is for a caller that already holds the span."""
+        ce = self.chunk_elems
         for idx in self.chunk_range(start, count):
-            chunk = self._ensure(idx, task)
-            lo = max(start, idx * self.chunk_elems)
-            hi = min(start + count, idx * self.chunk_elems + self._chunk_len(idx))
-            off = lo - idx * self.chunk_elems
-            out[pos:pos + hi - lo] = chunk.data[off:off + hi - lo]
-            pos += hi - lo
+            lo = max(start, idx * ce) - idx * ce
+            hi = min(start + count, (idx + 1) * ce) - idx * ce
+            with self.sync.span([idx] if lock else ()):
+                chunk = self._ensure(idx, task)
+                chunk.dirty |= dirty
+                fn(chunk.data[lo:hi], idx * ce + lo - start)
+
+    def read_locked(
+        self, start: int, count: int, *,
+        out: Optional[np.ndarray] = None, task: int = 0,
+    ) -> np.ndarray:
+        """Copy ``[start, start+count)`` into ``out`` (a fresh array by
+        default) and return it (caller holds the span)."""
+        if out is None:
+            out = np.empty(count, dtype=self.dtype)
+        self.chunkwise(start, count, copy_out(out), task=task, lock=False)
         return out
+
+    def apply_locked(
+        self, start: int, count: int,
+        fn: Callable[[np.ndarray, int], None], *, task: int = 0,
+    ) -> None:
+        """Modify ``[start, start+count)`` in place: ``fn(region, pos)``
+        per resident chunk slice (caller holds the span)."""
+        self.chunkwise(start, count, fn, task=task, dirty=True, lock=False)
 
     def write_locked(self, start: int, values: np.ndarray, *, task: int = 0) -> None:
         """Write ``values`` at ``start`` (caller holds the span)."""
-        values = np.asarray(values, dtype=self.dtype).reshape(-1)
-        count = values.size
-        pos = 0
-        for idx in self.chunk_range(start, count):
-            chunk = self._ensure(idx, task)
-            lo = max(start, idx * self.chunk_elems)
-            hi = min(start + count, idx * self.chunk_elems + self._chunk_len(idx))
-            off = lo - idx * self.chunk_elems
-            chunk.data[off:off + hi - lo] = values[pos:pos + hi - lo]
-            chunk.dirty = True
-            pos += hi - lo
+        values = np.asarray(values).reshape(-1)
+        self.apply_locked(start, values.size, copy_in(values), task=task)
 
     def rmw_locked(
         self,
@@ -201,15 +247,18 @@ class ChunkedArray:
         task: int = 0,
     ) -> np.ndarray:
         """Atomic read-modify-write over ``[start, start+count)``
-        (caller holds the span): gathers the region, applies ``fn``
-        in place (or via its return value), scatters back.  Returns
-        the *old* values."""
-        old = self.read_locked(start, count, task=task)
-        buf = old.copy()
-        res = fn(buf)
-        if res is not None:
-            buf = np.asarray(res, dtype=self.dtype).reshape(-1)
-        self.write_locked(start, buf, task=task)
+        (caller holds the span): applies the elementwise ``fn`` to each
+        chunk slice in place (or via its return value).  Returns the
+        *old* values."""
+        old = np.empty(count, dtype=self.dtype)
+
+        def rmw(region: np.ndarray, pos: int) -> None:
+            old[pos:pos + region.size] = region
+            res = fn(region)
+            if res is not None:
+                region[...] = res
+
+        self.apply_locked(start, count, rmw, task=task)
         return old
 
     # --------------------------------------------------------- maintenance
@@ -264,38 +313,16 @@ class ChunkedArray:
     def __len__(self) -> int:
         return self.length
 
-    def _chunkwise(self, start: int, count: int, fn) -> None:
-        """Run ``fn(lo, hi, off)`` per overlapped chunk, holding only
-        that chunk's lock -- so a whole-array access pins at most one
-        chunk at a time and never deadlocks the spill path (a span over
-        every chunk would pin the full array resident)."""
-        ce = self.chunk_elems
-        for idx in self.chunk_range(start, count):
-            lo = max(start, idx * ce)
-            hi = min(start + count, idx * ce + self._chunk_len(idx))
-            with self.sync.span([idx]):
-                fn(lo, hi, lo - start)
-
     def __getitem__(self, key):
         start, count = self._key_span(key)
         out = np.empty(count, dtype=self.dtype)
-
-        def read(lo, hi, off):
-            out[off:off + hi - lo] = self.read_locked(lo, hi - lo)
-
-        self._chunkwise(start, count, read)
+        self.chunkwise(start, count, copy_out(out))
         return out[0] if isinstance(key, (int, np.integer)) else out
 
     def __setitem__(self, key, value) -> None:
         start, count = self._key_span(key)
-        values = np.broadcast_to(
-            np.asarray(value, dtype=self.dtype), (count,)
-        ).copy()
-
-        def write(lo, hi, off):
-            self.write_locked(lo, values[off:off + hi - lo])
-
-        self._chunkwise(start, count, write)
+        values = np.broadcast_to(np.asarray(value, dtype=self.dtype), (count,))
+        self.chunkwise(start, count, copy_in(values), dirty=True)
 
     def __array__(self, dtype=None):
         out = self[0:self.length]
@@ -322,4 +349,4 @@ class ChunkedArray:
         )
 
 
-__all__ = ["ChunkedArray"]
+__all__ = ["ChunkedArray", "copy_in", "copy_out"]

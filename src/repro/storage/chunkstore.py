@@ -96,8 +96,8 @@ class ChunkStore:
     @classmethod
     def open(cls, root) -> "ChunkStore":
         """Reopen an existing store from its manifest: the state as of
-        the last completed :meth:`commit`.  Orphan chunk files left by a
-        crashed flush are garbage-collected."""
+        the last completed :meth:`commit`.  Orphan chunk files and a stale
+        manifest temp file left by a crash are garbage-collected."""
         root = os.fspath(root)
         path = os.path.join(root, MANIFEST_NAME)
         try:
@@ -230,23 +230,37 @@ class ChunkStore:
             if entry is None:
                 raise StorageError(f"array {name!r} has no chunk {idx}")
             epoch, crc = int(entry["epoch"]), int(entry["crc"])
+            nbytes = entry.get("nbytes")
             dt = np.dtype(meta["dtype"])
         path = self._chunk_path(name, idx, epoch)
         try:
-            with open(path, "rb") as fh:
-                raw = fh.read()
+            fh = open(path, "rb", buffering=0)
         except FileNotFoundError:
             raise StorageError(
                 f"chunk file missing for {name!r}[{idx}] epoch {epoch}"
             )
-        if zlib.crc32(raw) & 0xFFFFFFFF != crc:
+        # one move: page cache -> the chunk's own buffer, checksummed there
+        with fh:
+            size = os.fstat(fh.fileno()).st_size
+            data = np.empty(size // dt.itemsize, dtype=dt)
+            raw = data.view(np.uint8)
+            got = 0
+            while got < raw.size:
+                n = fh.readinto(raw[got:])
+                if not n:
+                    break
+                got += n
+        if (
+            nbytes not in (None, size)
+            or got != size
+            or zlib.crc32(raw) & 0xFFFFFFFF != crc
+        ):
             raise StorageError(
                 f"checksum mismatch reading {name!r}[{idx}] epoch {epoch}"
             )
-        data = np.frombuffer(raw, dtype=dt).copy()
         with self._lock:
             self.chunk_reads += 1
-            self.read_bytes += len(raw)
+            self.read_bytes += size
         return data
 
     def write_chunk(
@@ -262,19 +276,20 @@ class ChunkStore:
                 raise StorageError(f"no array {name!r} in store")
             dt = np.dtype(meta["dtype"])
             epoch = int(self._manifest["epoch"]) + 1
-        arr = np.ascontiguousarray(np.asarray(data, dtype=dt))
-        raw = arr.tobytes()
+        # the contiguous array's own bytes: written and checksummed in place
+        raw = np.ascontiguousarray(data, dtype=dt).reshape(-1).view(np.uint8)
         path = self._chunk_path(name, idx, epoch)
         with open(path, "wb") as fh:
             fh.write(raw)
+        crc = zlib.crc32(raw) & 0xFFFFFFFF
         with self._lock:
             self._pending[(name, idx)] = {
                 "epoch": epoch,
-                "crc": zlib.crc32(raw) & 0xFFFFFFFF,
-                "nbytes": len(raw),
+                "crc": crc,
+                "nbytes": raw.size,
             }
             self.chunk_writes += 1
-            self.written_bytes += len(raw)
+            self.written_bytes += raw.size
 
     def commit(self, *, task: int = 0) -> int:
         """Fold every pending chunk version into the manifest and write
@@ -330,8 +345,13 @@ class ChunkStore:
         os.replace(tmp, self.manifest_path)
 
     def _gc_orphans(self) -> None:
-        """Delete chunk files not referenced by the committed manifest
-        (the residue of a crashed flush)."""
+        """Delete chunk files not referenced by the committed manifest,
+        and the temp file of a manifest write that never reached its
+        rename (the residue of a crashed flush or commit)."""
+        try:
+            os.unlink(self.manifest_path + ".tmp")
+        except OSError:
+            pass
         base = os.path.join(self.root, ARRAYS_DIR)
         if not os.path.isdir(base):
             return

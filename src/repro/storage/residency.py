@@ -93,11 +93,9 @@ class SpillManager:
         """Evict cold chunks charged to ``arena`` until ``need`` bytes
         are free (or no evictable candidate remains).  Returns the
         bytes actually freed; 0 tells the arena to re-raise."""
-        with self._lock:
-            candidates = list(self._lru.keys())
         freed = 0
         task = self._current_task()
-        for key in candidates:
+        for key in self._cold_first():
             if freed >= need:
                 break
             with self._lock:
@@ -114,10 +112,14 @@ class SpillManager:
                 continue
             try:
                 with self._lock:
-                    if self._lru.pop(key, None) is None:
+                    if key not in self._lru:
                         continue  # lost a race with close()
-                    self.resident_bytes -= nbytes
+                # write-back first: if it raises, the chunk is still
+                # resident, dirty, charged and in the LRU
                 got = array.evict_locked(idx, task=task)
+                with self._lock:
+                    if self._lru.pop(key, None) is not None:
+                        self.resident_bytes -= nbytes
             finally:
                 array.sync.release(idx)
             if got:
@@ -127,6 +129,21 @@ class SpillManager:
                     self.spill_bytes += got
                     self.spill_log.append((array.name, idx))
         return freed
+
+    def _cold_first(self):
+        """The LRU's keys, coldest first -- then, for as long as the walk
+        goes on, the keys that became resident after it began.  Under
+        threads the resident set can turn over completely while one task
+        walks a snapshot of it; giving up then would report a full arena
+        with evictable chunks in it."""
+        seen: set = set()
+        while True:
+            with self._lock:
+                fresh = [key for key in self._lru if key not in seen]
+            if not fresh:
+                return
+            seen.update(fresh)
+            yield from fresh
 
     def _current_task(self) -> int:
         rt = self.runtime

@@ -192,3 +192,61 @@ def test_sharing_policies_equivalent_on_storage_windows(seed):
         for sharing in ("private", "shared")
     }
     assert res["private"] == res["shared"]
+
+
+# --------------------------------------------- chunk-boundary differential
+#: rma counters that describe the traffic a program issued; chunk-lock
+#: and epoch-wait counts depend on paging and timing and stay out
+TRAFFIC = (
+    "windows", "ops", "puts", "gets", "accumulates", "fetch_and_ops",
+    "compare_and_swaps", "bytes", "staged_copies", "staged_bytes",
+    "zero_copy_hits", "zero_copy_bytes", "fences", "locks", "mirror_bytes",
+)
+BOUNDARIES = range(CHUNK_ELEMS, WIN_COUNT, CHUNK_ELEMS)
+
+
+@st.composite
+def straddling_phase(draw):
+    """One phase whose access crosses (or, for the single-element
+    atomic, touches) a chunk boundary: ``left`` elements before it and
+    ``right`` from it on."""
+    kind = draw(st.sampled_from(["put", "accumulate", "fetch_and_op", "get"]))
+    boundary = draw(st.sampled_from(BOUNDARIES))
+    if kind == "fetch_and_op":
+        left, right = draw(st.sampled_from([(1, 0), (0, 1)]))
+    else:
+        left = draw(st.integers(1, boundary))
+        right = draw(st.integers(1, WIN_COUNT - boundary))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return {
+        "kind": kind, "shift": draw(st.integers(0, N - 1)),
+        "disp": boundary - left, "count": left + right,
+        "op": draw(st.sampled_from(sorted(OPS))),
+        "values": rng.integers(0, 100, size=(N, left + right)).astype(float),
+    }
+
+
+def traffic(rt):
+    snap = rt.metrics("rma").snapshot()
+    return {name: snap[name] for name in TRAFFIC}
+
+
+@settings(max_examples=10, deadline=None)
+@given(phases=st.lists(straddling_phase(), min_size=1, max_size=5))
+def test_boundary_straddling_accesses_equal_memory_under_spill(phases):
+    """get / put / accumulate / fetch_and_op drawn to straddle chunk
+    boundaries, on a storage window paging at a fifth of its footprint:
+    the same values as the in-memory window, and the same rma traffic
+    counters as its staged (``sharing="private"``) path -- one staged
+    copy of every payload byte, however many chunks it crossed."""
+    memory_rt = Runtime(core2_cluster(1), n_tasks=N, timeout=TIMEOUT,
+                        sharing="private")
+    rt = Runtime(core2_cluster(1), n_tasks=N, timeout=TIMEOUT,
+                 sharing=SHARING)
+    rt.memory.cap_node(0, 256)            # 4 x 40 x 8 = 1280 B of window
+    assert run_storage(lambda: rt, phases) == run_memory(
+        lambda: memory_rt, phases)
+    assert traffic(rt) == traffic(memory_rt)
+    assert rt.metrics("storage").spills > 0, (
+        "the cap was meant to force paging"
+    )

@@ -77,6 +77,21 @@ def test_open_gcs_orphan_chunk_files(tmp_path):
     assert os.listdir(adir) == ["c0.e1"]                 # orphan collected
 
 
+def test_open_gcs_stale_manifest_temp_file(tmp_path):
+    store = ChunkStore.create(tmp_path)
+    store.ensure_array("a", 2, np.float64, 2)
+    store.write_chunk("a", 0, np.array([1.0, 1.0]))
+    store.commit()
+    committed = open(store.manifest_path).read()
+    tmp = store.manifest_path + ".tmp"
+    with open(tmp, "w") as fh:            # a crash inside the manifest write
+        fh.write('{"version":1,"epoch":2,"arr')
+    reopened = ChunkStore.open(tmp_path)
+    assert not os.path.exists(tmp)
+    assert reopened.epoch == 1            # the committed manifest is trusted
+    assert open(store.manifest_path).read() == committed
+
+
 def test_commit_gcs_superseded_versions(tmp_path):
     store = ChunkStore.create(tmp_path)
     store.ensure_array("a", 2, np.float64, 2)
