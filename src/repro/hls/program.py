@@ -17,14 +17,13 @@ convenience wrappers (:meth:`HLSHandle.single` running a callable).
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.machine.scopes import ScopeSpec
 from repro.hls.storage import HLSStorage
-from repro.hls.sync import HLSSync
+from repro.hls.sync import HLSSync, ScopeSyncState
 from repro.hls.variable import HLSDeclarationError, HLSRegistry, HLSVariable
 
 ScopeLike = Union[str, ScopeSpec, None]
@@ -34,6 +33,27 @@ def _as_scope(scope: ScopeLike) -> Optional[ScopeSpec]:
     if scope is None or isinstance(scope, ScopeSpec):
         return scope
     return ScopeSpec.parse(scope)
+
+
+class _TaskTable:
+    """What names and directive variable lists resolve to for one task
+    (see :class:`HLSHandle`); every entry is valid for ``stamp``."""
+
+    __slots__ = ("stamp", "views", "addrs", "bound")
+
+    def __init__(self) -> None:
+        self.stamp: Optional[Tuple[int, int]] = None
+        self.views: Dict[str, np.ndarray] = {}
+        self.addrs: Dict[Any, int] = {}      # name | (scope, mod, off)
+        #: (is a barrier, variable list) -> what the directive binds to
+        self.bound: Dict[Any, Tuple[ScopeSpec, ScopeSyncState]] = {}
+
+    def reset(self, stamp: Optional[Tuple[int, int]]) -> None:
+        # stamp first: an event racing the refill is caught next call
+        self.stamp = stamp
+        self.views.clear()
+        self.addrs.clear()
+        self.bound.clear()
 
 
 class HLSProgram:
@@ -46,6 +66,9 @@ class HLSProgram:
         self.registry = HLSRegistry()
         self.storage = HLSStorage(runtime, self.registry)
         self.sync = HLSSync(runtime, barrier_algorithm=barrier_algorithm)
+        #: rank -> that task's resolution table.  Kept here, not in the
+        #: handle: close() must drop the views with the images they pin
+        self._tables: Dict[int, _TaskTable] = {}
         runtime.migration_checks.append(self.sync.check_migration)
 
     def close(self) -> None:
@@ -53,6 +76,8 @@ class HLSProgram:
         runtime's finalize leak report comes back clean.  Call after
         the last ``run()`` that touches this program's variables."""
         self.storage.release()
+        for table in list(self._tables.values()):
+            table.reset(None)
 
     # ------------------------------------------------------------- declaring
     def declare(
@@ -145,22 +170,55 @@ def _names(names: Union[str, Iterable[str]]) -> Tuple[str, ...]:
 
 
 class HLSHandle:
-    """Per-task view of an :class:`HLSProgram`."""
+    """Per-task view of an :class:`HLSProgram`.
+
+    What a name or a directive's variable list resolves to for *this*
+    task -- variable, scope instance, module image, sync state -- is
+    looked up once and kept in the task's table, stamped with
+    ``(runtime.pin_version, storage.generation)``.  Only ``ctx.move``
+    and ``HLSStorage.release`` can change an answer and each bumps one
+    half of the stamp, so a stale table is dropped whole and refilled
+    through the same resolvers (``HLSStorage.get``/``addr``/
+    ``hls_get_addr``, ``HLSSync.state``); there is no second path."""
 
     def __init__(self, program: HLSProgram, ctx) -> None:
         self.program = program
         self.ctx = ctx
+        self._rank = ctx.rank
+        self._runtime = program.runtime
+        self._storage = program.storage
+        self._table = program._tables.setdefault(ctx.rank, _TaskTable())
+        #: this task's directive counts per spec (the MPC_Move gate
+        #: reads them)
+        self._counts = program.sync.directive_counts(ctx.rank)
+
+    def _current(self) -> _TaskTable:
+        """The task's table, emptied if the task moved or the storage
+        was released since it was filled."""
+        table = self._table
+        stamp = (self._runtime.pin_version, self._storage.generation)
+        if table.stamp != stamp:
+            table.reset(stamp)
+        return table
 
     # -------------------------------------------------------------- access
     def get(self, name: str) -> np.ndarray:
         """This task's live view of a variable (shared memory iff HLS)."""
-        return self.program.storage.get(self.ctx, name)
+        views = self._current().views
+        view = views.get(name)
+        if view is None:
+            view = views[name] = self._storage.get(self.ctx, name)
+        return view
 
     __getitem__ = get
 
     def addr(self, name: str) -> int:
         """Simulated address of this task's copy, for trace generation."""
-        return self.program.storage.addr(self.ctx, name)
+        addrs = self._current().addrs
+        addr = addrs.get(name)
+        if addr is None:
+            addr = addrs[name] = self._storage.addr(self.ctx, name)
+        return addr
 
     def scope_instance(self, name: str):
         var = self.program.registry[name]
@@ -169,26 +227,45 @@ class HLSHandle:
         return self.program.storage.scope_instance(self.ctx, var.scope)
 
     # ----------------------------------------------------------- directives
+    def _bound(self, names: Union[str, Iterable[str]], *,
+               barrier: bool = False) -> Tuple[ScopeSpec, ScopeSyncState]:
+        """The (spec, sync state) a directive's variable list means for
+        this task, resolved on first use: the variables' common scope
+        for a single, their widest for a barrier."""
+        key = (barrier, names if isinstance(names, str) else tuple(names))
+        bindings = self._current().bound
+        bound = bindings.get(key)
+        if bound is None:
+            program = self.program
+            scope_of = program._widest_scope if barrier else program._scope_of_vars
+            spec = scope_of(_names(key[1]))
+            inst = self._runtime.machine.scope_instance(self.ctx.pu, spec)
+            bound = bindings[key] = (spec, program.sync.state(inst))
+        return bound
+
+    def _count(self, spec: ScopeSpec) -> None:
+        """One more directive towards the MPC_Move gate."""
+        self._counts[spec] = self._counts.get(spec, 0) + 1
+
     def single_enter(self, names: Union[str, Iterable[str]], *,
                      nowait: bool = False) -> bool:
         """Compiled form of ``#pragma hls single(names) [nowait]``.
 
         Returns True for the task that must execute the block; that task
         must call :meth:`single_done` afterwards (unless ``nowait``)."""
-        ns = _names(names)
         if not self.program.enabled:
             return True      # every task runs the block on its own copy
-        spec = self.program._scope_of_vars(ns)
+        spec, state = self._bound(names)
+        self._count(spec)
         if nowait:
-            return self.program.sync.single_nowait_enter(self.ctx, spec)
-        return self.program.sync.single_enter(self.ctx, spec)
+            return state.single_nowait_enter(self._rank)
+        return state.single_enter(self._rank)
 
     def single_done(self, names: Union[str, Iterable[str]], *,
                     nowait: bool = False) -> None:
         if not self.program.enabled or nowait:
             return
-        spec = self.program._scope_of_vars(_names(names))
-        self.program.sync.single_done(self.ctx, spec)
+        self._bound(names)[1].single_done(self._rank)
 
     def single(self, names: Union[str, Iterable[str]],
                body: Callable[[], Any], *, nowait: bool = False) -> None:
@@ -202,11 +279,11 @@ class HLSHandle:
     def barrier(self, names: Union[str, Iterable[str]]) -> None:
         """``#pragma hls barrier(names)``: synchronise the largest scope
         of the listed variables."""
-        ns = _names(names)
         if not self.program.enabled:
             return
-        spec = self.program._widest_scope(ns)
-        self.program.sync.barrier(self.ctx, spec)
+        spec, state = self._bound(names, barrier=True)
+        self._count(spec)
+        state.barrier(self._rank)
 
     # ------------------------------------------------- faithful ABI (IV-A)
     def hls_get_addr_node(self, mod: int, off: int) -> int:
@@ -216,15 +293,19 @@ class HLSHandle:
         return self._get_addr("numa", mod, off)
 
     def hls_get_addr_cache(self, mod: int, off: int, *, level: Optional[int] = None) -> int:
-        spec = ScopeSpec.parse("cache" if level is None else f"cache({level})")
-        return self.program.storage.hls_get_addr(self.ctx, spec, mod, off)
+        return self._get_addr("cache" if level is None else f"cache({level})", mod, off)
 
     def hls_get_addr_core(self, mod: int, off: int) -> int:
         return self._get_addr("core", mod, off)
 
     def _get_addr(self, scope: str, mod: int, off: int) -> int:
-        spec = ScopeSpec.parse(scope)
-        return self.program.storage.hls_get_addr(self.ctx, spec, mod, off)
+        addrs = self._current().addrs
+        key = (scope, mod, off)
+        addr = addrs.get(key)
+        if addr is None:
+            addr = addrs[key] = self._storage.hls_get_addr(
+                self.ctx, ScopeSpec.parse(scope), mod, off)
+        return addr
 
 
 __all__ = ["HLSProgram", "HLSHandle"]

@@ -71,6 +71,9 @@ class HLSStorage:
         self._images: Dict[_SlotKey, ModuleImage] = {}
         self._locks: Dict[_SlotKey, threading.Lock] = {}
         self._master = threading.Lock()
+        #: bumped by release(); per-task handles stamp their cached
+        #: views with it, so a released image's view is never handed out
+        self.generation = 0
 
     # ----------------------------------------------------------------- slots
     def _slot_lock(self, key: _SlotKey) -> threading.Lock:
@@ -131,6 +134,9 @@ class HLSStorage:
         with self._master:
             images, self._images = dict(self._images), {}
             self._locks = {}
+            # after the swap: a handle that reads the new generation
+            # can only find (or materialise) new images
+            self.generation += 1
         for img in images.values():
             if img.space is not None:
                 img.space.free(img.alloc)

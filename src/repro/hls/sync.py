@@ -53,8 +53,7 @@ class ScopeSyncState:
         if not participants:
             raise ValueError(f"scope instance {instance} has no tasks")
         self.instance = instance
-        self.participants = participants
-        self.size = len(participants)
+        self._set_participants(participants, groups)
         self._abort = abort_flag
         self._timeout = timeout
         # Condition + clock injected by the execution backend (a
@@ -64,14 +63,6 @@ class ScopeSyncState:
         self._count = 0
         self._generation = 0
         self._arrivals = 0           # monotone; deadline-extension progress
-        self._gcount: Dict[int, int] = {}
-        # groups: rank -> llc-group id (hierarchical algorithm); None = flat
-        self._groups = groups
-        self._gsizes: Dict[int, int] = {}
-        if groups is not None:
-            for r in participants:
-                g = groups[r]
-                self._gsizes[g] = self._gsizes.get(g, 0) + 1
         self.epoch = 0               # completed barrier/single episodes
         self.nowait_shared = 0       # executed single-nowait blocks
         self._task_nowait: Dict[int, int] = {}
@@ -83,6 +74,19 @@ class ScopeSyncState:
         # recheck on a notify, so an abort must deliver one (the same
         # signal-abort pattern as Mailbox.receive).
         subscribe_abort(abort_flag, self.wake)
+
+    def _set_participants(self, participants: Tuple[int, ...],
+                          groups: Optional[Dict[int, int]]) -> None:
+        self.participants = participants
+        self.size = len(participants)
+        # groups: rank -> llc-group id (hierarchical algorithm); None = flat
+        self._groups = groups
+        self._gcount: Dict[int, int] = {}
+        self._gsizes: Dict[int, int] = {}
+        if groups is not None:
+            for r in participants:
+                g = groups[r]
+                self._gsizes[g] = self._gsizes.get(g, 0) + 1
 
     def wake(self) -> None:
         """Wake every waiter parked on this scope (abort broadcast)."""
@@ -173,6 +177,20 @@ class ScopeSyncState:
         with self._cond:
             return (self.epoch, self.nowait_shared)
 
+    def rebind(self, participants: Tuple[int, ...],
+               groups: Optional[Dict[int, int]]) -> None:
+        """Adopt the participant set a task's move left behind; every
+        counter is kept.  A task the move brought in starts level with
+        this instance's nowait counter (the gate just proved it has
+        encountered as many directives), not at the count it left here
+        on an earlier stay.  A no-op while an episode is in flight."""
+        with self._cond:
+            if self._count == 0:
+                for r in participants:
+                    if r not in self.participants:
+                        self._task_nowait[r] = self.nowait_shared
+                self._set_participants(participants, groups)
+
 
 class HLSSync:
     """All scope sync states of one program on one runtime."""
@@ -190,8 +208,11 @@ class HLSSync:
         self.barrier_algorithm = barrier_algorithm
         self._states: Dict[ScopeInstance, ScopeSyncState] = {}
         self._lock = threading.Lock()
-        # a task's directive counts per scope spec, for MPC_Move checks
-        self._task_directives: Dict[Tuple[int, ScopeSpec], int] = {}
+        #: rank -> that task's directive counts per scope spec, for the
+        #: MPC_Move gate.  An inner dict is written only by its task
+        #: (through its handle) and read only by its own check_migration,
+        #: so no task ever iterates a dict another task inserts into.
+        self._task_directives: Dict[int, Dict[ScopeSpec, int]] = {}
         runtime.post_move_hooks.append(self._on_move)
 
     # ----------------------------------------------------------------- state
@@ -209,23 +230,28 @@ class HLSSync:
         # Paper: flat for all scopes except numa and node.
         return spec.kind in (ScopeKind.NUMA, ScopeKind.NODE) and self.machine.llc_level > 0
 
+    def _groups(self, instance: ScopeInstance,
+                participants: Tuple[int, ...]) -> Optional[Dict[int, int]]:
+        """rank -> llc-group id for the hierarchical algorithm, else None."""
+        if not self._use_hierarchical(instance.spec):
+            return None
+        llc = ScopeSpec(ScopeKind.CACHE, self.machine.llc_level)
+        return {
+            r: self.machine.scope_instance(self.runtime.task_pu(r), llc).index
+            for r in participants
+        }
+
     def state(self, instance: ScopeInstance) -> ScopeSyncState:
+        """The sync state of ``instance`` (built on first use).  The one
+        resolver: handles bind its answer once per task and directive."""
         with self._lock:
             st = self._states.get(instance)
             if st is None:
                 participants = self._participants(instance)
-                groups = None
-                if self._use_hierarchical(instance.spec):
-                    llc = ScopeSpec(ScopeKind.CACHE, self.machine.llc_level)
-                    groups = {
-                        r: self.machine.scope_instance(
-                            self.runtime.task_pu(r), llc
-                        ).index
-                        for r in participants
-                    }
                 st = ScopeSyncState(
                     instance, participants, self.runtime.abort_flag,
-                    timeout=self.runtime.timeout, groups=groups,
+                    timeout=self.runtime.timeout,
+                    groups=self._groups(instance, participants),
                     faults=getattr(self.runtime, "faults", None),
                     condition=self.runtime.condition(),
                     clock=self.runtime.now,
@@ -233,48 +259,29 @@ class HLSSync:
                 self._states[instance] = st
             return st
 
+    def directive_counts(self, rank: int) -> Dict[ScopeSpec, int]:
+        """``rank``'s own directive counts (its handle increments them)."""
+        return self._task_directives.setdefault(rank, {})
+
     def _on_move(self, rank: int, new_pu: int) -> None:
-        # Participant sets are derived from pinning; drop idle states so
-        # they are rebuilt.  States with tasks mid-barrier would have
-        # refused the migration via the epoch check anyway.
+        # Participant sets and llc groups are derived from pinning:
+        # re-derive them for every idle state, in place, so epoch /
+        # nowait_shared / the per-task nowait counts survive the move
+        # (exactly-once and the migration gate both compare against
+        # them).  A state with tasks mid-episode keeps its set, and so
+        # does one the last task just left (nobody can call it).
         with self._lock:
-            for inst in list(self._states):
-                st = self._states[inst]
-                if st._count == 0:
-                    del self._states[inst]
-
-    # ------------------------------------------------------------ operations
-    def _note_directive(self, rank: int, spec: ScopeSpec) -> None:
-        key = (rank, spec)
-        self._task_directives[key] = self._task_directives.get(key, 0) + 1
-
-    def barrier(self, ctx: "TaskContext", spec: ScopeSpec) -> None:
-        inst = self.machine.scope_instance(ctx.pu, spec)
-        self._note_directive(ctx.rank, spec)
-        self.state(inst).barrier(ctx.rank)
-
-    def single_enter(self, ctx: "TaskContext", spec: ScopeSpec) -> bool:
-        inst = self.machine.scope_instance(ctx.pu, spec)
-        self._note_directive(ctx.rank, spec)
-        return self.state(inst).single_enter(ctx.rank)
-
-    def single_done(self, ctx: "TaskContext", spec: ScopeSpec) -> None:
-        inst = self.machine.scope_instance(ctx.pu, spec)
-        self.state(inst).single_done(ctx.rank)
-
-    def single_nowait_enter(self, ctx: "TaskContext", spec: ScopeSpec) -> bool:
-        inst = self.machine.scope_instance(ctx.pu, spec)
-        self._note_directive(ctx.rank, spec)
-        return self.state(inst).single_nowait_enter(ctx.rank)
+            for inst, st in self._states.items():
+                participants = self._participants(inst)
+                if participants:
+                    st.rebind(participants, self._groups(inst, participants))
 
     # ------------------------------------------------------------- migration
     def check_migration(self, ctx: "TaskContext", new_pu: int) -> None:
         """MPC_Move gate (section IV-A): the migrating task must have
         encountered the same number of single/barrier directives as the
         destination scope instance."""
-        for (rank, spec), count in self._task_directives.items():
-            if rank != ctx.rank:
-                continue
+        for spec, count in self.directive_counts(ctx.rank).items():
             dst_inst = self.machine.scope_instance(new_pu, spec)
             src_inst = self.machine.scope_instance(ctx.pu, spec)
             if dst_inst == src_inst:

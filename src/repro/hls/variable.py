@@ -54,10 +54,11 @@ class HLSVariable:
     #: with small live arrays -- the simulator never needs the bytes,
     #: only the layout and the accounting.
     virtual_bytes: Optional[int] = None
+    #: size of the live buffer; shape and dtype are fixed at declare
+    nbytes: int = field(init=False)
 
-    @property
-    def nbytes(self) -> int:
-        return int(np.prod(self.shape, dtype=np.int64)) * self.dtype.itemsize
+    def __post_init__(self) -> None:
+        self.nbytes = int(np.prod(self.shape, dtype=np.int64)) * self.dtype.itemsize
 
     @property
     def accounting_bytes(self) -> int:

@@ -65,6 +65,15 @@ class ScopeSpec:
             raise ValueError(f"scope {self.kind.value!r} does not accept a level clause")
         if self.level is not None and self.level < 1:
             raise ValueError(f"scope level must be >= 1, got {self.level}")
+        # Specs key the per-task directive counts (two lookups per
+        # directive) and, inside a ScopeInstance, the sync-state and
+        # arena tables: hash once here, not ``enum.__hash__`` per
+        # lookup.  Built from ints only (levels are >= 1, so 0 stands
+        # for "no level"): a pickled spec hashes alike in every process.
+        object.__setattr__(self, "_hash", hash((_KIND_BASE[self.kind], self.level or 0)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __str__(self) -> str:
         if self.level is None:

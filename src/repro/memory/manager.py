@@ -114,6 +114,10 @@ class MemoryManager:
         self.namespace = namespace or ""
         self._prefix = f"{self.namespace}:" if self.namespace else ""
         self._arenas: Dict[Tuple, Arena] = {}
+        #: node number -> its already-built node arena (what space_for
+        #: asks per alloc/free).  Arenas are never removed, so a hit
+        #: needs no lock.
+        self._by_node: Dict[int, Arena] = {}
         self._lock = threading.Lock()
         self._spiller = None
 
@@ -173,9 +177,12 @@ class MemoryManager:
 
     def node_arena(self, node: int) -> Arena:
         """The node-scope arena (the thread backend's shared space)."""
-        return self.scope_arena(
-            ScopeInstance(ScopeSpec(ScopeKind.NODE), node)
-        )
+        arena = self._by_node.get(node)
+        if arena is None:
+            arena = self._by_node[node] = self.scope_arena(
+                ScopeInstance(ScopeSpec(ScopeKind.NODE), node)
+            )
+        return arena
 
     def task_arena(self, rank: int) -> Arena:
         """A task's private arena (process-backend address space)."""

@@ -209,7 +209,9 @@ class Runtime:
         # exactly one task thread, so the hot path takes no lock.
         self._stat_shards = [CommStats() for _ in range(self.n_tasks)]
         self.collective_metrics = CollectiveMetrics()
-        self._pin_version = 0
+        #: bumped by every set_task_pu (ctx.move); whoever caches a
+        #: placement-derived answer (HLS handles) stamps it with this
+        self.pin_version = 0
         self.tracer: Optional[Any] = None
         self.migration_checks: List[Callable[[TaskContext, int], None]] = []
         self.post_move_hooks: List[Callable[[int, int], None]] = []
@@ -355,7 +357,7 @@ class Runtime:
 
     def set_task_pu(self, rank: int, pu: int) -> None:
         self._pin[rank] = pu
-        self._pin_version += 1
+        self.pin_version += 1
         for hook in self.post_move_hooks:
             hook(rank, pu)
 

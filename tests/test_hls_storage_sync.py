@@ -379,3 +379,92 @@ class TestMigration:
 
         with pytest.raises(MigrationError):
             rt.run(main)
+
+    def test_single_nowait_stays_exactly_once_after_a_move(self):
+        """A move must not zero a scope's nowait counters: tasks that
+        reach nowait-single #2 after a peer's ``ctx.move`` still find it
+        executed, and the gate still sees matching counts."""
+        import threading
+
+        rt = Runtime(core2_cluster(1), n_tasks=8, timeout=5.0)
+        prog = HLSProgram(rt)
+        prog.declare("v", shape=(1,), scope="node")
+        ran, lock = [], threading.Lock()
+
+        def main(ctx):
+            h, c = prog.attach(ctx), ctx.comm_world
+
+            def note(tag):
+                with lock:
+                    ran.append((tag, ctx.rank))
+
+            h.single("v", lambda: note("s1"), nowait=True)
+            c.barrier()
+            if ctx.rank == 0:
+                h.single("v", lambda: note("s2"), nowait=True)
+            c.barrier()
+            if ctx.rank == 7:
+                ctx.move(ctx.pu)
+            c.barrier()
+            if ctx.rank != 0:
+                h.single("v", lambda: note("s2"), nowait=True)
+            c.barrier()
+            if ctx.rank == 3:
+                ctx.move(ctx.pu)   # counts compared against kept counters
+
+        rt.run(main)
+        assert sorted(tag for tag, _ in ran) == ["s1", "s2"]
+        assert ("s2", 0) in ran
+
+    def test_single_nowait_count_follows_a_task_across_instances(self):
+        """A task that moves to another numa instance is level with the
+        destination's nowait counter: it neither skips the next block
+        there nor makes a resident run one twice."""
+        import threading
+
+        rt, prog = make()              # numa0 = ranks 0,1; numa1 = ranks 2,3
+        prog.declare("t", shape=(1,), scope="numa")
+        ran, lock = [], threading.Lock()
+
+        def main(ctx):
+            h, c = prog.attach(ctx), ctx.comm_world
+
+            def nowait(tag):
+                def note():
+                    with lock:
+                        ran.append((tag, h.scope_instance("t").index))
+                h.single("t", note, nowait=True)
+
+            nowait("s1")
+            c.barrier()
+            if ctx.rank == 0:
+                ctx.move(2)            # gate: 1 directive == numa1's 1
+                nowait("s2")
+                nowait("s3")
+            c.barrier()
+            if ctx.rank != 0:
+                nowait("s2")
+                nowait("s3")
+
+        rt.run(main)
+        assert sorted(ran) == [(tag, numa) for tag in ("s1", "s2", "s3")
+                               for numa in (0, 1)]
+
+    def test_gate_reads_only_the_movers_counts(self):
+        """check_migration iterates the migrating task's own counts, so
+        peers executing their first directive on a scope cannot resize
+        the dict under it."""
+        rt, prog = make()
+        prog.declare("a", shape=(1,), scope="node")
+        prog.declare("b", shape=(1,), scope="numa")
+
+        def main(ctx):
+            h = prog.attach(ctx)
+            h.barrier("a")
+            if ctx.rank in (2, 3):
+                h.barrier("b")
+            return dict(prog.sync.directive_counts(ctx.rank))
+
+        counts = rt.run(main)
+        assert [len(c) for c in counts] == [1, 1, 2, 2]
+        assert counts[0] is not counts[1]
