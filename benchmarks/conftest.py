@@ -4,126 +4,13 @@ Benchmarks run the same harnesses as ``repro.experiments`` at reduced
 scale (the full paper-scale sweeps live behind ``python -m
 repro.experiments --full``).  Each benchmark stores the reproduced
 metric (efficiency, MB/node, flops/cycle...) in ``extra_info`` so the
-paper-vs-measured comparison survives in the benchmark JSON.
-
-P2P and RMA benchmarks additionally call :func:`record_p2p` /
-:func:`record_rma`; at session end the queued measurements are appended
-to ``BENCH_p2p.json`` / ``BENCH_rma.json`` at the repo root --
-*trajectory* artifacts (one entry per benchmark run) that future PRs
-diff against to assert the message-rate/latency/zero-copy numbers did
-not regress.
+paper-vs-measured comparison survives in the benchmark JSON
+(``--benchmark-json``), and asserts its claim inline.  Nothing here
+writes into the checkout.
 """
-
-import json
-import os
-import sys
-import time
-
-import pytest
-
-_ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
-
-#: per-artifact measurement queues, drained at session end
-_QUEUES = {"p2p": [], "rma": [], "memory": [], "sched": [],
-           "loadbalance": [], "storage": [], "collectives": [],
-           "service": []}
-_PATHS = {
-    "p2p": os.path.join(_ROOT, "BENCH_p2p.json"),
-    "rma": os.path.join(_ROOT, "BENCH_rma.json"),
-    "memory": os.path.join(_ROOT, "BENCH_memory.json"),
-    "sched": os.path.join(_ROOT, "BENCH_sched.json"),
-    "loadbalance": os.path.join(_ROOT, "BENCH_loadbalance.json"),
-    "storage": os.path.join(_ROOT, "BENCH_storage.json"),
-    "collectives": os.path.join(_ROOT, "BENCH_collectives.json"),
-    "service": os.path.join(_ROOT, "BENCH_service.json"),
-}
 
 
 def run_once(benchmark, fn, *args, **kwargs):
     """Benchmark a heavy function with a single measured round."""
     return benchmark.pedantic(fn, args=args, kwargs=kwargs,
                               rounds=1, iterations=1, warmup_rounds=0)
-
-
-def record_p2p(name, **fields):
-    """Queue one P2P measurement for the BENCH_p2p.json trajectory."""
-    _QUEUES["p2p"].append({"name": name, **fields})
-
-
-def record_rma(name, **fields):
-    """Queue one RMA measurement for the BENCH_rma.json trajectory."""
-    _QUEUES["rma"].append({"name": name, **fields})
-
-
-def record_sched(name, **fields):
-    """Queue one scheduler measurement (context switches, wall time,
-    virtual time...) for the BENCH_sched.json trajectory."""
-    _QUEUES["sched"].append({"name": name, **fields})
-
-
-def record_memory(name, **fields):
-    """Queue one footprint measurement for the BENCH_memory.json
-    trajectory (per-node MB plus the per-level/per-kind breakdowns)."""
-    _QUEUES["memory"].append({"name": name, **fields})
-
-
-def record_loadbalance(name, **fields):
-    """Queue one load-balance measurement (finish-time c.o.v., steal
-    traffic, wall time vs the static oracle) for the
-    BENCH_loadbalance.json trajectory."""
-    _QUEUES["loadbalance"].append({"name": name, **fields})
-
-
-def record_collectives(name, **fields):
-    """Queue one nonblocking-collective measurement for the
-    BENCH_collectives.json trajectory.  Rows must carry the tuner schema
-    (op, algorithm, chunk_bytes, payload_bytes, n_tasks, sharing,
-    time_s): ``Runtime(algorithm="auto")`` replays this file to pick
-    algorithms, so every appended run retunes future selections."""
-    _QUEUES["collectives"].append({"name": name, **fields})
-
-
-def record_storage(name, **fields):
-    """Queue one out-of-core measurement (spill/fault traffic, paging
-    overhead vs in-memory at each capacity ratio) for the
-    BENCH_storage.json trajectory."""
-    _QUEUES["storage"].append({"name": name, **fields})
-
-
-def record_service(name, **fields):
-    """Queue one job-service load measurement (concurrent tenants,
-    isolation outcome, admission/queue counters, latency percentiles)
-    for the BENCH_service.json trajectory."""
-    _QUEUES["service"].append({"name": name, **fields})
-
-
-def _append_trajectory(path, results):
-    try:
-        with open(path) as fh:
-            trajectory = json.load(fh)
-        if not isinstance(trajectory, list):
-            trajectory = []
-    except (FileNotFoundError, json.JSONDecodeError):
-        trajectory = []
-    trajectory.append({
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "results": results,
-    })
-    with open(path, "w") as fh:
-        json.dump(trajectory, fh, indent=2)
-        fh.write("\n")
-
-
-def pytest_sessionfinish(session, exitstatus):
-    # pytest imports this file as top-level ``conftest`` while the
-    # benchmarks import it as ``benchmarks.conftest`` -- two module
-    # instances, two sets of queues.  Drain both.
-    twin = sys.modules.get("benchmarks.conftest")
-    for key, queue in _QUEUES.items():
-        results = list(queue)
-        queue.clear()
-        if twin is not None and twin._QUEUES[key] is not queue:
-            results.extend(twin._QUEUES[key])
-            twin._QUEUES[key].clear()
-        if results:
-            _append_trajectory(_PATHS[key], results)

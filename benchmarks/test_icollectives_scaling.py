@@ -10,27 +10,20 @@ occupies its sending port for ``icoll_link_time_per_mib`` seconds per
 MiB moved, the job runs under ``backend="coop"``, and the virtual clock
 measures the schedule the dataflow DAG actually admits.
 
-Each measured cell is recorded via :func:`record_collectives` in the
-tuner row schema, so the appended ``BENCH_collectives.json`` trajectory
-is exactly what ``Runtime(algorithm="auto")`` replays: this benchmark
-*is* the auto-tuner's training run.
-
 Run with ``PYTHONPATH=src python -m pytest benchmarks/test_icollectives_scaling.py``.
 """
 
 import numpy as np
 import pytest
 
-from benchmarks.conftest import record_collectives, run_once
+from benchmarks.conftest import run_once
 from repro.machine import core2_cluster
 from repro.runtime import SUM, Runtime
-from repro.runtime.autotune import CollectiveTuner
 
 #: modeled seconds of link occupancy per MiB moved by one cell
 LINK_S_PER_MIB = 1.0
 PAYLOAD_BYTES = 1 << 20
 CHUNK_BYTES = 64 << 10
-SHARING = "private"
 ALGOS = (("flat", 0), ("hierarchical", 0), ("pipelined", CHUNK_BYTES))
 
 
@@ -95,13 +88,6 @@ def test_pipelined_vs_store_and_forward(benchmark, n_tasks):
 
     rows = run_once(benchmark, job)
 
-    for (op, algo), (t, chunk, _) in sorted(rows.items()):
-        record_collectives(
-            f"{op}-{algo}-n{n_tasks}",
-            op=op, algorithm=algo, chunk_bytes=chunk,
-            payload_bytes=PAYLOAD_BYTES, n_tasks=n_tasks,
-            sharing=SHARING, time_s=t,
-        )
     benchmark.extra_info.update(
         n_tasks=n_tasks, payload_bytes=PAYLOAD_BYTES,
         modeled_time_s={f"{op}/{algo}": t
@@ -117,32 +103,6 @@ def test_pipelined_vs_store_and_forward(benchmark, n_tasks):
             pipe = rows[(op, "pipelined")][0]
             assert pipe < rows[(op, "hierarchical")][0], (op, rows)
             assert pipe < rows[(op, "flat")][0], (op, rows)
-
-
-def test_tuner_selects_measured_winner(benchmark):
-    """Close the loop: feed the measurements straight into the tuner and
-    check ``select`` returns the algorithm that actually won."""
-    def job():
-        tuner_rows = []
-        for algo, chunk in ALGOS:
-            t, _ = _modeled_time("ibcast", 32, PAYLOAD_BYTES, algo, chunk)
-            tuner_rows.append({
-                "op": "ibcast", "algorithm": algo, "chunk_bytes": chunk,
-                "payload_bytes": PAYLOAD_BYTES, "n_tasks": 32,
-                "sharing": SHARING, "time_s": t,
-            })
-        return tuner_rows
-
-    tuner_rows = run_once(benchmark, job)
-    winner = min(tuner_rows, key=lambda r: r["time_s"])
-    tuner = CollectiveTuner(tuner_rows)
-    picked = tuner.select("ibcast", PAYLOAD_BYTES, 32, SHARING)
-    assert picked == (winner["algorithm"], winner["chunk_bytes"])
-    assert picked[0] == "pipelined"
-    benchmark.extra_info.update(
-        picked=picked[0],
-        measured={r["algorithm"]: r["time_s"] for r in tuner_rows},
-    )
 
 
 def test_overlap_beats_serialised_compute(benchmark):
@@ -168,13 +128,6 @@ def test_overlap_beats_serialised_compute(benchmark):
         return base, compute_s, overlapped, serialised
 
     base, compute_s, overlapped, serialised = run_once(benchmark, job)
-    record_collectives(
-        "overlap-win-n32",
-        op="ibcast+compute", algorithm="pipelined",
-        chunk_bytes=CHUNK_BYTES, payload_bytes=PAYLOAD_BYTES,
-        n_tasks=n_tasks, sharing=SHARING, time_s=overlapped,
-        compute_s=compute_s, serialised_time_s=serialised,
-    )
     benchmark.extra_info.update(
         collective_s=base, compute_s=compute_s,
         overlapped_s=overlapped, serialised_s=serialised,

@@ -1,7 +1,6 @@
 """Load-balance scaling: dynamic self-scheduling vs the static oracle.
 
-Three layers of evidence, all recorded to the ``BENCH_loadbalance.json``
-trajectory (see ``benchmarks/conftest.py``):
+Three layers of evidence:
 
 * **Synthetic loops** (8/32/128 tasks, both sharings) with per-iteration
   sleep costs, so the imbalance is controlled: a *skewed* load (the
@@ -24,7 +23,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import record_loadbalance, run_once
+from benchmarks.conftest import run_once
 from repro.apps.gadget import GadgetConfig, run_gadget
 from repro.apps.tachyon import TachyonConfig, run_tachyon
 from repro.machine import core2_cluster
@@ -130,10 +129,6 @@ def test_synthetic_skewed_and_uniform(benchmark, n_tasks, sharing):
     info = {}
     for (pattern, policy), rep in reports.items():
         fields = _report_fields(rep)
-        record_loadbalance(
-            f"synthetic_{pattern}_{n_tasks}t_{sharing}_{policy}",
-            sharing=sharing, pattern=pattern, **fields,
-        )
         info[f"{pattern}_{policy}_cov"] = fields["finish_cov"]
         info[f"{pattern}_{policy}_makespan_s"] = fields["makespan_s"]
     benchmark.extra_info.update(info)
@@ -175,8 +170,6 @@ def test_gadget_imbalance(benchmark, sharing):
                 stolen=dyn.loadbalance.chunks_stolen,
                 checksum=even.checksum)
     benchmark.extra_info.update(info)
-    record_loadbalance(f"gadget_32t_{sharing}", app="gadget",
-                       policy="fixed:2", **info)
 
 
 @pytest.mark.parametrize("sharing", SHARINGS)
@@ -214,8 +207,6 @@ def test_tachyon_imbalance(benchmark, sharing):
                 stolen=dyn.loadbalance.chunks_stolen,
                 checksum=even.checksum)
     benchmark.extra_info.update(info)
-    record_loadbalance(f"tachyon_32t_{sharing}", app="tachyon",
-                       policy="factoring", **info)
 
 
 @pytest.mark.timeout(300)
@@ -249,5 +240,3 @@ def test_selfsched_smoke_8k_coop(benchmark):
                 context_switches=sm.context_switches,
                 decisions=sm.decisions)
     benchmark.extra_info.update(info)
-    record_loadbalance("selfsched_smoke_8192_coop", policy="fixed:2",
-                       backend="coop", **info)

@@ -1,16 +1,16 @@
 """Arena-layer footprint bench: Table II smoke with full attribution.
 
 Runs the EulerMHD Table II variants under both backends and, for MPC,
-both ``sharing`` policies, and records *where* the bytes live -- the
-per-hierarchy-level and per-kind breakdowns the memory manager now
-attributes -- into the ``BENCH_memory.json`` trajectory.  Asserts the
+both ``sharing`` policies, and reports *where* the bytes live -- the
+per-hierarchy-level and per-kind breakdowns the memory manager
+attributes -- in ``extra_info``.  Asserts the
 paper's ordering (HLS < MPC < Open MPI per node) and that the arena
 accounting is internally consistent (levels sum to node totals).
 """
 
 import pytest
 
-from benchmarks.conftest import record_memory, run_once
+from benchmarks.conftest import run_once
 from repro.apps.eulermhd import EulerMHDConfig, run_eulermhd
 
 NODES = 4
@@ -45,16 +45,7 @@ def test_footprint_variant(benchmark, label, runtime, hls, sharing):
     }
     benchmark.extra_info["avg_mb_per_node"] = round(result.mem.avg_mb)
     benchmark.extra_info["by_level_mb"] = by_level_mb
-    record_memory(
-        f"table2_smoke_{label}",
-        avg_mb_per_node=round(result.mem.avg_mb, 1),
-        max_mb_per_node=round(result.mem.max_mb, 1),
-        by_level_mb=by_level_mb,
-        by_kind_mb=by_kind_mb,
-        sharing=sharing,
-        backend=runtime,
-        hls=hls,
-    )
+    benchmark.extra_info["by_kind_mb"] = by_kind_mb
     assert result.mem.avg_bytes > 0
 
 
@@ -71,12 +62,6 @@ def test_footprint_ordering(benchmark):
     benchmark.extra_info["hls_mb"] = round(hls.mem.avg_mb)
     benchmark.extra_info["mpc_mb"] = round(mpc.mem.avg_mb)
     benchmark.extra_info["openmpi_mb"] = round(ompi.mem.avg_mb)
-    record_memory(
-        "table2_smoke_ordering",
-        hls_mb=round(hls.mem.avg_mb, 1),
-        mpc_mb=round(mpc.mem.avg_mb, 1),
-        openmpi_mb=round(ompi.mem.avg_mb, 1),
-    )
     assert hls.mem.avg_bytes < mpc.mem.avg_bytes < ompi.mem.avg_bytes
     # HLS moves the EOS table out of per-task app bytes into one
     # node-level hls image per node
@@ -100,8 +85,3 @@ def test_sharing_policy_footprint_neutral(benchmark):
     private, shared = run_once(benchmark, run_pair)
     assert private.memory_metrics.per_node == shared.memory_metrics.per_node
     assert private.memory_metrics.by_level == shared.memory_metrics.by_level
-    record_memory(
-        "table2_smoke_sharing_neutral",
-        private_mb=round(private.mem.avg_mb, 1),
-        shared_mb=round(shared.mem.avg_mb, 1),
-    )

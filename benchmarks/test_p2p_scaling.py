@@ -6,8 +6,7 @@ The PR 2 performance claims, made observable:
 * the bucketed :class:`IndexedMatcher` keeps the match cost per
   delivery O(1) on an all-to-all exchange however deep the pending
   list gets (the seed linear scan paid 2.6 / 9 / 32 steps per delivery
-  at 8 / 32 / 128 tasks -- see the ``linear_*`` columns of the older
-  ``BENCH_p2p.json`` rows);
+  at 8 / 32 / 128 tasks);
 * under ``sharing="shared"`` intra-node deliveries hand the payload out
   by reference -- nonzero elision counters, bit-identical values vs
   ``sharing="private"``;
@@ -15,8 +14,6 @@ The PR 2 performance claims, made observable:
   a notify wake, not a poll tick.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/test_p2p_scaling.py``.
-Results are appended to the ``BENCH_p2p.json`` trajectory (see
-``benchmarks/conftest.py``) so future PRs can assert no regression.
 """
 
 import time
@@ -24,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks.conftest import record_p2p, run_once
+from benchmarks.conftest import run_once
 from repro.machine import core2_cluster
 from repro.runtime import Runtime
 
@@ -78,7 +75,6 @@ def test_p2p_alltoall_matcher_scaling(benchmark, n_tasks):
         indexed_seconds=round(idx_t, 4),
     )
     benchmark.extra_info.update(info)
-    record_p2p(f"alltoall[{n_tasks}]", **info)
 
     # The structural claim: match cost per delivery does not grow with
     # the depth of the pending list (one bucket lookup per receive
@@ -109,7 +105,6 @@ def test_p2p_zero_copy_elision(benchmark, n_tasks):
         intra_node_messages=shared.intra_node,
     )
     benchmark.extra_info.update(info)
-    record_p2p(f"elision[{n_tasks}]", **info)
 
     # every intra-node delivery was elided; inter-node ones never are
     assert shared.elided > 0
@@ -149,7 +144,6 @@ def test_p2p_pingpong_latency(benchmark):
         comparisons_per_delivery=round(metrics.comparisons_per_delivery, 2),
     )
     benchmark.extra_info.update(info)
-    record_p2p("pingpong", **info)
 
     # a poll-driven mailbox (50 ms tick) could never do a round trip in
     # under two ticks; the event-driven one is orders of magnitude faster

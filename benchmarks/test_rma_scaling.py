@@ -13,8 +13,6 @@ The tentpole claims of the RMA subsystem, made observable:
   the paper's Tables I-IV memory-footprint contrast.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/test_rma_scaling.py``.
-Results are appended to the ``BENCH_rma.json`` trajectory (see
-``benchmarks/conftest.py``) so future PRs can assert no regression.
 """
 
 import time
@@ -22,7 +20,7 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks.conftest import record_rma, run_once
+from benchmarks.conftest import run_once
 from repro.machine import core2_cluster
 from repro.runtime import ProcessRuntime, Runtime, Win
 
@@ -111,7 +109,6 @@ def test_rma_fence_exchange_scaling(benchmark, n_tasks):
         process_op_rate=round(ops / t_os, 1),
     )
     benchmark.extra_info.update(info)
-    record_rma(f"rma_fence_exchange[{n_tasks}]", **info)
 
 
 def test_rma_passive_lock_contention(benchmark):
@@ -155,4 +152,3 @@ def test_rma_passive_lock_contention(benchmark):
         lock_rate=round(m.locks / elapsed, 1),
     )
     benchmark.extra_info.update(info)
-    record_rma("rma_passive_lock_contention[8]", **info)

@@ -13,9 +13,6 @@ What the coop backend buys, made observable:
   sleeps on a real dependency chain, ~41 s at 4096 tasks), so the
   threads backend *cannot* complete inside the budget on any hardware,
   while the coop backend retires the identical job in scheduler time.
-
-Results are appended to the ``BENCH_sched.json`` trajectory (see
-``benchmarks/conftest.py``).
 """
 
 import threading
@@ -23,7 +20,7 @@ import time
 
 import pytest
 
-from benchmarks.conftest import record_sched, run_once
+from benchmarks.conftest import run_once
 from repro.machine import core2_cluster
 from repro.runtime import Runtime
 
@@ -64,7 +61,7 @@ def _smoke_job(n_tasks, schedule=None):
 @pytest.mark.parametrize("n_tasks", [1024, 4096])
 def test_coop_smoke_at_scale(benchmark, n_tasks):
     """1k / 4k tasks through P2P + collectives under the coop backend:
-    correct values, sane scheduler counters, recorded trajectory."""
+    correct values, sane scheduler counters."""
     rt, results, elapsed = run_once(benchmark, _smoke_job, n_tasks)
 
     # two ring shifts move each rank's token two steps
@@ -81,7 +78,6 @@ def test_coop_smoke_at_scale(benchmark, n_tasks):
         **m.snapshot(),
     )
     benchmark.extra_info.update(info)
-    record_sched(f"coop_smoke_{n_tasks}", **info)
 
 
 def _pipeline_worker(hop_s):
@@ -163,7 +159,6 @@ def test_coop_completes_the_pipeline_threads_cannot(benchmark):
         threads_wall_s=round(threads_wall, 3),
     )
     benchmark.extra_info.update(info)
-    record_sched("pipeline_4096_coop_vs_threads", **info)
 
 
 def test_seeded_schedules_scale(benchmark):
@@ -183,4 +178,3 @@ def test_seeded_schedules_scale(benchmark):
         preemptions=rt.metrics("sched").preemptions,
     )
     benchmark.extra_info.update(info)
-    record_sched("coop_random_1024", **info)

@@ -23,9 +23,7 @@ runs a scaled-down smoke at 96):
   drains must admit and complete immediately.
 
 A second scenario forces admission queueing (capacity for only a few
-footprints) and asserts FIFO drain under churn.  Latency and
-queue-wait percentiles from ``service_metrics`` are appended to the
-``BENCH_service.json`` trajectory.
+footprints) and asserts FIFO drain under churn.
 """
 
 import os
@@ -33,7 +31,7 @@ import threading
 
 import pytest
 
-from benchmarks.conftest import record_service, run_once
+from benchmarks.conftest import run_once
 from repro.faults import FaultPlan
 from repro.memsim.address_space import AddressSpaceExhausted
 from repro.runtime.errors import InjectedCrash
@@ -181,20 +179,6 @@ class TestServiceLoad:
             benchmark.extra_info["n_jobs"] = N_JOBS
             benchmark.extra_info["peak_running"] = sm["peak_running"]
             benchmark.extra_info["latency_p95_s"] = sm["latency_s"]["p95"]
-            record_service(
-                "concurrent_burst",
-                n_jobs=N_JOBS,
-                n_clean=len(clean),
-                n_crash=N_CRASH,
-                n_leak=N_LEAK,
-                n_hog=N_HOG,
-                peak_running=sm["peak_running"],
-                states=sm["states"],
-                clean_bit_identical=True,
-                latency_s=sm["latency_s"],
-                queue_wait_s=sm["queue_wait_s"],
-                backend="coop",
-            )
         finally:
             jm.shutdown(wait=False)
 
@@ -228,14 +212,5 @@ class TestAdmissionQueueUnderLoad:
             sm = jm.service_metrics()
             assert sm["peak_running"] <= slots
             assert sm["queue_wait_s"]["max"] > 0.0   # queueing happened
-            record_service(
-                "queued_wave",
-                n_jobs=n_jobs,
-                capacity_slots=slots,
-                peak_running=sm["peak_running"],
-                latency_s=sm["latency_s"],
-                queue_wait_s=sm["queue_wait_s"],
-                backend="coop",
-            )
         finally:
             jm.shutdown(wait=False)

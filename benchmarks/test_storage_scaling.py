@@ -12,9 +12,6 @@ with the pressure ratio:
   while the checksum stays pinned to the in-memory baseline.
 
 Run with ``PYTHONPATH=src python -m pytest benchmarks/test_storage_scaling.py``.
-Results are appended to the ``BENCH_storage.json`` trajectory (see
-``benchmarks/conftest.py``) so future PRs can assert the paging
-overhead did not regress.
 """
 
 import time
@@ -22,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks.conftest import record_storage, run_once
+from benchmarks.conftest import run_once
 from repro.machine import core2_cluster
 from repro.runtime import Runtime, SUM, Win
 from repro.storage import ChunkStore
@@ -110,21 +107,6 @@ def test_storage_pressure_ratio(benchmark, ratio, tmp_path):
         "chunk_reads": m.chunk_reads,
         "paging_overhead_vs_memory": round(overhead, 3),
     })
-    record_storage(
-        f"pressure_{ratio}x",
-        ratio=ratio,
-        window_bytes=WINDOW_BYTES,
-        budget_bytes=int(WINDOW_BYTES / ratio),
-        spills=m.spills,
-        spill_bytes=m.spill_bytes,
-        faults=m.faults,
-        fault_bytes=m.fault_bytes,
-        commits=m.commits,
-        storage_s=round(elapsed, 6),
-        memory_s=round(mem_s, 6),
-        paging_overhead=round(overhead, 3),
-        bit_equal=True,
-    )
 
 
 def test_checkpoint_commit_cost(benchmark, tmp_path):
@@ -139,10 +121,3 @@ def test_checkpoint_commit_cost(benchmark, tmp_path):
         "commits": m.commits,
         "s_per_epoch": round(per_epoch, 6),
     })
-    record_storage(
-        "checkpoint_commit",
-        epochs=store.epoch,
-        commits=m.commits,
-        written_bytes=m.written_bytes,
-        s_per_epoch=round(per_epoch, 6),
-    )

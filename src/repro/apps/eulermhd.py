@@ -174,7 +174,7 @@ def run_eulermhd(cfg: EulerMHDConfig) -> AppRunResult:
     wall = time.monotonic() - t0
 
     modeled = TIME_K * TIME_FACTOR[cfg.runtime] / cfg.n_tasks + TIME_C
-    return AppRunResult(
+    result = AppRunResult(
         app="eulermhd",
         runtime=cfg.runtime,
         hls=cfg.hls,
@@ -186,6 +186,8 @@ def run_eulermhd(cfg: EulerMHDConfig) -> AppRunResult:
         checksum=float(np.sum(sums)),
         memory_metrics=rt.metrics("memory"),
     )
+    prog.close()    # the result holds snapshots, not the images
+    return result
 
 
 __all__ = [

@@ -230,7 +230,7 @@ def run_gadget(cfg: GadgetConfig) -> AppRunResult:
     wall = time.monotonic() - t0
 
     modeled = TIME_K * TIME_FACTOR[cfg.runtime] / cfg.n_tasks
-    return AppRunResult(
+    result = AppRunResult(
         app="gadget",
         runtime=cfg.runtime,
         hls=cfg.hls,
@@ -245,6 +245,8 @@ def run_gadget(cfg: GadgetConfig) -> AppRunResult:
             rt.metrics("loadbalance") if cfg.schedule != "static" else None
         ),
     )
+    prog.close()    # the result holds snapshots, not the images
+    return result
 
 
 __all__ = ["EWALD_TABLE_BYTES", "GadgetConfig", "run_gadget"]

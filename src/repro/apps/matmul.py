@@ -90,6 +90,7 @@ def _placements(machine: Machine, cfg: MatmulConfig):
         return (ctx.pu, a.addr, b_addr, c.addr)
 
     placements = rt.run(main)
+    prog.close()
     seen: Dict[int, int] = {}
     for rank, (_pu, _a, b_addr, _c) in enumerate(placements):
         seen.setdefault(b_addr, rank)

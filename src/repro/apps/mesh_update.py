@@ -116,6 +116,7 @@ def _placements(
         return (ctx.pu, table_addr, mesh.addr)
 
     placements = rt.run(main)
+    prog.close()
     # Writers: the task of lowest rank per distinct table address.
     seen: Dict[int, int] = {}
     for rank, (_pu, t_addr, _m) in enumerate(placements):

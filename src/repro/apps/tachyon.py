@@ -270,7 +270,7 @@ def run_tachyon(cfg: TachyonConfig) -> TachyonResult:
     modeled = TIME_K / cfg.n_tasks + copy_s + (
         1.0 if cfg.runtime == "openmpi" else 0.0   # extra sender-side copies
     )
-    return TachyonResult(
+    result = TachyonResult(
         app="tachyon",
         runtime=cfg.runtime,
         hls=cfg.hls,
@@ -287,6 +287,8 @@ def run_tachyon(cfg: TachyonConfig) -> TachyonResult:
             rt.metrics("loadbalance") if cfg.schedule != "static" else None
         ),
     )
+    prog.close()    # the result holds snapshots, not the images
+    return result
 
 
 __all__ = [

@@ -8,8 +8,7 @@ and are *aggregated on read*, so the message hot path never takes a
 global metrics lock (the PR 2 sharded-counter design).
 
 ``P2PMetrics.from_runtime(rt)`` takes the snapshot; ``snapshot()``
-returns it as a plain dict for benchmark ``extra_info`` and the
-``BENCH_p2p.json`` trajectory artifact.
+returns it as a plain dict for benchmark ``extra_info``.
 """
 
 from __future__ import annotations

@@ -9,7 +9,7 @@ same snapshot pattern as :class:`~repro.metrics.p2p.P2PMetrics`.
 
 ``RMAMetrics.from_runtime(rt)`` -- or ``rt.metrics("rma")`` -- takes the
 snapshot; ``snapshot()`` returns it as a plain dict for benchmark
-``extra_info`` and the ``BENCH_rma.json`` trajectory artifact.
+``extra_info``.
 """
 
 from __future__ import annotations

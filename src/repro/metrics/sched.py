@@ -7,7 +7,7 @@ were made, how many parks ended by notify vs. virtual-clock timer, the
 deepest run queue, and how many preemption checkpoints actually
 preempted.  Under the threads backend the OS owns the interleaving, so
 every counter is zero and ``backend`` says so -- the snapshot stays
-comparable across backends in ``BENCH_sched.json``.
+comparable across backends.
 """
 
 from __future__ import annotations

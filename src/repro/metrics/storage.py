@@ -7,7 +7,7 @@ reads/writes, bytes, manifest commits), and the runtime's
 residency statistics (spills, faults, resident/peak bytes and chunk
 count).  ``StorageMetrics.from_runtime(rt)`` -- or
 ``rt.metrics("storage")`` -- takes the snapshot; ``snapshot()`` feeds
-benchmark ``extra_info`` and the ``BENCH_storage.json`` trajectory.
+benchmark ``extra_info``.
 """
 
 from __future__ import annotations

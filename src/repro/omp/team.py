@@ -9,14 +9,22 @@ offers the workshare constructs HLS coexists with: ``barrier``,
 Threads may be pinned to the PUs of the owning task's scope so HLS
 scope resolution works from inside a parallel region (a thread's HLS
 accesses resolve against *its* PU, exactly like an MPC user-level
-thread)."""
+thread).
+
+Waits are event-driven and take their abort check and deadline from
+:class:`repro.runtime.abort.Watchdog`: the arrival that completes a
+barrier (or assembles the team behind a ``single``) notifies, and a
+thread whose body raises sets the team's :class:`AbortSignal`, so its
+peers leave their waits with ``AbortError`` instead of running on."""
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, List, Optional, Sequence
+import time
+from typing import Any, Callable, List, Optional, Sequence
 
-from repro.runtime.errors import DeadlockError
+from repro.runtime.abort import AbortSignal, Watchdog
+from repro.runtime.errors import AbortError
 
 
 class ThreadContext:
@@ -76,18 +84,30 @@ class Team:
         self._generation = 0
         self._critical = threading.RLock()
         self.barriers = 0
+        #: set by a thread whose body raised; wakes every parked peer
+        self._abort = AbortSignal()
+        self._abort.subscribe(self._wake)
 
     # ----------------------------------------------------------------- sync
+    def _wake(self) -> None:
+        with self._cond:
+            self._cond.notify_all()
+
+    def _park_until(self, done: Callable[[], bool], what: str) -> None:
+        """Park on the team condition (held by the caller) until
+        ``done()``; arrivals are the progress that extends the deadline."""
+        dog = Watchdog(self._abort, time.monotonic, self._timeout, lambda: (
+            f"omp {what}: a team thread failed",
+            f"omp {what} timed out with {self._count}/"
+            f"{self.num_threads} arrived",
+        ))
+        while not done():
+            self._cond.wait(
+                timeout=dog.tick((self._generation, self._count))
+            )
+
     def _wait(self, gen: int) -> None:
-        deadline = self._timeout
-        while self._generation == gen:
-            if not self._cond.wait(timeout=0.05):
-                deadline -= 0.05
-                if deadline <= 0:
-                    raise DeadlockError(
-                        f"omp barrier timed out with {self._count}/"
-                        f"{self.num_threads} arrived"
-                    )
+        self._park_until(lambda: self._generation != gen, "barrier")
 
     def barrier(self) -> None:
         with self._cond:
@@ -111,19 +131,16 @@ class Team:
             if first:
                 return True
             if self._count == self.num_threads:
-                # last waiter: nothing to do until executor finishes
-                pass
+                # team assembled: the executor may be parked in single_done
+                self._cond.notify_all()
             self._wait(gen)
             return False
 
     def single_done(self) -> None:
         with self._cond:
-            deadline = self._timeout
-            while self._count != self.num_threads:
-                if not self._cond.wait(timeout=0.05):
-                    deadline -= 0.05
-                    if deadline <= 0:
-                        raise DeadlockError("omp single: team never assembled")
+            self._park_until(
+                lambda: self._count == self.num_threads, "single"
+            )
             self._count = 0
             self._generation += 1
             self.barriers += 1
@@ -144,7 +161,8 @@ class Team:
 
     # ------------------------------------------------------------------ run
     def run(self, body: Callable[[ThreadContext], Any]) -> List[Any]:
-        """Execute ``body`` on every thread; returns per-thread results."""
+        """Execute ``body`` on every thread; returns per-thread results.
+        A thread's exception aborts the team and is re-raised."""
         results: List[Any] = [None] * self.num_threads
         errors: List[BaseException] = []
         lock = threading.Lock()
@@ -155,11 +173,7 @@ class Team:
             except BaseException as e:  # noqa: BLE001
                 with lock:
                     errors.append(e)
-                # release anyone stuck at a barrier
-                with self._cond:
-                    self._generation += 1
-                    self._count = 0
-                    self._cond.notify_all()
+                self._abort.set()
 
         threads = [
             threading.Thread(target=worker, args=(i,), name=f"omp-{i}")
@@ -170,7 +184,10 @@ class Team:
         for t in threads:
             t.join()
         if errors:
-            raise errors[0]
+            # prefer the root cause over the peers' secondary aborts
+            raise next(
+                (e for e in errors if not isinstance(e, AbortError)), errors[0]
+            )
         return results
 
     def reduce(self, values: List[Any], op: Callable[[Any, Any], Any]) -> Any:

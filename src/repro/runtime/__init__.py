@@ -35,15 +35,12 @@ from repro.runtime.message import (
     ANY_SOURCE,
     ANY_TAG,
     IndexedMatcher,
-    LinearMatcher,
     Mailbox,
     Status,
 )
 from repro.runtime.ops import LAND, LOR, MAX, MIN, PROD, SUM
 from repro.runtime.request import Request
-from repro.runtime.collectives import CollectiveState
 from repro.runtime.icoll import DEFAULT_CHUNK_BYTES, CollectiveRequest, IcollState
-from repro.runtime.autotune import CollectiveTuner
 from repro.runtime.communicator import Comm
 from repro.runtime.task import TaskContext
 from repro.runtime.runtime import CommStats, Runtime
@@ -78,7 +75,6 @@ __all__ = [
     "Status",
     "Mailbox",
     "IndexedMatcher",
-    "LinearMatcher",
     "SUM",
     "PROD",
     "MAX",
@@ -86,10 +82,8 @@ __all__ = [
     "LAND",
     "LOR",
     "Request",
-    "CollectiveState",
     "CollectiveRequest",
     "IcollState",
-    "CollectiveTuner",
     "DEFAULT_CHUNK_BYTES",
     "Comm",
     "TaskContext",

@@ -17,9 +17,10 @@ How many cells an episode gets is derived from what the engine can
 observe.  With no modeled link time and nothing to pipeline (payload not
 chunkable) there is nothing a DAG could overlap, so the whole movement
 is **one cell**, run by the rank whose deposit completed the episode.
-Otherwise the cells take one of three shapes, selected per call, per
-runtime default, or by the measured-trajectory tuner
-(``Runtime(algorithm="auto")``, see :mod:`repro.runtime.autotune`):
+Otherwise the cells take one of three shapes -- the one the call pins
+(``algorithm=`` / ``chunk_bytes=``), else the runtime's default
+(``Runtime(algorithm="hierarchical")`` means ``pipelined`` at
+:data:`DEFAULT_CHUNK_BYTES`, ``"flat"`` means ``flat``):
 
 * ``flat`` -- direct source->destination cells, whole payloads;
 * ``hierarchical`` -- cells follow the topology tree of
@@ -43,7 +44,8 @@ Time is modeled, not measured: when ``Runtime.icoll_link_time_per_mib``
 is nonzero every cell sleeps (virtually, under ``backend="coop"``) in
 proportion to the bytes it moves, and cells sharing a sending port
 serialise -- the single-port model that makes store-and-forward vs
-pipelined measurable and deterministic in ``BENCH_collectives.json``.
+pipelined measurable and deterministic
+(``benchmarks/test_icollectives_scaling.py``).
 """
 
 from __future__ import annotations
@@ -161,9 +163,9 @@ class _Episode:
         self.kind = kind
         self.root = root
         self.op = op
-        # the creating rank's requested algorithm/chunk (None = let the
-        # runtime's selector decide at plan time, when payload sizes
-        # are known); ranks must agree on explicit overrides
+        # the creating rank's requested algorithm/chunk (None = the
+        # engine's default shape); ranks must agree on explicit
+        # overrides
         self.req_algorithm = req_algorithm
         self.req_chunk = req_chunk
         self.algorithm = "?"
@@ -235,11 +237,9 @@ class IcollState:
     check ``share(world_a, world_b)`` (``None`` = every delivery
     clones).  ``make_cond``/``clock``/``sleep`` come from the execution
     backend (``sleep`` serves the modeled link time), ``link_time``
-    returns seconds per MiB per cell, and ``selector`` is the callable
-    ``(kind, nbytes, size) -> (algorithm, chunk_bytes)`` consulted when
-    a call does not pin the algorithm explicitly (``nbytes`` is itself
-    a callable: only a size-driven selector pays for measuring the
-    largest contribution)."""
+    returns seconds per MiB per cell, and ``shape`` is the
+    ``(algorithm, chunk_bytes)`` pair of episodes whose call does not
+    pin the algorithm."""
 
     def __init__(
         self,
@@ -257,7 +257,7 @@ class IcollState:
         clock: Optional[Callable[[], float]] = None,
         sleep: Optional[Callable[[float], None]] = None,
         link_time: Optional[Callable[[], float]] = None,
-        selector: Optional[Callable[..., Tuple[str, int]]] = None,
+        shape: Tuple[str, int] = ("pipelined", DEFAULT_CHUNK_BYTES),
         owner: Optional[Any] = None,
     ) -> None:
         if size < 1:
@@ -272,7 +272,7 @@ class IcollState:
         self._clock = clock if clock is not None else time.monotonic
         self._sleep = sleep
         self._link_time = link_time
-        self._selector = selector
+        self._shape = shape
         #: the runtime this state answers to (waitany park-owner check)
         self.owner = owner
         if levels is None:
@@ -421,20 +421,9 @@ class IcollState:
     def _resolve_algorithm(self, ep: _Episode) -> None:
         algo, cb = ep.req_algorithm, ep.req_chunk
         if algo is None:
-            if self._selector is not None:
-                # the tuner's trajectory names ops after the i* methods
-                algo, sel_cb = self._selector(
-                    "i" + ep.kind,
-                    lambda: max(
-                        (payload_nbytes(c) for c in ep.contrib
-                         if c is not None), default=0,
-                    ),
-                    self.size,
-                )
-                if cb is None:
-                    cb = sel_cb
-            else:
-                algo = "pipelined"
+            algo, default_cb = self._shape
+            if cb is None:
+                cb = default_cb
         if cb is None:
             cb = DEFAULT_CHUNK_BYTES if algo == "pipelined" else 0
         ep.algorithm = algo

@@ -1,21 +1,16 @@
-"""Point-to-point message plumbing: envelopes, matchers and mailboxes.
+"""Point-to-point message plumbing: envelopes, the matcher and mailboxes.
 
 Each task owns one :class:`Mailbox`.  Senders post an
 :class:`Envelope`; receivers match on ``(communicator context, source,
-tag)`` with MPI wildcard semantics.  Two matchers implement the
-pending-message store:
+tag)`` with MPI wildcard semantics.  The pending-message store is the
+:class:`IndexedMatcher`: per-``(context, src, tag)`` bucketed FIFO
+queues plus a monotone arrival stamp.  Exact receives are O(1) bucket
+lookups; wildcard (``ANY_SOURCE``/``ANY_TAG``) receives scan only the
+*non-empty* buckets of the context and pick the head with the smallest
+stamp -- the message an arrival-order linear scan would match (the
+property suite holds it to that scan, ``tests/oracle.py``).
 
-* :class:`IndexedMatcher` -- what every runtime mailbox uses:
-  per-``(context, src, tag)`` bucketed FIFO queues plus a monotone
-  arrival stamp.  Exact receives are O(1) bucket lookups; wildcard
-  (``ANY_SOURCE``/``ANY_TAG``) receives scan only the *non-empty*
-  buckets of the context and pick the head with the smallest stamp,
-  reproducing the linear matcher's arrival-order semantics exactly.
-* :class:`LinearMatcher` -- the seed-era reference: one arrival-order
-  list, O(pending) scan per receive.  Kept as the semantics oracle the
-  property suite drives through ``Mailbox(matcher="linear")``.
-
-Either way, matching in arrival order together with a per-(src, dst)
+Matching in arrival order together with a per-(src, dst)
 sequence number gives the MPI non-overtaking guarantee: two messages
 from the same source on the same communicator and tag are received in
 the order they were sent.
@@ -81,43 +76,6 @@ class Status:
     nbytes: int = 0
 
 
-class LinearMatcher:
-    """Arrival-order list with O(pending) scans (the seed matcher).
-
-    ``comparisons`` counts envelopes examined -- the cost metric the
-    indexed matcher is benchmarked against.
-    """
-
-    algorithm = "linear"
-
-    def __init__(self) -> None:
-        self._pending: List[Envelope] = []
-        self._stamp = 0
-        self.comparisons = 0
-
-    def __len__(self) -> int:
-        return len(self._pending)
-
-    def add(self, env: Envelope) -> None:
-        env.arrival = self._stamp
-        self._stamp += 1
-        self._pending.append(env)
-
-    def take(self, source: int, tag: int, context: int) -> Optional[Envelope]:
-        for i, env in enumerate(self._pending):
-            self.comparisons += 1
-            if env.matches(source, tag, context):
-                return self._pending.pop(i)
-        return None
-
-    def peek(self, source: int, tag: int, context: int) -> Optional[Envelope]:
-        for env in self._pending:
-            self.comparisons += 1
-            if env.matches(source, tag, context):
-                return env
-        return None
-
-
 class IndexedMatcher:
     """Bucketed FIFO queues: O(1) exact match, O(buckets) wildcards.
 
@@ -126,13 +84,12 @@ class IndexedMatcher:
     scans only ever visit live traffic.  Arrival stamps are monotone per
     mailbox, so "the pending message that arrived first" is well defined
     across buckets -- wildcard receives pick the minimum-stamp head,
-    which is exactly the message the linear scan would have matched.
+    which is exactly the message a linear scan would have matched.
 
     ``comparisons`` counts bucket examinations (one per exact lookup,
-    one per candidate bucket for wildcards) -- deliberately the same
-    unit as :class:`LinearMatcher` counts envelopes, since the linear
-    scan examines one envelope per step and the indexed scan one bucket
-    head per step.
+    one per candidate bucket for wildcards) -- the same unit as a linear
+    scan counting envelopes, since that scan examines one envelope per
+    step and the indexed scan one bucket head per step.
     """
 
     algorithm = "indexed"
@@ -202,21 +159,15 @@ class IndexedMatcher:
         return self._ctx[context][key][0]
 
 
-_MATCHERS = {"indexed": IndexedMatcher, "linear": LinearMatcher}
-
-
 class Mailbox:
     """Pending-message store for one task, with blocking matched receive."""
 
     def __init__(self, owner: int, abort_flag: threading.Event,
-                 *, timeout: float = 30.0, matcher: str = "indexed",
+                 *, timeout: float = 30.0,
                  condition: Optional[Any] = None,
                  clock: Optional[Any] = None) -> None:
         self.owner = owner
-        try:
-            self.matcher = _MATCHERS[matcher]()
-        except KeyError:
-            raise ValueError(f"unknown mailbox matcher {matcher!r}") from None
+        self.matcher = IndexedMatcher()
         # The execution backend injects how a receiver parks and tells
         # time: a real Condition + time.monotonic (threads), or a
         # scheduler-parking CoopWaker + the virtual clock (coop).
@@ -386,7 +337,6 @@ __all__ = [
     "ANY_TAG",
     "Envelope",
     "Status",
-    "LinearMatcher",
     "IndexedMatcher",
     "Mailbox",
 ]

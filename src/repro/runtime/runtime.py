@@ -72,6 +72,33 @@ class Runtime:
         Deadlock watchdog in seconds for blocking operations.
     pinning:
         Optional explicit task -> PU map (default round-robin).
+    algorithm:
+        Default cell shape of collectives whose call pins none:
+        ``"hierarchical"`` (the topology tree, large arrays chunked at
+        ``DEFAULT_CHUNK_BYTES``) or ``"flat"`` (direct copies).
+        Defaults to the class's ``collective_algorithm``; anything else
+        raises ``MPIError``.
+    sharing:
+        ``"private"`` (every delivery clones) or ``"shared"`` (tasks in
+        one address space may receive collective and point-to-point
+        payloads by reference).
+    faults:
+        A ``repro.faults`` plan or injector to install (``None`` =
+        chaos off); same as calling :meth:`install_faults`.
+    backend:
+        ``"threads"`` (one OS thread per task) or ``"coop"`` (the
+        cooperative scheduler with a virtual clock).
+    schedule:
+        Coop interleaving: ``None``/``"fifo"``, ``"random:SEED"``, a
+        recorded ``ScheduleTrace`` to replay, or a ``SchedulePolicy``.
+        Only valid with ``backend="coop"``.
+    registry:
+        A shared ``BaseAddressRegistry`` to draw arena regions from, so
+        several runtimes (the job service's tenants) get disjoint
+        regions; default is a registry of this runtime's own.
+    name:
+        Namespace prefixed to this runtime's arena names; generated
+        from ``registry`` when one is given and ``name`` is not.
     """
 
     backend_name = "mpc-thread"
@@ -79,9 +106,9 @@ class Runtime:
     copy_at_send_intra_node = False
     #: do tasks on the same node share an address space?
     shared_node_address_space = True
-    #: default cell shape of collectives ("flat" | "hierarchical" |
-    #: "auto", see _icoll_select); the thread backend exploits the
-    #: topology, the process baseline keeps direct copies
+    #: default cell shape of collectives: "hierarchical" (the topology
+    #: tree with DEFAULT_CHUNK_BYTES chunking, what the thread backend
+    #: uses) or "flat" (direct copies, the process baseline)
     collective_algorithm = "hierarchical"
     #: does the backend emulate RMA windows with per-origin mirror
     #: copies?  False for the thread backend (one window, shared);
@@ -124,7 +151,7 @@ class Runtime:
         name: Optional[str] = None,
     ) -> None:
         if algorithm is not None:
-            if algorithm not in ("flat", "hierarchical", "auto"):
+            if algorithm not in ("flat", "hierarchical"):
                 raise MPIError(f"unknown collective algorithm {algorithm!r}")
             self.collective_algorithm = algorithm
         if sharing not in ("private", "shared"):
@@ -200,8 +227,6 @@ class Runtime:
         #: pipelined-vs-store-and-forward comparison is virtual-clock
         #: deterministic.
         self.icoll_link_time_per_mib = 0.0
-        #: lazily-loaded trajectory tuner (algorithm="auto" only)
-        self._tuner: Optional[Any] = None
         self._world_context = self.alloc_context()
         # Per-task stat shards, aggregated on read by the ``stats``
         # property: send-side counters land in the sender's shard, the
@@ -473,7 +498,11 @@ class Runtime:
                     clock=self._backend.now,
                     sleep=self.task_sleep,
                     link_time=lambda: self.icoll_link_time_per_mib,
-                    selector=self._icoll_select,
+                    shape=(
+                        ("pipelined", DEFAULT_CHUNK_BYTES)
+                        if self.collective_algorithm == "hierarchical"
+                        else ("flat", 0)
+                    ),
                     owner=self,
                 )
                 self._icoll_states[context] = st
@@ -482,22 +511,6 @@ class Runtime:
                     f"context {context} already bound to size {st.size}"
                 )
             return st
-
-    def _icoll_select(self, kind: str, nbytes: Callable[[], int], size: int):
-        """Per-episode (algorithm, chunk_bytes) cell shape for
-        collectives whose caller did not pin one.  ``auto`` consults
-        the measured trajectory (repro.runtime.autotune) with the
-        largest contribution's size, ``nbytes()``; the fixed algorithms
-        map directly."""
-        if self.collective_algorithm == "auto":
-            if self._tuner is None:
-                from repro.runtime.autotune import CollectiveTuner
-
-                self._tuner = CollectiveTuner.from_bench()
-            return self._tuner.select(kind, nbytes(), size, self.sharing)
-        if self.collective_algorithm == "hierarchical":
-            return "pipelined", DEFAULT_CHUNK_BYTES
-        return "flat", 0
 
     def make_world_comm(self, rank: int) -> Comm:
         return Comm(self, self._world_context, self._world_group, rank)

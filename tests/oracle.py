@@ -5,9 +5,22 @@
 Blocking and nonblocking collectives are the same code (deposit + wait
 on :class:`repro.runtime.icoll.IcollState`), so comparing one with the
 other proves nothing.  The independent implementation is the flat
-:class:`repro.runtime.collectives.CollectiveState`, driven here by plain
-threads through a ``Comm``-shaped handle so a test's ``main(ctx)`` runs
+:class:`CollectiveState`: a blackboard guarded by a condition variable
+and a generation-counting barrier.  The protocol for every data
+collective is *write -> barrier -> read -> barrier*: the second barrier
+guarantees the blackboard is not overwritten by a subsequent collective
+before every task has read it.  Value semantics come from cloning on the
+read side; reductions fold in ascending rank order and clone every
+contribution at the fold boundary, which is the order and discipline the
+engine must reproduce bit for bit.  It is driven here by plain threads
+through a ``Comm``-shaped handle so a test's ``main(ctx)`` runs
 unchanged against either.
+
+**Matcher.**  :class:`LinearMatcher` is the seed-era pending-message
+store: one arrival-order list, O(pending) scan per receive.  The
+property suite assigns it to a mailbox (``mbox.matcher =
+LinearMatcher()``) and requires :class:`IndexedMatcher` to deliver the
+same messages in the same order.
 
 **Cache simulator.**  :class:`ReferenceHierarchy` is the per-access
 implementation ``CacheHierarchy`` shipped with before the fused kernel:
@@ -17,12 +30,167 @@ scanning the holders.  Slow and obviously right.
 """
 
 import threading
+import time
 from types import SimpleNamespace
+from typing import Any, Callable, List, Optional
 
 from repro.memsim.hierarchy import MEMORY_LEVEL, REMOTE_LEVEL, CacheHierarchy
 from repro.runtime import SUM
-from repro.runtime.collectives import CollectiveState
+from repro.runtime.abort import Watchdog, subscribe_abort
+from repro.runtime.errors import CountMismatchError
+from repro.runtime.message import Envelope
+from repro.runtime.ops import Op
 from repro.runtime.payload import clone
+
+
+class CollectiveState:
+    """Flat blackboard + barrier shared by the tasks of one communicator."""
+
+    def __init__(
+        self,
+        size: int,
+        abort_flag: threading.Event,
+        *,
+        timeout: float = 30.0,
+        clone: Callable[[Any], Any] = lambda x: x,
+    ) -> None:
+        if size < 1:
+            raise ValueError("communicator size must be >= 1")
+        self.size = size
+        self._abort = abort_flag
+        self._timeout = timeout
+        self._clone = clone
+        self._cond = threading.Condition()
+        self._count = 0
+        self._generation = 0
+        self.board: List[Any] = [None] * size
+        # Abort is announced, not discovered: wake parked waiters.
+        subscribe_abort(abort_flag, self._abort_wake)
+
+    # ------------------------------------------------------------------ utils
+    def _abort_wake(self) -> None:
+        with self._cond:
+            self._cond.notify_all()
+
+    def _check_root(self, root: int) -> None:
+        if not 0 <= root < self.size:
+            raise ValueError(f"root {root} outside communicator of size {self.size}")
+
+    def _fold(self, op: Op, upto: int) -> Any:
+        # Clone each contribution at the fold boundary: a mutating op --
+        # or one returning a view of its second argument -- must never
+        # touch the board entry another rank contributed.
+        out = self._clone(self.board[0])
+        for r in range(1, upto + 1):
+            out = op(out, self._clone(self.board[r]))
+        return out
+
+    # ----------------------------------------------------------------- barrier
+    def barrier(self, rank: Optional[int] = None) -> None:
+        with self._cond:
+            gen = self._generation
+            self._count += 1
+            if self._count == self.size:
+                self._count = 0
+                self._generation += 1
+                self._cond.notify_all()
+                return
+            # progress token: arrivals at this barrier
+            dog = Watchdog(self._abort, time.monotonic, self._timeout, lambda: (
+                "job aborted during barrier",
+                f"barrier timed out with {self._count}/{self.size} arrived -- "
+                f"collective mismatch?",
+            ))
+            while self._generation == gen:
+                self._cond.wait(timeout=dog.tick(self._count))
+
+    # ------------------------------------------------------------ collectives
+    def bcast(self, rank: int, obj: Any, root: int) -> Any:
+        self._check_root(root)
+        if rank == root:
+            self.board[root] = obj
+        self.barrier()
+        val = obj if rank == root else self._clone(self.board[root])
+        self.barrier()
+        return val
+
+    def gather(self, rank: int, obj: Any, root: int) -> Optional[List[Any]]:
+        self._check_root(root)
+        self.board[rank] = obj
+        self.barrier()
+        out = (
+            [self._clone(self.board[r]) for r in range(self.size)]
+            if rank == root
+            else None
+        )
+        self.barrier()
+        return out
+
+    def allgather(self, rank: int, obj: Any) -> List[Any]:
+        self.board[rank] = obj
+        self.barrier()
+        out = [self._clone(self.board[r]) for r in range(self.size)]
+        self.barrier()
+        return out
+
+    def scatter(self, rank: int, objs: Optional[List[Any]], root: int) -> Any:
+        self._check_root(root)
+        if rank == root:
+            if objs is None or len(objs) != self.size:
+                raise CountMismatchError(
+                    f"scatter at root needs a list of {self.size} items"
+                )
+            self.board[root] = objs
+        self.barrier()
+        item = self.board[root][rank]
+        val = item if rank == root else self._clone(item)
+        self.barrier()
+        return val
+
+    def reduce(self, rank: int, obj: Any, op: Op, root: int) -> Optional[Any]:
+        self._check_root(root)
+        self.board[rank] = obj
+        self.barrier()
+        out = self._fold(op, self.size - 1) if rank == root else None
+        self.barrier()
+        return out
+
+    def allreduce(self, rank: int, obj: Any, op: Op) -> Any:
+        self.board[rank] = obj
+        self.barrier()
+        # every rank folds concurrently, so an uncloned contribution
+        # would be corrupted under every other rank's fold at once
+        out = self._fold(op, self.size - 1)
+        self.barrier()
+        return out
+
+    def scan(self, rank: int, obj: Any, op: Op) -> Any:
+        """Inclusive prefix reduction."""
+        self.board[rank] = obj
+        self.barrier()
+        out = self._fold(op, rank)
+        self.barrier()
+        return out
+
+    def alltoall(self, rank: int, objs: List[Any]) -> List[Any]:
+        if len(objs) != self.size:
+            raise CountMismatchError(
+                f"alltoall needs exactly {self.size} items, got {len(objs)}"
+            )
+        self.board[rank] = objs
+        self.barrier()
+        out = [self._clone(self.board[r][rank]) for r in range(self.size)]
+        self.barrier()
+        return out
+
+    def exchange(self, rank: int, obj: Any) -> List[Any]:
+        """allgather without cloning."""
+        self.board[rank] = obj
+        self.barrier()
+        out = list(self.board)
+        self.barrier()
+        return out
+
 
 
 class RefComm:
@@ -86,6 +254,43 @@ def run_reference(n, main, *args, timeout=20.0):
     if errors:
         raise errors[min(errors)]
     return results
+
+
+class LinearMatcher:
+    """Arrival-order list with O(pending) scans (the seed matcher).
+
+    ``comparisons`` counts envelopes examined -- the cost metric the
+    indexed matcher is benchmarked against.
+    """
+
+    algorithm = "linear"
+
+    def __init__(self) -> None:
+        self._pending: List[Envelope] = []
+        self._stamp = 0
+        self.comparisons = 0
+
+    def __len__(self) -> int:
+        return len(self._pending)
+
+    def add(self, env: Envelope) -> None:
+        env.arrival = self._stamp
+        self._stamp += 1
+        self._pending.append(env)
+
+    def take(self, source: int, tag: int, context: int) -> Optional[Envelope]:
+        for i, env in enumerate(self._pending):
+            self.comparisons += 1
+            if env.matches(source, tag, context):
+                return self._pending.pop(i)
+        return None
+
+    def peek(self, source: int, tag: int, context: int) -> Optional[Envelope]:
+        for env in self._pending:
+            self.comparisons += 1
+            if env.matches(source, tag, context):
+                return env
+        return None
 
 
 class ReferenceHierarchy(CacheHierarchy):

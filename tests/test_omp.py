@@ -1,6 +1,7 @@
 """Tests for the mini OpenMP layer (teams, two-level TLS, hybrid)."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +17,8 @@ from repro.omp import (
     master_only_time,
     omp_parallel,
 )
-from repro.runtime import DeadlockError, Runtime
+from repro.runtime import AbortError, DeadlockError, Runtime
+from tests.test_runtime_one_engine import CountingCond
 
 
 class TestTeamBasics:
@@ -114,6 +116,65 @@ class TestWorkshare:
         team = Team(4)
         out = team.run(lambda t: t.thread_num + 1)
         assert team.reduce(out, lambda a, b: a + b) == 10
+
+
+class TimeoutCountingCond(CountingCond):
+    """Also counts the waits that ended by timeout, not by a notify."""
+
+    timeouts = 0
+
+    def wait(self, timeout=None):
+        woken = self._cond.wait(timeout)
+        if not woken:
+            self.timeouts += 1
+        return woken
+
+
+class TestTeamWaits:
+    def test_singles_are_woken_not_polled(self):
+        """The arrival that assembles the team wakes the executor parked
+        in ``single_done``; nobody finds out by a timed-out wait."""
+        team = Team(4)
+        team._cond = TimeoutCountingCond(team._cond)
+
+        def body(t):
+            for _ in range(20):
+                if t.single():
+                    t.single_done()
+
+        team.run(body)
+        assert team.barriers == 20
+        assert team._cond.timeouts == 0
+
+    def test_failing_thread_aborts_parked_and_late_peers(self):
+        team = Team(4, timeout=30.0)
+        failing = threading.Event()
+        seen = {}
+
+        def body(t):
+            if t.thread_num == 0:
+                while team._count < 2:        # peers 1 and 2 are parked
+                    time.sleep(0.001)
+                failing.set()
+                raise ValueError("thread boom")
+            if t.thread_num == 3:             # arrives after the failure
+                assert failing.wait(10.0)
+                time.sleep(0.05)
+            t0 = time.monotonic()
+            try:
+                t.barrier()
+                seen[t.thread_num] = "passed the barrier"
+            except AbortError:
+                seen[t.thread_num] = time.monotonic() - t0
+                raise
+
+        t0 = time.monotonic()
+        with pytest.raises(ValueError, match="thread boom"):
+            team.run(body)
+        assert time.monotonic() - t0 < 5.0    # not the 30 s timeout
+        assert sorted(seen) == [1, 2, 3]
+        assert all(isinstance(v, float) for v in seen.values()), seen
+        assert seen[3] < 0.5                  # a late arriver does not park
 
 
 class TestTwoLevelTLS:

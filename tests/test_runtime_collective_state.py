@@ -8,9 +8,9 @@ import threading
 import numpy as np
 import pytest
 
-from repro.runtime.collectives import CollectiveState
 from repro.runtime.errors import AbortError, DeadlockError
 from repro.runtime.payload import clone
+from tests.oracle import CollectiveState
 
 
 def make_state(n, timeout=5.0, abort=None):

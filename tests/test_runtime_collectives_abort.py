@@ -14,9 +14,8 @@ import pytest
 
 from repro.machine import core2_cluster, small_test_machine
 from repro.runtime import AbortError, Runtime, SUM
-from repro.runtime.collectives import CollectiveState
 from repro.runtime.payload import clone
-from tests.oracle import RefComm
+from tests.oracle import CollectiveState, RefComm
 
 ALGOS = ["flat", "hierarchical"]
 

@@ -11,7 +11,6 @@ and therefore the same per-(src, context, tag) FIFO guarantee.
 
 import itertools
 
-import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.runtime.message import (
@@ -19,8 +18,8 @@ from repro.runtime.message import (
     ANY_TAG,
     Envelope,
     IndexedMatcher,
-    LinearMatcher,
 )
+from tests.oracle import LinearMatcher
 
 SRCS = [0, 1, 2]
 TAGS = [0, 1, 2]
@@ -152,14 +151,6 @@ class TestMatcherUnits:
         assert m.take(ANY_SOURCE, ANY_TAG, 2) is None
         assert m.take(0, 0, 1).payload == "ctx1"
 
-    def test_unknown_matcher_name_rejected(self):
-        import threading
-
-        from repro.runtime.message import Mailbox
-
-        with pytest.raises(ValueError):
-            Mailbox(0, threading.Event(), matcher="quadratic")
-
 
 @settings(max_examples=15, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
@@ -172,16 +163,12 @@ def test_property_runtime_matchers_agree_end_to_end(plan):
     from repro.runtime import ANY_SOURCE as ANY_SRC, ANY_TAG as ANY_T
     from repro.runtime import Runtime, Status
 
-    from repro.runtime.message import Mailbox
-
     def job(matcher):
         rt = Runtime(n_tasks=3, timeout=10.0)
         # runtime mailboxes are always indexed; swap in the matcher
         # under test before any task runs
-        rt._mailboxes = [
-            Mailbox(r, rt.abort_flag, timeout=10.0, matcher=matcher)
-            for r in range(rt.n_tasks)
-        ]
+        for mbox in rt._mailboxes:
+            mbox.matcher = matcher()
 
         def main(ctx):
             c = ctx.comm_world
@@ -199,8 +186,8 @@ def test_property_runtime_matchers_agree_end_to_end(plan):
 
         return rt.run(main)[0]
 
-    res_indexed = job("indexed")
-    res_linear = job("linear")
+    res_indexed = job(IndexedMatcher)
+    res_linear = job(LinearMatcher)
     for src in (1, 2):
         expect = [i for i, (s, _) in enumerate(plan) if s == src]
         assert [v for s, v in res_indexed if s == src] == expect

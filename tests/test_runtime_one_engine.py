@@ -238,3 +238,51 @@ def test_rejected_call_deposits_nothing():
         return c.reduce_scatter([ctx.rank, 10 + ctx.rank])
 
     assert rt.run(main) == [1, 21]
+
+
+# ------------------------------------------------------------- cell shape
+def test_auto_is_an_unknown_algorithm():
+    with pytest.raises(MPIError, match="unknown collective algorithm 'auto'"):
+        Runtime(core2_cluster(1), n_tasks=2, algorithm="auto")
+    rt = Runtime(core2_cluster(1), n_tasks=2, timeout=5.0)
+    with pytest.raises(MPIError, match="unknown collective algorithm 'auto'"):
+        rt.run(lambda ctx: ctx.comm_world.iallreduce(1, SUM, algorithm="auto"))
+
+
+def test_a_call_may_pin_its_shape_over_the_runtime_default():
+    x = np.ones(32 << 10)                        # 256 KiB
+
+    def planned(runtime_algorithm, **pin):
+        rt = Runtime(core2_cluster(1), n_tasks=4, backend="coop",
+                     algorithm=runtime_algorithm)
+        rt.run(lambda ctx: ctx.comm_world.iallreduce(x, SUM, **pin).wait())
+        m = rt.collective_metrics
+        return dict(m.icoll_episodes), m.icoll_cells
+
+    per_chunk = 3 + 3                            # folds, copies
+    assert planned("hierarchical") == ({"pipelined": 1}, 4 * per_chunk)
+    assert planned("flat") == ({"flat": 1}, 1)
+    assert planned("hierarchical", algorithm="flat") == ({"flat": 1}, 1)
+    assert planned("hierarchical", chunk_bytes=128 << 10) == (
+        {"pipelined": 1}, 2 * per_chunk)
+    assert planned("flat", algorithm="pipelined") == (
+        {"pipelined": 1}, 4 * per_chunk)
+
+
+def test_src_reads_no_environment_and_no_trajectory_file():
+    """A runtime's behaviour is a function of its arguments: nothing
+    under ``src/repro`` consults the environment or a ``BENCH_*`` file."""
+    import pathlib
+    import re
+
+    import repro
+
+    banned = re.compile(r"os\.environ|getenv|BENCH_")
+    root = pathlib.Path(repro.__file__).parent
+    hits = [
+        f"{path.relative_to(root)}:{n}"
+        for path in sorted(root.rglob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if banned.search(line)
+    ]
+    assert hits == []
