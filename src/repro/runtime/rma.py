@@ -713,7 +713,13 @@ class Win:
         from the old whole-window data_lock so disjoint-chunk traffic
         no longer serialises).  ``apply(seg, contrib)`` runs with the
         span held and its return value is passed through, so the
-        atomicity guarantee cannot drift between the backends."""
+        atomicity guarantee cannot drift between the backends.
+
+        In memory this is the atomics' hot path (every ``dynamic_for``
+        claim and steal attempt), so it is one straight line: one
+        bounds-checked slice, the direct-access test inline, one chunk
+        lock for a one-chunk access (a sorted span otherwise), and one
+        stats-lock section for every counter the access moves."""
         self._hit("rma.put")
         self._check_live()
         arr = np.asarray(src)
@@ -741,17 +747,44 @@ class Win:
             st.note(bytes=nbytes, staged_copies=1, staged_bytes=nbytes,
                     **{counter: 1})
             return results[0] if results else None
-        seg = self._segment(target, target_disp, int(arr.size))
-        if self._direct(target):
+        count = int(arr.size)
+        buf = self.shared_query(target)
+        self._check_bounds(target, buf.size, target_disp, count)
+        seg = buf[target_disp:target_disp + count]
+        rt = st.runtime
+        comm = self.comm
+        # ``_direct`` for an in-memory window
+        direct = (rt.sharing == "shared" or st.kind == "shared") and \
+            rt.shares_address_space(comm.world_rank, comm.to_world(target))
+        if direct:
             contrib = arr
-            st.note(zero_copy_hits=1, zero_copy_bytes=nbytes)
         else:
             contrib = clone(arr)
-            self._stage(target, nbytes)
-        sync, keys = self._span(target, target_disp, int(arr.size))
-        with sync.span(keys):
-            out = apply(seg, contrib)
-        st.note(bytes=nbytes, **{counter: 1})
+            if rt.rma_mirror_copies:
+                self._mirror(target, nbytes)
+        ce = st.chunk_elems
+        first = target_disp // ce
+        last = (target_disp + count - 1) // ce if count else first - 1
+        if last == first:
+            lock = st.sync.acquire((target, first))
+            try:
+                out = apply(seg, contrib)
+            finally:
+                lock.release()
+        else:
+            with st.sync.span([(target, c) for c in range(first, last + 1)]):
+                out = apply(seg, contrib)
+        c = st.counters
+        with st.stats_lock:
+            c.bytes += nbytes
+            setattr(c, counter, getattr(c, counter) + 1)
+            if direct:
+                c.zero_copy_hits += 1
+                c.zero_copy_bytes += nbytes
+            else:
+                copies = 2 if rt.rma_mirror_copies else 1
+                c.staged_copies += copies
+                c.staged_bytes += copies * nbytes
         return out
 
     def accumulate(

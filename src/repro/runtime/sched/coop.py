@@ -15,6 +15,14 @@ its own pre-acquired lock.  Carriers use a small stack
 (``STACK_BYTES``), so thousands of tasks are cheap: the per-task cost
 is one parked pthread, not a runnable one fighting for the GIL.
 
+A carrier is a stack, not a task: carriers live in one process-wide
+LIFO pool (:class:`CarrierPool`) and outlast the runs they serve.  A
+launch binds each task to a parked carrier's ``resume`` lock -- the
+lock the carrier already sleeps on, so the first dispatch is the same
+release as any other switch -- and spawns only the shortfall.  A
+carrier whose task finished drops every reference to the run and parks
+again; ``launch`` returns once all of its carriers are back.
+
 The launcher (the ``Runtime.run`` caller's thread) is just one more
 token holder with nothing to run: it hands the token to the first
 task, and gets it back only when no carrier could pick a successor --
@@ -44,10 +52,12 @@ same drain, from whichever holder hit it, before ``launch`` raises it.
 from __future__ import annotations
 
 import heapq
+import os
+import sys
 import threading
 import time
 from collections import deque
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.runtime.errors import DeadlockError, MPIError
 from repro.runtime.sched.policy import SchedulePolicy, ScheduleTrace
@@ -67,24 +77,30 @@ STALL_LIMIT_S = 1.0
 NEW, RUNNABLE, RUNNING, PARKED, DONE = range(5)
 
 
+def _parked_lock() -> threading.Lock:
+    lock = threading.Lock()
+    lock.acquire()
+    return lock
+
+
 class CoopTask:
     """Per-task scheduler bookkeeping (one carrier thread each; the
     launcher has one too, rank -1, so it can hold and yield the token
     like any task)."""
 
     __slots__ = (
-        "rank", "thread", "resume", "state", "woke_by_notify",
+        "rank", "resume", "state", "woke_by_notify",
         "deadline", "waker", "inject", "park_seq",
     )
 
-    def __init__(self, rank: int) -> None:
+    def __init__(self, rank: int,
+                 resume: Optional[threading.Lock] = None) -> None:
         self.rank = rank
-        self.thread: Optional[threading.Thread] = None
         #: runner-token handoff: held (pre-acquired) while the task is
         #: off the CPU; whoever picks the task releases it, and the
-        #: task's own ``acquire`` re-arms it
-        self.resume = threading.Lock()
-        self.resume.acquire()
+        #: task's own ``acquire`` re-arms it.  A task's is its carrier's
+        #: lock; only the launcher owns one of its own.
+        self.resume = resume if resume is not None else _parked_lock()
         self.state = NEW
         #: did the last park end by notify (True) or timeout (False)?
         self.woke_by_notify = False
@@ -97,6 +113,117 @@ class CoopTask:
         #: monotone park counter -- the timer heap tiebreaker, which
         #: makes equal-deadline wake order deterministic
         self.park_seq = 0
+
+
+class _Carrier:
+    """One pooled carrier thread's handle."""
+
+    __slots__ = ("name", "resume", "job")
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+        #: pre-acquired; the carrier sleeps on it while parked in the
+        #: pool, and the task bound to it uses it as its ``resume`` lock
+        self.resume = _parked_lock()
+        #: ``(scheduler, task, worker, latch)`` while bound, else None
+        self.job: Optional[Tuple] = None
+
+
+class _Latch:
+    """One launch's carriers still out of the pool; the last one to park
+    again releases ``back``."""
+
+    __slots__ = ("pending", "back")
+
+    def __init__(self, pending: int) -> None:
+        self.pending = pending
+        self.back = _parked_lock()
+
+
+class CarrierPool:
+    """The process-wide LIFO pool of parked carrier threads.
+
+    Its size is its high-water mark: a launch takes the most recently
+    parked carriers first (their stacks are the hottest) and spawns
+    only the shortfall.  Spawning is the one place the process-wide
+    ``threading.stack_size`` is touched, and only under the pool lock,
+    so concurrent launches never restore each other's value."""
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._idle: List[_Carrier] = []
+        self._carriers: List[_Carrier] = []
+
+    def bind(self, sched: "CoopScheduler", n_tasks: int,
+             worker: Callable[[int], None]) -> Tuple[List[CoopTask], _Latch]:
+        """One task per rank, each bound to a parked carrier's
+        ``resume`` lock; the carriers run them once the scheduler
+        dispatches them."""
+        latch = _Latch(n_tasks)
+        tasks = []
+        with self._lock:
+            idle = self._idle
+            if n_tasks > len(idle):
+                self._spawn_locked(n_tasks - len(idle))
+            for rank in range(n_tasks):
+                carrier = idle.pop()
+                task = CoopTask(rank, carrier.resume)
+                carrier.job = (sched, task, worker, latch)
+                tasks.append(task)
+        return tasks, latch
+
+    def bound(self) -> List[str]:
+        """Names of the carriers currently out of the pool."""
+        with self._lock:
+            idle = set(map(id, self._idle))
+            return [c.name for c in self._carriers if id(c) not in idle]
+
+    def _spawn_locked(self, n: int) -> None:
+        # fresh carriers go under the parked ones: cold stacks last
+        fresh = []
+        try:
+            old_stack = threading.stack_size(STACK_BYTES)
+        except (ValueError, RuntimeError):  # pragma: no cover - platform
+            old_stack = None
+        try:
+            for _ in range(n):
+                carrier = _Carrier(f"coop-carrier-{len(self._carriers)}")
+                threading.Thread(target=self._main, args=(carrier,),
+                                 name=carrier.name, daemon=True).start()
+                self._carriers.append(carrier)
+                fresh.append(carrier)
+        finally:
+            self._idle[:0] = fresh
+            if old_stack is not None:
+                threading.stack_size(old_stack)
+
+    def _main(self, carrier: _Carrier) -> None:
+        """Carrier thread body: sleep until a bound task is dispatched,
+        run it, drop every reference to its run, park again."""
+        resume = carrier.resume
+        while True:
+            resume.acquire()
+            sched, task, worker, latch = carrier.job
+            carrier.job = None
+            sched._run(task, worker)
+            sched = task = worker = None
+            with self._lock:
+                self._idle.append(carrier)
+                latch.pending -= 1
+                last = latch.pending == 0
+            if last:
+                latch.back.release()
+            latch = None
+
+    def _after_fork(self) -> None:
+        # a forked child has none of the parent's threads
+        self.__init__()
+
+
+#: the carriers every coop launch in this process draws from
+CARRIER_POOL = CarrierPool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=CARRIER_POOL._after_fork)
 
 
 class CoopScheduler:
@@ -159,7 +286,7 @@ class CoopScheduler:
             policy=self.policy.name, seed=self.policy.seed,
             preemptive=self.policy.preemptive, n_tasks=self.n_tasks,
         )
-        self.tasks = [CoopTask(r) for r in range(self.n_tasks)]
+        self.tasks, latch = CARRIER_POOL.bind(self, self.n_tasks, worker)
         self._runq = deque()
         self._timers = []
         self._extern.clear()
@@ -172,7 +299,6 @@ class CoopScheduler:
             t.state = RUNNABLE
             self._runq.append(t)
         self.max_runq_depth = max(self.max_runq_depth, len(self._runq))
-        self._spawn_carriers(worker)
         try:
             while True:
                 # hand the token to a task; it comes back only when no
@@ -188,43 +314,30 @@ class CoopScheduler:
                     self._stall()
         finally:
             self._recording = False
-            for t in self.tasks:
-                if t.thread is not None:
-                    t.thread.join()
+            # every carrier this launch bound is parked again
+            if self.tasks:
+                latch.back.acquire()
         if self._error is not None:
             raise self._error
 
-    def _spawn_carriers(self, worker: Callable[[int], None]) -> None:
-        try:
-            old_stack = threading.stack_size(STACK_BYTES)
-        except (ValueError, RuntimeError):  # pragma: no cover - platform
-            old_stack = None
-        try:
-            for t in self.tasks:
-                t.thread = threading.Thread(
-                    target=self._carrier, args=(t, worker),
-                    name=f"coop-task-{t.rank}", daemon=True,
-                )
-                t.thread.start()
-        finally:
-            if old_stack is not None:
-                try:
-                    threading.stack_size(old_stack)
-                except (ValueError, RuntimeError):  # pragma: no cover
-                    pass
-
-    def _carrier(self, task: CoopTask, worker: Callable[[int], None]) -> None:
-        """Carrier thread body: wait for the runner token, run the
-        task to completion, pass the token on one last time."""
-        task.resume.acquire()
+    def _run(self, task: CoopTask, worker: Callable[[int], None]) -> None:
+        """A carrier's turn on ``task`` (it holds the runner token): run
+        the task to completion, pass the token on one last time.  This
+        is the task's thread top level, so an exception escaping
+        ``worker`` goes to ``threading.excepthook`` exactly as a
+        thread's own bootstrap would send it -- and the carrier, which
+        the launch is still counting on, lives on."""
         self._tls.task = task
         try:
             worker(task.rank)
-        finally:
-            with self._qlock:
-                task.state = DONE
-                self._alive -= 1
-            self._switch(task)
+        except BaseException:  # noqa: BLE001 - a thread's top level
+            threading.excepthook(threading.ExceptHookArgs(
+                (*sys.exc_info(), threading.current_thread())))
+        with self._qlock:
+            task.state = DONE
+            self._alive -= 1
+        self._switch(task)
+        self._tls.task = None
 
     # ------------------------------------------------------- token handoff
     def _switch(self, me: CoopTask) -> None:
@@ -395,4 +508,6 @@ class CoopScheduler:
         self.finish_park(task)
 
 
-__all__ = ["CoopScheduler", "CoopTask", "STACK_BYTES"]
+__all__ = [
+    "CARRIER_POOL", "CarrierPool", "CoopScheduler", "CoopTask", "STACK_BYTES",
+]

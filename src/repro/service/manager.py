@@ -37,6 +37,7 @@ percentiles).  :mod:`repro.service.server` serves both over HTTP.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from collections import deque
@@ -70,12 +71,23 @@ class Job:
     finished_at: Optional[float] = None
     results: Optional[List[Any]] = None
     error: Optional[BaseException] = None
-    metrics: Optional[Dict[str, Dict]] = None   # frozen unified snapshot
+    #: the frozen unified snapshot as its canonical JSON: a finished job
+    #: is kept for the service's lifetime, and the nested dicts cost
+    #: about 2.6x the bytes of their text
+    metrics_json: Optional[str] = None
     leak_bytes: int = 0
     runtime: Any = None              # live Runtime while running (task apps)
     done: threading.Event = field(default_factory=threading.Event)
 
     # ------------------------------------------------------------ derived
+    @property
+    def metrics(self) -> Optional[Dict[str, Dict]]:
+        """The frozen unified metrics snapshot (None until the job's
+        runtime finished)."""
+        if self.metrics_json is None:
+            return None
+        return json.loads(self.metrics_json)
+
     @property
     def queue_wait_s(self) -> Optional[float]:
         if self.admitted_at is None:
@@ -337,7 +349,7 @@ class JobManager:
                     # even a crashed job gets its final metrics snapshot
                     # and its teardown enforced
                     try:
-                        job.metrics = rt.metrics().snapshot()
+                        job.metrics_json = rt.metrics().to_json()
                     except Exception:   # pragma: no cover - best effort
                         pass
                     report = rt.finalize()
@@ -395,8 +407,9 @@ class JobManager:
         completion snapshot for finished jobs, a live snapshot for a
         running task-app job, None before the runtime exists."""
         job = self.job(job_id)
-        if job.metrics is not None:
-            return job.metrics
+        snap = job.metrics
+        if snap is not None:
+            return snap
         rt = job.runtime
         if rt is not None:
             return rt.metrics().snapshot()

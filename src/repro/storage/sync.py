@@ -32,11 +32,13 @@ class ChunkSynchronizer:
         self.waits = 0
 
     def lock_for(self, key: Hashable) -> threading.Lock:
-        with self._master:
-            lock = self._locks.get(key)
-            if lock is None:
-                lock = self._locks[key] = threading.Lock()
-            return lock
+        # a key's lock never changes once made, so only a miss needs the
+        # master lock (a dict read is atomic)
+        lock = self._locks.get(key)
+        if lock is None:
+            with self._master:
+                lock = self._locks.setdefault(key, threading.Lock())
+        return lock
 
     def acquire(self, key: Hashable) -> threading.Lock:
         """Acquire one key's lock, counting a wait if it was contended."""

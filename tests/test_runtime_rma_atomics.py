@@ -207,3 +207,98 @@ def test_atomics_metrics_counters(factory):
     snap = m.snapshot()
     assert snap["fetch_and_ops"] == 2 * N
     assert snap["compare_and_swaps"] == N
+
+
+#: window elements per rank: two default-sized chunk locks, so an
+#: accumulate at ``MULTI_DISP`` spans a chunk boundary
+SEG = 1032
+MULTI_DISP, MULTI_LEN = 1020, 8
+#: one rank's RMW mix against one window: payload bytes, operations and
+#: chunk-lock acquisitions (fetch_and_op x2, compare_and_swap,
+#: one-chunk accumulate, two-chunk accumulate)
+MIX_BYTES = 8 * (2 + 1 + 1 + MULTI_LEN)
+MIX_OPS = 5
+MIX_ACQUISITIONS = 2 + 1 + 1 + 2
+
+
+def _rmw_mix(win, target):
+    win.fetch_and_op(np.int64(1), target, target_disp=0)
+    win.fetch_and_op(np.int64(1), target, target_disp=0)
+    win.compare_and_swap(np.int64(0), np.int64(5), target, target_disp=1)
+    win.accumulate(np.ones(1, dtype=np.int64), target, target_disp=2)
+    win.accumulate(np.ones(MULTI_LEN, dtype=np.int64), target,
+                   target_disp=MULTI_DISP)
+
+
+@runtime_param
+def test_rmw_core_exact_rma_counters(factory):
+    """The read-modify-write core's full counter contract, pinned
+    exactly: a fixed RMW mix, one rank at a time (so no chunk lock is
+    ever contended), on a ``Win.create`` window and -- where the backend
+    has a shared address space -- an ``allocate_shared`` window.  Staged
+    vs zero-copy accounting, process-backend mirrors, payload bytes and
+    the window synchronizer's ``(acquisitions, waits)`` must all come
+    out to the same numbers whatever the RMW core looks like inside."""
+    def main(ctx):
+        c = ctx.comm_world
+        wins = [Win.create(c, np.zeros(SEG, dtype=np.int64))]
+        if ctx.runtime.shared_node_address_space:
+            wins.append(Win.allocate_shared(c, SEG, np.int64))
+        target = (ctx.rank + 1) % c.size
+        syncs = []
+        for win in wins:
+            win.fence()
+            for turn in range(c.size):
+                if turn == ctx.rank:
+                    _rmw_mix(win, target)
+                c.barrier()
+            seg = win.local().copy()
+            win.fence_end()
+            syncs.append(win._shared.sync.counters())
+            win.free()
+            assert seg[0] == 2 and seg[1] == 5 and seg[2] == 1
+            assert list(seg[MULTI_DISP:MULTI_DISP + MULTI_LEN]) == [1] * 8
+        return syncs
+
+    rt = factory()
+    res = rt.run(main)
+    process = not rt.shared_node_address_space
+    direct_private = rt.sharing == "shared"
+    n_wins = 1 if process else 2
+    assert all(s == [(N * MIX_ACQUISITIONS, 0)] * n_wins for s in res)
+
+    # per window: direct accesses are zero-copy; staged ones cost one
+    # origin copy, two (plus one mirror per origin) on the process backend
+    copies = 2 if process else 1
+    staged_copies = staged = zero_hits = zero = mirror = 0
+    for kind in ("create", "shared")[:n_wins]:
+        if kind == "shared" or direct_private:
+            zero_hits += N * MIX_OPS
+            zero += N * MIX_BYTES
+        else:
+            staged_copies += copies * N * MIX_OPS
+            staged += copies * N * MIX_BYTES
+            if process:
+                mirror += N * SEG * 8
+    total = n_wins * N * MIX_BYTES
+    assert rt.metrics("rma").snapshot() == {
+        "windows": n_wins,
+        "ops": n_wins * N * MIX_OPS,
+        "puts": 0,
+        "gets": 0,
+        "accumulates": n_wins * N * 2,
+        "fetch_and_ops": n_wins * N * 2,
+        "compare_and_swaps": n_wins * N,
+        "bytes": total,
+        "staged_copies": staged_copies,
+        "staged_bytes": staged,
+        "zero_copy_hits": zero_hits,
+        "zero_copy_bytes": zero,
+        "zero_copy_fraction": round(zero / total, 3),
+        "epoch_waits": 0,
+        "fences": n_wins * N * 2,
+        "locks": 0,
+        "mirror_bytes": mirror,
+        "chunk_lock_acquisitions": n_wins * N * MIX_ACQUISITIONS,
+        "chunk_lock_waits": 0,
+    }

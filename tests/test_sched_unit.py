@@ -8,9 +8,12 @@ and the scheduler counter snapshot
 (:class:`~repro.metrics.sched.SchedMetrics`).
 """
 
+import gc
+import json
 import sys
 import threading
 import time
+import weakref
 
 import pytest
 
@@ -29,7 +32,7 @@ from repro.runtime import (
     make_execution_backend,
     make_policy,
 )
-from repro.runtime.sched.coop import CoopScheduler
+from repro.runtime.sched.coop import CARRIER_POOL, DONE, CoopScheduler
 from repro.runtime.sched.waker import CoopWaker
 
 N_TASKS = 4
@@ -318,8 +321,10 @@ class TestCoopWaker:
 
 # ---------------------------------------------------------- token handoff
 def _live_carriers():
-    return [t.name for t in threading.enumerate()
-            if t.name.startswith("coop-task-")]
+    """Carriers still bound to a task: none may be once ``launch``
+    returned (pooled carriers outlive the run, so their thread names
+    say nothing)."""
+    return CARRIER_POOL.bound()
 
 
 class TestTokenHandoff:
@@ -475,4 +480,178 @@ class TestTokenHandoff:
         assert len(drained_by) == 1 and drained_by[0] is not None
         assert rt2.schedule_trace().events == short.events
         assert rt2.abort_flag.is_set()
+        assert _live_carriers() == []
+
+
+# ------------------------------------------------------------ carrier pool
+def _carrier_name():
+    return threading.current_thread().name
+
+
+class TestCarrierPool:
+    """Carriers are pooled stacks: they outlive the runs they serve, so
+    these pin what a parked carrier may (not) hold, who may share one,
+    and that reuse changes no decision."""
+
+    def test_finished_runtime_is_collectable(self):
+        rt = coop_runtime()
+        assert rt.run(lambda ctx: ctx.comm_world.allreduce(1)) == [4] * 4
+        rt.finalize()
+        ref = weakref.ref(rt)
+        del rt
+        gc.collect()
+        assert ref() is None
+        assert _live_carriers() == []
+
+    def test_raising_task_leaves_its_carrier_reusable(self):
+        rt = coop_runtime()
+        first = {}
+
+        def bad(ctx):
+            first[ctx.rank] = _carrier_name()
+            ctx.comm_world.barrier()
+            if ctx.rank == 2:
+                raise ValueError("boom")
+            return ctx.comm_world.allreduce(1)
+
+        with pytest.raises(ValueError, match="boom"):
+            rt.run(bad)
+        assert _live_carriers() == []
+        again = {}
+
+        def good(ctx):
+            again[ctx.rank] = _carrier_name()
+            return ctx.comm_world.allreduce(ctx.rank)
+
+        # LIFO: the next launch of the same size takes the same carriers
+        assert coop_runtime().run(good) == [6] * N_TASKS
+        assert set(again.values()) == set(first.values())
+        assert _live_carriers() == []
+
+    def test_worker_exception_is_reported_and_the_carrier_lives_on(
+            self, monkeypatch):
+        """An exception escaping the raw worker (the runtime's own
+        worker catches everything) goes to ``threading.excepthook`` like
+        an uncaught thread exception, and the launch still completes."""
+        seen = []
+        monkeypatch.setattr(threading, "excepthook",
+                            lambda args: seen.append(args.exc_type))
+        sched = CoopScheduler(2, FifoPolicy())
+        ran = []
+
+        def worker(rank):
+            ran.append(rank)
+            if rank == 0:
+                raise KeyError("boom")
+
+        sched.launch(worker)
+        assert seen == [KeyError] and sorted(ran) == [0, 1]
+        assert _live_carriers() == []
+        ran.clear()
+        sched.launch(ran.append)
+        assert sorted(ran) == [0, 1]
+
+    def test_launch_returns_after_its_carriers_are_back(self):
+        """The last task's carrier still has bookkeeping to do after it
+        hands the launcher the token; ``launch`` must wait for it."""
+        sched = CoopScheduler(3, FifoPolicy())
+        switch = sched._switch
+
+        def slow_switch(me):
+            switch(me)
+            if me.state == DONE:        # the carrier's last switch
+                time.sleep(0.05)
+
+        sched._switch = slow_switch
+        sched.launch(lambda rank: None)
+        assert _live_carriers() == []
+
+    def test_a_reused_carrier_is_no_task_of_its_previous_run(self):
+        first = CoopScheduler(1, FifoPolicy())
+        mine = []
+        first.launch(lambda rank: mine.append(_carrier_name()))
+        second = CoopScheduler(1, FifoPolicy())
+        seen = []
+        second.launch(lambda rank: seen.append(
+            (_carrier_name(), first.current(), second.current().rank)))
+        assert seen == [(mine[0], None, 0)]
+
+    def test_concurrent_launches_get_disjoint_carriers(self):
+        n = 6
+        both = threading.Barrier(2, timeout=10.0)
+        names = [set(), set()]
+        met = []
+
+        def launch(i):
+            sched = CoopScheduler(n, FifoPolicy())
+
+            def worker(rank):
+                names[i].add(_carrier_name())
+                sched.sleep(1.0)     # every task of this launch is bound
+                if rank == 0:
+                    both.wait()      # ... and so is every one of the other
+                    met.append(i)
+
+            sched.launch(worker)
+
+        threads = [threading.Thread(target=launch, args=(i,))
+                   for i in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=20.0)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(met) == [0, 1]
+        assert len(names[0]) == len(names[1]) == n
+        assert not names[0] & names[1]
+        assert _live_carriers() == []
+
+    def test_golden_traces_hold_on_reused_carriers(self):
+        """A larger earlier run leaves more (and differently ordered)
+        carriers parked than a golden case needs: every decision must
+        still be byte-identical."""
+        from tests.test_sched_golden import (
+            GOLDEN, SCHEDULES, WORKLOADS, _trace_path, run_case,
+        )
+        big = Runtime(core2_cluster(2), n_tasks=48, backend="coop",
+                      schedule="random:3", timeout=10.0)
+        big.run(lambda ctx: ctx.comm_world.allreduce(ctx.rank))
+        want = json.loads((GOLDEN / "counters.json").read_text("utf-8"))
+        for workload in sorted(WORKLOADS):
+            for schedule in SCHEDULES:
+                trace, counters = run_case(workload, schedule)
+                golden = _trace_path(workload, schedule).read_text("utf-8")
+                assert trace.to_json() + "\n" == golden
+                assert counters == want[f"{workload}-{schedule}"]
+
+    def test_concurrent_launches_keep_the_thread_stack_size(self):
+        """Carriers get small stacks through the process-wide
+        ``threading.stack_size``; threads launching at once (more than
+        there are cores, under a preempt-happy interpreter) must each
+        get every task run, and must leave the value every later thread
+        is created with as they found it."""
+        original = threading.stack_size()
+        threading.stack_size(original)     # reading it resets it
+        ran = [0] * 4
+
+        def churn(i):
+            sched = CoopScheduler(4, FifoPolicy())
+            for _ in range(100):
+                sched.launch(lambda rank: ran.__setitem__(i, ran[i] + 1))
+
+        threads = [threading.Thread(target=churn, args=(i,))
+                   for i in range(len(ran))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        after = threading.stack_size(original)
+        assert not any(t.is_alive() for t in threads)
+        assert ran == [400] * len(ran)
+        assert after == original
         assert _live_carriers() == []
