@@ -14,7 +14,7 @@ snapshot; ``snapshot()`` returns it as a plain dict for benchmark
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Dict
 
 from repro.metrics.report import Table
@@ -75,20 +75,8 @@ class RMAMetrics:
             m.windows += 1
             c = st.counters
             with st.stats_lock:
-                m.puts += c.puts
-                m.gets += c.gets
-                m.accumulates += c.accumulates
-                m.fetch_and_ops += c.fetch_and_ops
-                m.compare_and_swaps += c.compare_and_swaps
-                m.bytes += c.bytes
-                m.staged_copies += c.staged_copies
-                m.staged_bytes += c.staged_bytes
-                m.zero_copy_hits += c.zero_copy_hits
-                m.zero_copy_bytes += c.zero_copy_bytes
-                m.epoch_waits += c.epoch_waits
-                m.fences += c.fences
-                m.locks += c.locks
-                m.mirror_bytes += c.mirror_bytes
+                for name in WIN_COUNTERS:
+                    setattr(m, name, getattr(m, name) + getattr(c, name))
             # chunk-lock traffic: the window-wide table (in-memory
             # windows), plus each storage segment's per-chunk table
             syncs = [getattr(st, "sync", None)]
@@ -116,27 +104,16 @@ class RMAMetrics:
 
     # ----------------------------------------------------------- reporting
     def snapshot(self) -> Dict[str, Any]:
-        return {
-            "windows": self.windows,
-            "ops": self.ops,
-            "puts": self.puts,
-            "gets": self.gets,
-            "accumulates": self.accumulates,
-            "fetch_and_ops": self.fetch_and_ops,
-            "compare_and_swaps": self.compare_and_swaps,
-            "bytes": self.bytes,
-            "staged_copies": self.staged_copies,
-            "staged_bytes": self.staged_bytes,
-            "zero_copy_hits": self.zero_copy_hits,
-            "zero_copy_bytes": self.zero_copy_bytes,
-            "zero_copy_fraction": round(self.zero_copy_fraction, 3),
-            "epoch_waits": self.epoch_waits,
-            "fences": self.fences,
-            "locks": self.locks,
-            "mirror_bytes": self.mirror_bytes,
-            "chunk_lock_acquisitions": self.chunk_lock_acquisitions,
-            "chunk_lock_waits": self.chunk_lock_waits,
-        }
+        """Every field in declaration order, with ``ops`` after
+        ``windows`` and ``zero_copy_fraction`` after ``zero_copy_bytes``."""
+        snap: Dict[str, Any] = {}
+        for f in fields(self):
+            snap[f.name] = getattr(self, f.name)
+            if f.name == "windows":
+                snap["ops"] = self.ops
+            elif f.name == "zero_copy_bytes":
+                snap["zero_copy_fraction"] = round(self.zero_copy_fraction, 3)
+        return snap
 
     def render(self) -> str:
         table = Table(["counter", "value"], title="rma metrics")
@@ -152,4 +129,13 @@ class RMAMetrics:
         )
 
 
-__all__ = ["RMAMetrics"]
+#: the counters each window keeps itself (``_WinShared.counters``): every
+#: field but the window count and the chunk-lock pair, which are read
+#: off the runtime and the synchronizers
+WIN_COUNTERS = tuple(
+    f.name for f in fields(RMAMetrics)
+    if f.name not in ("windows", "chunk_lock_acquisitions", "chunk_lock_waits")
+)
+
+
+__all__ = ["RMAMetrics", "WIN_COUNTERS"]

@@ -18,17 +18,25 @@ builds that full surface on the thread runtime:
   :meth:`Win.unlock` with shared/exclusive semantics, plus
   :meth:`Win.lock_all` / :meth:`Win.unlock_all`.
 
+Every verb is one walk step -- ``step(region, pos)`` applied to each
+piece of the target range -- run by one access path
+(:meth:`Win._access`); a window's kind picks only the walk: an
+in-memory segment is walked as one slice, a storage segment chunk by
+chunk through its cache.  Payloads are flattened once (row-major), and
+a ``get`` destination the walk cannot fill in place is staged and
+copied back.
+
 Copy policy mirrors the rest of the runtime.  When origin and target
 share an address space and either the runtime runs ``sharing="shared"``
 or the window was allocated shared, an access is *direct*: the one
 semantic transfer touches the exposed segment with plain loads/stores
-and no staging copy is made (``zero_copy_hits`` in
-``Runtime.metrics("rma")``).  Otherwise the
-payload is staged through a private copy at the origin, and the
-process backend (:mod:`repro.runtime.process_mpi`) additionally
-emulates the window with lazily allocated **per-origin mirror copies**
-of the target segment -- extending the Tables I-IV memory-footprint
-contrast to one-sided traffic.
+and no staging copy is charged (``zero_copy_hits`` in
+``Runtime.metrics("rma")``).  Otherwise the access is charged one
+origin-side staging copy, and the process backend
+(:mod:`repro.runtime.process_mpi`) charges a second and emulates the
+window with lazily allocated **per-origin mirror copies** of the target
+segment -- extending the Tables I-IV memory-footprint contrast to
+one-sided traffic.
 
 Every access is checked against the origin's open epochs; an access
 outside any epoch raises :class:`~repro.runtime.errors.RMAEpochError`
@@ -44,10 +52,10 @@ from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tup
 
 import numpy as np
 
+from repro.metrics.rma import WIN_COUNTERS
 from repro.runtime.abort import Watchdog, subscribe_abort
 from repro.runtime.errors import MPIError, RMAEpochError
 from repro.runtime.ops import Op, SUM
-from repro.runtime.payload import clone
 from repro.storage.array import ChunkedArray, copy_in, copy_out
 from repro.storage.chunkstore import DEFAULT_CHUNK_ELEMS
 from repro.storage.sync import ChunkSynchronizer
@@ -93,29 +101,11 @@ def validate_layout(
 class _WinCounters:
     """Per-window RMA counters (guarded by the window's stats lock)."""
 
-    __slots__ = (
-        "puts", "gets", "accumulates", "fetch_and_ops", "compare_and_swaps",
-        "bytes",
-        "staged_copies", "staged_bytes",
-        "zero_copy_hits", "zero_copy_bytes",
-        "epoch_waits", "fences", "locks", "mirror_bytes",
-    )
+    __slots__ = WIN_COUNTERS
 
     def __init__(self) -> None:
-        self.puts = 0
-        self.gets = 0
-        self.accumulates = 0
-        self.fetch_and_ops = 0
-        self.compare_and_swaps = 0
-        self.bytes = 0
-        self.staged_copies = 0
-        self.staged_bytes = 0
-        self.zero_copy_hits = 0
-        self.zero_copy_bytes = 0
-        self.epoch_waits = 0
-        self.fences = 0
-        self.locks = 0
-        self.mirror_bytes = 0
+        for name in WIN_COUNTERS:
+            setattr(self, name, 0)
 
 
 class _WinShared:
@@ -454,40 +444,23 @@ class Win:
         if f is not None:
             f.hit(site, self.comm.world_rank, wake=self._shared._wake)
 
-    def _record_rma(self, op: str, target: int, nbytes: int) -> None:
-        tracer = self._shared.runtime.tracer
-        if tracer is not None:
-            tracer.record_rma(
-                self.comm.world_rank, self._shared.id, op, target, nbytes
-            )
-
-    def _record_epoch(
+    def _epoch(
         self,
         op: str,
         target: Optional[int] = None,
         group: Optional[Iterable[int]] = None,
-    ) -> None:
+    ) -> _WinShared:
+        """The prologue of every synchronisation call: the ``rma.epoch``
+        fault site, the live check and the tracer's epoch event."""
+        self._hit("rma.epoch")
+        self._check_live()
         tracer = self._shared.runtime.tracer
         if tracer is not None:
             tracer.record_epoch(
                 self.comm.world_rank, self._shared.id, op, target,
                 tuple(group) if group is not None else None,
             )
-
-    def _direct(self, target: int) -> bool:
-        """May this access touch the target segment with plain
-        loads/stores?  Needs a shared address space between origin and
-        target, plus either the runtime-wide ``sharing="shared"`` policy
-        or an explicitly shared-allocated window.  Storage windows are
-        never direct: every access goes through the chunk cache."""
-        rt = self._shared.runtime
-        if self._shared.kind == "storage":
-            return False
-        if not rt.shares_address_space(
-            self.comm.world_rank, self.comm.to_world(target)
-        ):
-            return False
-        return rt.sharing == "shared" or self._shared.kind == "shared"
+        return self._shared
 
     def _check_epoch(self, target: int, op: str) -> None:
         if self._fence_open:
@@ -500,37 +473,6 @@ class Win:
             f"{op} to target {target} outside any access epoch -- open one "
             f"with fence(), start(), lock() or lock_all() first"
         )
-
-    def _segment(self, target: int, disp: int, count: int) -> np.ndarray:
-        buf = self.shared_query(target)
-        self._check_bounds(target, buf.size, disp, count)
-        return buf[disp:disp + count]
-
-    @staticmethod
-    def _check_bounds(target: int, size: int, disp: int, count: int) -> None:
-        if disp < 0 or count < 0 or disp + count > size:
-            raise MPIError(
-                f"RMA access [{disp}, {disp + count}) outside target "
-                f"{target}'s segment of {size} elements"
-            )
-
-    def _span(self, target: int, disp: int, count: int):
-        """The (synchronizer, chunk keys) pair serialising an access to
-        ``[disp, disp+count)`` of ``target``'s segment.
-
-        In-memory windows key the window-wide table by ``(target,
-        chunk)``; storage windows use the target ChunkedArray's own
-        per-chunk table (shared with flush/spill), keyed by chunk index.
-        """
-        st = self._shared
-        if st.kind == "storage":
-            buf = self.shared_query(target)
-            return buf.sync, list(buf.chunk_range(disp, count))
-        if count <= 0:
-            return st.sync, []
-        ce = st.chunk_elems
-        first, last = disp // ce, (disp + count - 1) // ce
-        return st.sync, [(target, c) for c in range(first, last + 1)]
 
     def _mirror(self, target: int, nbytes: int) -> None:
         """Process-backend emulation: the first access from this origin
@@ -567,52 +509,132 @@ class Win:
             st.mirrors[key] = (space, alloc)
             st.counters.mirror_bytes += seg_bytes
 
-    def _stage(self, target: int, nbytes: int) -> int:
-        """Staging-copy accounting for a non-direct access: one
-        origin-side serialisation copy, plus the process backend's
-        mirror delivery copy."""
+    # -------------------------------------------------------- access path
+    def _access(
+        self,
+        op: str,
+        counter: str,
+        target: int,
+        disp: int,
+        count: int,
+        nbytes: int,
+        step: Callable[[np.ndarray, int], None],
+        *,
+        write: bool = False,
+        view: bool = False,
+    ) -> None:
+        """The one path every one-sided verb runs: the fault site
+        (``rma.put`` for a write, ``rma.get`` for a read), the live
+        check, the tracer's RMA event, the epoch check, the bounds check,
+        the window's walk of ``[disp, disp+count)`` of ``target``'s
+        segment -- which runs ``step(region, pos)`` on each piece,
+        ``pos`` being the piece's offset in the access -- and one
+        stats-lock section for every counter the access moves.
+
+        ``write`` marks the access as modifying the segment; ``view``
+        asks for a zero-copy read, which only a direct walk grants."""
+        self._hit("rma.put" if write else "rma.get")
+        self._check_live()
         st = self._shared
-        copies, staged = 1, nbytes
-        if st.runtime.rma_mirror_copies:
-            self._mirror(target, nbytes)
-            copies, staged = 2, 2 * nbytes
-        st.note(staged_copies=copies, staged_bytes=staged)
-        return staged
+        tracer = st.runtime.tracer
+        if tracer is not None:
+            tracer.record_rma(self.comm.world_rank, st.id, op, target, nbytes)
+        self._check_epoch(target, op)
+        buf = self.shared_query(target)
+        if disp < 0 or count < 0 or disp + count > buf.size:
+            raise MPIError(
+                f"RMA access [{disp}, {disp + count}) outside target "
+                f"{target}'s segment of {buf.size} elements"
+            )
+        # the one thing a window's kind decides about an access
+        walk = (self._walk_storage if st.kind == "storage"
+                else self._walk_memory)
+        copies = walk(buf, target, disp, count, nbytes, step, write, view)
+        c = st.counters
+        with st.stats_lock:
+            c.bytes += nbytes
+            setattr(c, counter, getattr(c, counter) + 1)
+            if copies:
+                c.staged_copies += copies
+                c.staged_bytes += copies * nbytes
+            else:
+                c.zero_copy_hits += 1
+                c.zero_copy_bytes += nbytes
+
+    def _walk_memory(
+        self, buf: np.ndarray, target: int, disp: int, count: int,
+        nbytes: int, step: Callable[[np.ndarray, int], None],
+        write: bool, view: bool,
+    ) -> int:
+        """In-memory walk: ``step`` runs once, on the segment slice
+        itself.  The access is *direct* when origin and target share an
+        address space and either the runtime runs ``sharing="shared"``
+        or the window was allocated shared.  A direct read takes no
+        lock; every other access holds the ``(target, chunk)`` locks it
+        spans -- one ``acquire`` for one chunk -- so puts and
+        read-modify-writes on a chunk serialise.  Returns the staged
+        copies charged: none when direct, else one origin-side copy, or
+        two plus a mirror of the target segment on the process
+        backend."""
+        st = self._shared
+        rt = st.runtime
+        comm = self.comm
+        seg = buf[disp:disp + count]
+        direct = (rt.sharing == "shared" or st.kind == "shared") and \
+            rt.shares_address_space(comm.world_rank, comm.to_world(target))
+        if direct and not write:
+            step(seg, 0)
+            return 0
+        if not direct:
+            if view:
+                raise MPIError(
+                    "zero-copy get (copy=False) needs a shared address "
+                    "space between origin and target"
+                )
+            if rt.rma_mirror_copies:
+                self._mirror(target, nbytes)
+        ce = st.chunk_elems
+        first = disp // ce
+        last = (disp + count - 1) // ce if count else first - 1
+        if last == first:
+            lock = st.sync.acquire((target, first))
+            try:
+                step(seg, 0)
+            finally:
+                lock.release()
+        else:
+            with st.sync.span([(target, c) for c in range(first, last + 1)]):
+                step(seg, 0)
+        if direct:
+            return 0
+        return 2 if rt.rma_mirror_copies else 1
+
+    def _walk_storage(
+        self, buf: ChunkedArray, target: int, disp: int, count: int,
+        nbytes: int, step: Callable[[np.ndarray, int], None],
+        write: bool, view: bool,
+    ) -> int:
+        """Storage walk: ``step`` runs on each resident chunk slice under
+        that chunk's own lock (:meth:`ChunkedArray.chunkwise`).  Never
+        direct -- the chunk cache is the stage -- so every access is
+        charged one staged copy, on every backend."""
+        if view:
+            raise MPIError(
+                "zero-copy get (copy=False) is unavailable on "
+                "storage-backed windows: chunks are cached, not mapped"
+            )
+        buf.chunkwise(disp, count, step, task=self.comm.world_rank,
+                      dirty=write)
+        return 1
 
     # ------------------------------------------------------------ transfer
     def put(self, src: Any, target: int, target_disp: int = 0) -> None:
         """One-sided store of ``src`` into ``target``'s segment at
-        element displacement ``target_disp`` (MPI_Put analog)."""
-        self._hit("rma.put")
-        self._check_live()
-        arr = np.asarray(src)
-        nbytes = int(arr.nbytes)
-        self._record_rma("put", target, nbytes)
-        self._check_epoch(target, "put")
-        st = self._shared
-        if st.kind == "storage":
-            buf = self.shared_query(target)
-            self._check_bounds(target, buf.size, target_disp, int(arr.size))
-            buf.chunkwise(target_disp, int(arr.size), copy_in(arr.reshape(-1)),
-                          task=self.comm.world_rank, dirty=True)
-            st.note(puts=1, bytes=nbytes, staged_copies=1, staged_bytes=nbytes)
-            return
-        seg = self._segment(target, target_disp, int(arr.size))
-        sync, keys = self._span(target, target_disp, int(arr.size))
-        if self._direct(target):
-            # the store itself is zero-copy; the span locks only
-            # serialise it against a concurrent RMW touching the same
-            # chunks, so accumulate atomicity holds without serialising
-            # disjoint-chunk traffic
-            with sync.span(keys):
-                np.copyto(seg, arr)
-            st.note(zero_copy_hits=1, zero_copy_bytes=nbytes)
-        else:
-            staged = clone(arr)          # origin-side serialisation copy
-            self._stage(target, nbytes)
-            with sync.span(keys):
-                np.copyto(seg, staged)
-        st.note(puts=1, bytes=nbytes)
+        element displacement ``target_disp`` (MPI_Put analog).  A
+        multi-dimensional ``src`` is stored in row-major order."""
+        values = np.asarray(src).reshape(-1)
+        self._access("put", "puts", target, target_disp,
+                     values.size, values.nbytes, copy_in(values), write=True)
 
     def get(
         self,
@@ -625,167 +647,43 @@ class Win:
     ) -> np.ndarray:
         """One-sided load from ``target``'s segment (MPI_Get analog).
 
-        Returns a private copy by default (into ``buf`` when given).
+        Returns a private copy by default (into ``buf`` when given, in
+        row-major order whatever its shape, strides or dtype).
         ``copy=False`` asks for a read-only zero-copy *view* -- legal
         only when the access is direct (shared address space), else
         ``MPIError``."""
-        self._hit("rma.get")
-        self._check_live()
         full = self.shared_query(target)
         if count is None:
             count = int(full.size) - target_disp
-        nbytes = int(count) * np.dtype(full.dtype).itemsize
-        self._record_rma("get", target, nbytes)
-        self._check_epoch(target, "get")
-        st = self._shared
-        if st.kind == "storage":
-            if not copy:
-                raise MPIError(
-                    "zero-copy get (copy=False) is unavailable on "
-                    "storage-backed windows: chunks are cached, not mapped"
-                )
-            self._check_bounds(target, full.size, target_disp, int(count))
-            # resident chunk slices land straight in the caller's buffer;
-            # one the walk cannot fill slice by slice (strided, another
-            # dtype, the wrong size) goes through a staging array
-            staged = buf is None or not (
-                buf.dtype == full.dtype and buf.flags.c_contiguous
-                and buf.size == count
-            )
-            dest = (np.empty(int(count), dtype=full.dtype) if staged
-                    else buf.reshape(-1))
-            full.chunkwise(target_disp, int(count), copy_out(dest),
-                           task=self.comm.world_rank)
-            if buf is None:
-                buf = dest
-            elif staged:
-                np.copyto(buf, dest.reshape(buf.shape))
-            st.note(gets=1, bytes=nbytes, staged_copies=1, staged_bytes=nbytes)
-            return buf
-        seg = self._segment(target, target_disp, int(count))
-        direct = self._direct(target)
+        count = int(count)
+        nbytes = count * full.dtype.itemsize
         if not copy:
-            if not direct:
-                raise MPIError(
-                    "zero-copy get (copy=False) needs a shared address "
-                    "space between origin and target"
-                )
-            view = seg.view()
-            view.flags.writeable = False
-            st.note(gets=1, bytes=nbytes, zero_copy_hits=1,
-                    zero_copy_bytes=nbytes)
-            return view
-        if direct:
-            # the one semantic transfer: segment -> result, no staging
-            st.note(zero_copy_hits=1, zero_copy_bytes=nbytes)
-            out = seg.copy() if buf is None else buf
-            if buf is not None:
-                np.copyto(buf.reshape(seg.shape), seg)
-        else:
-            sync, keys = self._span(target, target_disp, int(count))
-            with sync.span(keys):
-                staged = clone(seg)      # target-side serialisation copy
-            self._stage(target, nbytes)
-            if buf is None:
-                out = staged
-            else:
-                np.copyto(buf.reshape(staged.shape), staged)
-                out = buf
-        st.note(gets=1, bytes=nbytes)
-        return out
+            views: List[np.ndarray] = []
 
-    def _rmw(
-        self,
-        op_name: str,
-        counter: str,
-        src: Any,
-        target: int,
-        target_disp: int,
-        apply: Callable[[np.ndarray, Any], Any],
-    ) -> Any:
-        """Shared read-modify-write core of :meth:`accumulate`,
-        :meth:`fetch_and_op` and :meth:`compare_and_swap`.
+            def look(region: np.ndarray, pos: int) -> None:
+                region = region.view()
+                region.flags.writeable = False
+                views.append(region)
 
-        One code path carries the epoch check, the zero-copy vs staged
-        (vs process-mirror) accounting, and -- critically -- the
-        *per-chunk* span locks that serialise every RMW against puts
-        touching the same chunks (the PR 4 atomicity fix, re-scoped
-        from the old whole-window data_lock so disjoint-chunk traffic
-        no longer serialises).  ``apply(seg, contrib)`` runs with the
-        span held and its return value is passed through, so the
-        atomicity guarantee cannot drift between the backends.
-
-        In memory this is the atomics' hot path (every ``dynamic_for``
-        claim and steal attempt), so it is one straight line: one
-        bounds-checked slice, the direct-access test inline, one chunk
-        lock for a one-chunk access (a sorted span otherwise), and one
-        stats-lock section for every counter the access moves."""
-        self._hit("rma.put")
-        self._check_live()
-        arr = np.asarray(src)
-        nbytes = int(arr.nbytes)
-        self._record_rma(op_name, target, nbytes)
-        self._check_epoch(target, op_name)
-        st = self._shared
-        if st.kind == "storage":
-            buf = self.shared_query(target)
-            self._check_bounds(target, buf.size, target_disp, int(arr.size))
-            contrib = arr.reshape(-1)
-            results: List[Any] = []
-
-            def rmw(region: np.ndarray, pos: int) -> None:
-                # the same ``apply`` callable the in-memory path uses, run
-                # in place on the resident chunk slice under the chunk's
-                # lock.  The reduction ops are elementwise, so applying
-                # per chunk slice preserves MPI's (element-wise)
-                # accumulate atomicity; the single-element atomics always
-                # span exactly one chunk.
-                results.append(apply(region, contrib[pos:pos + region.size]))
-
-            buf.chunkwise(target_disp, contrib.size, rmw,
-                          task=self.comm.world_rank, dirty=True)
-            st.note(bytes=nbytes, staged_copies=1, staged_bytes=nbytes,
-                    **{counter: 1})
-            return results[0] if results else None
-        count = int(arr.size)
-        buf = self.shared_query(target)
-        self._check_bounds(target, buf.size, target_disp, count)
-        seg = buf[target_disp:target_disp + count]
-        rt = st.runtime
-        comm = self.comm
-        # ``_direct`` for an in-memory window
-        direct = (rt.sharing == "shared" or st.kind == "shared") and \
-            rt.shares_address_space(comm.world_rank, comm.to_world(target))
-        if direct:
-            contrib = arr
-        else:
-            contrib = clone(arr)
-            if rt.rma_mirror_copies:
-                self._mirror(target, nbytes)
-        ce = st.chunk_elems
-        first = target_disp // ce
-        last = (target_disp + count - 1) // ce if count else first - 1
-        if last == first:
-            lock = st.sync.acquire((target, first))
-            try:
-                out = apply(seg, contrib)
-            finally:
-                lock.release()
-        else:
-            with st.sync.span([(target, c) for c in range(first, last + 1)]):
-                out = apply(seg, contrib)
-        c = st.counters
-        with st.stats_lock:
-            c.bytes += nbytes
-            setattr(c, counter, getattr(c, counter) + 1)
-            if direct:
-                c.zero_copy_hits += 1
-                c.zero_copy_bytes += nbytes
-            else:
-                copies = 2 if rt.rma_mirror_copies else 1
-                c.staged_copies += copies
-                c.staged_bytes += copies * nbytes
-        return out
+            self._access("get", "gets", target, target_disp, count, nbytes,
+                         look, view=True)
+            return views[0]
+        # the walk fills a contiguous ``buf`` of the segment's dtype in
+        # place; any other destination is staged and copied back (a
+        # negative count is left for the bounds check to reject)
+        staged = buf is None or not (
+            buf.dtype == full.dtype and buf.flags.c_contiguous
+            and buf.size == count
+        )
+        dest = (np.empty(max(count, 0), dtype=full.dtype) if staged
+                else buf.reshape(-1))
+        self._access("get", "gets", target, target_disp, count, nbytes,
+                     copy_out(dest))
+        if buf is None:
+            return dest
+        if staged:
+            np.copyto(buf, dest.reshape(buf.shape))
+        return buf
 
     def accumulate(
         self,
@@ -796,13 +694,15 @@ class Win:
     ) -> None:
         """Atomic read-modify-write into ``target``'s segment with a
         reduction op from :mod:`repro.runtime.ops` (MPI_Accumulate
-        analog).  Serialised per window, so concurrent accumulates from
+        analog).  Serialised per chunk, so concurrent accumulates from
         different origins never lose updates."""
+        contrib = np.asarray(src).reshape(-1)
 
-        def apply(seg: np.ndarray, contrib: Any) -> None:
-            seg[...] = op(seg, contrib)
+        def fold(region: np.ndarray, pos: int) -> None:
+            region[...] = op(region, contrib[pos:pos + region.size])
 
-        self._rmw("accumulate", "accumulates", src, target, target_disp, apply)
+        self._access("accumulate", "accumulates", target, target_disp,
+                     contrib.size, contrib.nbytes, fold, write=True)
 
     def fetch_and_op(
         self,
@@ -815,19 +715,19 @@ class Win:
         reads the target element, stores ``op(old, value)``, and returns
         the *old* value.  With the default ``SUM`` this is fetch-and-add
         -- the claim primitive of ``repro.scheduler``'s chunk queues."""
-        arr = np.asarray(value)
-        if arr.size != 1:
+        contrib = np.asarray(value)
+        if contrib.size != 1:
             raise MPIError("fetch_and_op operates on exactly one element")
+        contrib = contrib.reshape(1)
+        old: List[Any] = []
 
-        def apply(seg: np.ndarray, contrib: Any) -> Any:
-            old = seg[0]                    # scalar indexing copies
-            seg[...] = op(seg, contrib)
-            return old
+        def fetch(region: np.ndarray, pos: int) -> None:
+            old.append(region[0])           # scalar indexing copies
+            region[...] = op(region, contrib)
 
-        return self._rmw(
-            "fetch_and_op", "fetch_and_ops", arr.reshape(1), target,
-            target_disp, apply,
-        )
+        self._access("fetch_and_op", "fetch_and_ops", target, target_disp,
+                     1, contrib.nbytes, fetch, write=True)
+        return old[0]
 
     def compare_and_swap(
         self,
@@ -840,21 +740,20 @@ class Win:
         analog): stores ``new`` iff the target element equals
         ``compare``; always returns the *old* value, so the caller
         detects success with ``old == compare``."""
-        new_arr = np.asarray(new)
-        if new_arr.size != 1:
+        contrib = np.asarray(new)
+        if contrib.size != 1:
             raise MPIError("compare_and_swap operates on exactly one element")
+        contrib = contrib.reshape(1)
+        old: List[Any] = []
 
-        def apply(seg: np.ndarray, contrib: Any) -> Any:
-            old = seg[0]
-            expected = np.asarray(compare, dtype=seg.dtype).reshape(-1)[0]
-            if old == expected:
-                seg[0] = np.asarray(contrib).reshape(-1)[0]
-            return old
+        def swap(region: np.ndarray, pos: int) -> None:
+            old.append(region[0])
+            if old[0] == np.asarray(compare, dtype=region.dtype).reshape(-1)[0]:
+                region[0] = contrib[0]
 
-        return self._rmw(
-            "compare_and_swap", "compare_and_swaps", new_arr.reshape(1),
-            target, target_disp, apply,
-        )
+        self._access("compare_and_swap", "compare_and_swaps", target,
+                     target_disp, 1, contrib.nbytes, swap, write=True)
+        return old[0]
 
     def flush(self, target: Optional[int] = None) -> None:
         """MPI_Win_flush analog.  Transfers complete eagerly in this
@@ -873,25 +772,20 @@ class Win:
         anywhere, rank 0 commits the store's manifest -- so the store's
         epoch counts completed fences with writes, and
         ``Runtime.restore_storage`` resumes from exactly here."""
-        self._hit("rma.epoch")
-        self._check_live()
-        self._record_epoch("fence")
-        self.comm.barrier()
-        self._checkpoint_if_storage()
-        self._fence_open = True
-        self._shared.note(fences=1)
+        self._fence("fence", reopen=True)
 
     def fence_end(self) -> None:
         """Final fence: closes the fence epoch without opening a new
         one (the MPI_MODE_NOSUCCEED assertion).  Checkpoints a storage
         window just like :meth:`fence`."""
-        self._hit("rma.epoch")
-        self._check_live()
-        self._record_epoch("fence_end")
+        self._fence("fence_end", reopen=False)
+
+    def _fence(self, op: str, *, reopen: bool) -> None:
+        st = self._epoch(op)
         self.comm.barrier()
         self._checkpoint_if_storage()
-        self._fence_open = False
-        self._shared.note(fences=1)
+        self._fence_open = reopen
+        st.note(fences=1)
 
     def _checkpoint_if_storage(self) -> None:
         """Flush + commit step of a storage-window fence.  Runs after
@@ -914,11 +808,8 @@ class Win:
     def post(self, group: Iterable[int]) -> None:
         """Open an exposure epoch to the origins in ``group``
         (MPI_Win_post analog; non-blocking)."""
-        self._hit("rma.epoch")
-        self._check_live()
         origins = frozenset(int(g) for g in group)
-        self._record_epoch("post", group=sorted(origins))
-        st = self._shared
+        st = self._epoch("post", group=sorted(origins))
         with st.cond:
             if self.rank in st.exposure:
                 raise MPIError(
@@ -935,13 +826,10 @@ class Win:
         """Open an access epoch to the targets in ``group``; blocks
         until each has posted a matching exposure epoch
         (MPI_Win_start analog)."""
-        self._hit("rma.epoch")
-        self._check_live()
         targets = frozenset(int(g) for g in group)
-        self._record_epoch("start", group=sorted(targets))
+        st = self._epoch("start", group=sorted(targets))
         if self._started is not None:
             raise MPIError("access epoch already started")
-        st = self._shared
 
         def fresh(t: int) -> bool:
             # match only an exposure epoch newer than the last one this
@@ -969,12 +857,9 @@ class Win:
     def complete(self) -> None:
         """Close this origin's access epoch and notify its targets
         (MPI_Win_complete analog)."""
-        self._hit("rma.epoch")
-        self._check_live()
-        self._record_epoch("complete")
+        st = self._epoch("complete")
         if self._started is None:
             raise MPIError("complete() without a started access epoch")
-        st = self._shared
         with st.cond:
             for t in self._started:
                 exp = st.exposure.get(t)
@@ -994,10 +879,7 @@ class Win:
     def wait(self) -> None:
         """Close this target's exposure epoch once every origin
         completed (MPI_Win_wait analog; blocking)."""
-        self._hit("rma.epoch")
-        self._check_live()
-        self._record_epoch("wait")
-        st = self._shared
+        st = self._epoch("wait")
         with st.cond:
             exp = st.exposure.get(self.rank)
             if exp is None:
@@ -1015,15 +897,12 @@ class Win:
         """Open a passive-target access epoch on ``target``
         (MPI_Win_lock analog).  Shared locks coexist; an exclusive lock
         waits for sole ownership."""
-        self._hit("rma.epoch")
-        self._check_live()
         mode = LOCK_EXCLUSIVE if exclusive else LOCK_SHARED
-        self._record_epoch(f"lock_{mode}", target=target)
+        st = self._epoch(f"lock_{mode}", target=target)
         if not 0 <= target < self.size:
             raise MPIError(f"rank {target} not in window")
         if self._lock_all or target in self._held_locks:
             raise MPIError(f"lock on target {target} already held")
-        st = self._shared
 
         def grantable() -> bool:
             if mode == LOCK_EXCLUSIVE:
@@ -1044,12 +923,9 @@ class Win:
     def unlock(self, target: int) -> None:
         """Close the passive-target epoch on ``target``
         (MPI_Win_unlock analog)."""
-        self._hit("rma.epoch")
-        self._check_live()
-        self._record_epoch("unlock", target=target)
+        st = self._epoch("unlock", target=target)
         if target not in self._held_locks:
             raise MPIError(f"unlock({target}) without a held lock")
-        st = self._shared
         mode = self._held_locks[target]
         with st.cond:
             holders = st.lock_holders.get(target, {})
@@ -1069,12 +945,9 @@ class Win:
     def lock_all(self) -> None:
         """Shared lock on every target at once (MPI_Win_lock_all
         analog)."""
-        self._hit("rma.epoch")
-        self._check_live()
-        self._record_epoch("lock_all")
+        st = self._epoch("lock_all")
         if self._lock_all or self._held_locks:
             raise MPIError("lock_all() while holding locks")
-        st = self._shared
 
         def grantable() -> bool:
             return st.excl_total == 0
@@ -1087,12 +960,9 @@ class Win:
 
     def unlock_all(self) -> None:
         """Release the lock_all epoch (MPI_Win_unlock_all analog)."""
-        self._hit("rma.epoch")
-        self._check_live()
-        self._record_epoch("unlock_all")
+        st = self._epoch("unlock_all")
         if not self._lock_all:
             raise MPIError("unlock_all() without lock_all()")
-        st = self._shared
         with st.cond:
             st.lockall_holders.discard(self.rank)
             st.advance()

@@ -302,3 +302,185 @@ def test_rmw_core_exact_rma_counters(factory):
         "chunk_lock_acquisitions": n_wins * N * MIX_ACQUISITIONS,
         "chunk_lock_waits": 0,
     }
+
+
+#: one rank's put/get mix against one window: a one-chunk put, a
+#: two-chunk put at ``MULTI_DISP``, a get into a fresh array and a get
+#: into a contiguous ``buf`` -- plus, where the access is direct, a
+#: zero-copy ``copy=False`` view
+PUT_LEN, GET_LEN = 4, 4
+PG_PUT_BYTES = 8 * (PUT_LEN + MULTI_LEN)
+PG_GET_BYTES = 8 * GET_LEN
+#: chunk locks the mix takes: puts span 1 + 2 chunks; a staged get
+#: locks its one chunk, a direct one takes none
+PG_PUT_ACQUISITIONS = 1 + 2
+PG_STAGED_GET_ACQUISITIONS = 2
+
+
+def _put_get_mix(win, target, direct):
+    win.put(np.arange(1, PUT_LEN + 1, dtype=np.int64), target, target_disp=0)
+    win.put(np.full(MULTI_LEN, 9, dtype=np.int64), target,
+            target_disp=MULTI_DISP)
+    got = [win.get(target, GET_LEN).tolist()]
+    buf = np.empty(GET_LEN, dtype=np.int64)
+    assert win.get(target, GET_LEN, buf=buf) is buf
+    got.append(buf.tolist())
+    if direct:
+        got.append(win.get(target, GET_LEN, copy=False).tolist())
+    else:
+        with pytest.raises(MPIError, match="zero-copy get"):
+            win.get(target, GET_LEN, copy=False)
+    return got
+
+
+def _run_put_get_mix(ctx, win, direct):
+    """The mix one rank at a time (no chunk lock is ever contended);
+    returns the synchronizer counters of the window's in-memory table."""
+    c = ctx.comm_world
+    target = (ctx.rank + 1) % c.size
+    win.fence()
+    for turn in range(c.size):
+        if turn == ctx.rank:
+            got = _put_get_mix(win, target, direct)
+        c.barrier()
+    seg = win.get(ctx.rank, copy=True)
+    win.fence_end()
+    sync = win._shared.sync.counters()
+    win.free()
+    assert got == [list(range(1, PUT_LEN + 1))] * (3 if direct else 2)
+    assert list(seg[MULTI_DISP:MULTI_DISP + MULTI_LEN]) == [9] * MULTI_LEN
+    return sync
+
+
+@runtime_param
+def test_put_get_exact_rma_counters(factory):
+    """``put`` / ``get``'s full counter contract, pinned exactly like the
+    RMW core's above: direct and staged puts (one- and two-chunk), gets
+    with no ``buf``, a contiguous ``buf`` and ``copy=False``, on a
+    ``Win.create`` window and -- with a shared address space -- an
+    ``allocate_shared`` one.  Staged vs zero-copy accounting, mirrors,
+    bytes, chunk-lock traffic and the (untouched) storage counters must
+    come out the same whatever the access path looks like inside."""
+    def main(ctx):
+        rt = ctx.runtime
+        c = ctx.comm_world
+        wins = [(Win.create(c, np.zeros(SEG, dtype=np.int64)),
+                 rt.sharing == "shared")]
+        if rt.shared_node_address_space:
+            wins.append((Win.allocate_shared(c, SEG, np.int64), True))
+        return [_run_put_get_mix(ctx, win, rt.shared_node_address_space
+                                 and direct)
+                for win, direct in wins]
+
+    rt = factory()
+    res = rt.run(main)
+    process = not rt.shared_node_address_space
+    copies = 2 if process else 1
+    directs = [rt.sharing == "shared" and not process]
+    if not process:
+        directs.append(True)
+    n_wins = len(directs)
+
+    expected = dict.fromkeys(
+        ["puts", "gets", "bytes", "staged_copies", "staged_bytes",
+         "zero_copy_hits", "zero_copy_bytes", "mirror_bytes",
+         "chunk_lock_acquisitions"], 0)
+    syncs = []
+    for direct in directs:
+        gets = 3 if direct else 2
+        ops = 2 + gets
+        nbytes = PG_PUT_BYTES + gets * PG_GET_BYTES
+        acq = PG_PUT_ACQUISITIONS + (0 if direct else
+                                     PG_STAGED_GET_ACQUISITIONS)
+        # the final read of one's own (two-chunk) segment
+        ops_self, bytes_self = 1, SEG * 8
+        acq_self = 0 if direct else 2
+        expected["puts"] += N * 2
+        expected["gets"] += N * (gets + ops_self)
+        expected["bytes"] += N * (nbytes + bytes_self)
+        if direct:
+            expected["zero_copy_hits"] += N * (ops + ops_self)
+            expected["zero_copy_bytes"] += N * (nbytes + bytes_self)
+        else:
+            expected["staged_copies"] += copies * N * (ops + ops_self)
+            expected["staged_bytes"] += copies * N * (nbytes + bytes_self)
+            if process:
+                # one mirror per (origin, target): the ring target, and
+                # the origin's own segment for the final read
+                expected["mirror_bytes"] += 2 * N * SEG * 8
+        expected["chunk_lock_acquisitions"] += N * (acq + acq_self)
+        syncs.append((N * (acq + acq_self), 0))
+    assert all(s == syncs for s in res)
+
+    total = expected["bytes"]
+    assert rt.metrics("rma").snapshot() == {
+        "windows": n_wins,
+        "ops": expected["puts"] + expected["gets"],
+        "puts": expected["puts"],
+        "gets": expected["gets"],
+        "accumulates": 0,
+        "fetch_and_ops": 0,
+        "compare_and_swaps": 0,
+        "bytes": total,
+        "staged_copies": expected["staged_copies"],
+        "staged_bytes": expected["staged_bytes"],
+        "zero_copy_hits": expected["zero_copy_hits"],
+        "zero_copy_bytes": expected["zero_copy_bytes"],
+        "zero_copy_fraction": round(expected["zero_copy_bytes"] / total, 3),
+        "epoch_waits": 0,
+        "fences": n_wins * N * 2,
+        "locks": 0,
+        "mirror_bytes": expected["mirror_bytes"],
+        "chunk_lock_acquisitions": expected["chunk_lock_acquisitions"],
+        "chunk_lock_waits": 0,
+    }
+    storage = rt.metrics("storage").snapshot()
+    assert (storage["chunk_reads"], storage["chunk_writes"]) == (0, 0)
+
+
+@runtime_param
+def test_put_get_exact_counters_on_storage_window(factory, tmp_path):
+    """The storage-window row of the same mix: every access stages
+    through the chunk cache (one staged copy, no mirror, even on the
+    process backend), ``copy=False`` is refused, and the chunk locks
+    are the segment's own -- per rank, the mix's 1 + 2 + 1 + 1 chunk
+    visits, plus 2 for the final read, plus two two-chunk sweeps at
+    the closing fence and at free (flush) and one at free (close).
+    The closing fence writes both dirty chunks of every segment; no
+    chunk is ever read back (nothing spills)."""
+    from repro.storage import ChunkStore
+
+    store = ChunkStore.create(tmp_path / "pin.store")
+
+    def main(ctx):
+        win = Win.allocate_storage(ctx.comm_world, SEG, np.int64,
+                                   store=store, name="pin")
+        return _run_put_get_mix(ctx, win, False)
+
+    rt = factory()
+    res = rt.run(main)
+    assert all(s == (0, 0) for s in res)      # the window-wide table
+    nbytes = PG_PUT_BYTES + 2 * PG_GET_BYTES + SEG * 8
+    assert rt.metrics("rma").snapshot() == {
+        "windows": 1,
+        "ops": N * 5,
+        "puts": N * 2,
+        "gets": N * 3,
+        "accumulates": 0,
+        "fetch_and_ops": 0,
+        "compare_and_swaps": 0,
+        "bytes": N * nbytes,
+        "staged_copies": N * 5,
+        "staged_bytes": N * nbytes,
+        "zero_copy_hits": 0,
+        "zero_copy_bytes": 0,
+        "zero_copy_fraction": 0.0,
+        "epoch_waits": 0,
+        "fences": N * 2,
+        "locks": 0,
+        "mirror_bytes": 0,
+        "chunk_lock_acquisitions": N * (5 + 2 + 2 + 2 + 2),
+        "chunk_lock_waits": 0,
+    }
+    storage = rt.metrics("storage").snapshot()
+    assert (storage["chunk_reads"], storage["chunk_writes"]) == (0, 2 * N)

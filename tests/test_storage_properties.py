@@ -3,15 +3,16 @@ observationally identical to in-memory windows.
 
 The property: for a random program of fence-separated put / get /
 accumulate / fetch_and_op / compare_and_swap phases -- payloads sized
-to span chunk boundaries, targets chosen bijectively so every phase is
-deterministic -- running the program against ``Win.allocate`` and
+to span chunk boundaries and shaped 2-D, gets landing in a fresh,
+contiguous, strided or other-dtype buffer, targets chosen bijectively
+so every phase is deterministic -- running the program against ``Win.allocate`` and
 against ``Win.allocate_storage`` yields bit-for-bit identical per-rank
 results, on every backend (threads private/shared, coop, process).
 All values are integer-valued floats, so arithmetic is exact and
 order-independent within a phase.
 
-Mirrors ``test_runtime_rma_properties.py``; the CI storage job runs
-the file under both ``REPRO_SHARING`` settings.
+Mirrors ``test_runtime_rma_properties.py``; the CI storage and rma
+jobs run the file under both ``REPRO_SHARING`` settings.
 """
 
 import os
@@ -48,11 +49,19 @@ runtime_param = pytest.mark.parametrize(
 
 
 # ------------------------------------------------------------ the program
+#: where a ``get`` lands: a fresh array, a contiguous ``buf``, a 2-D
+#: strided view of a larger host array (the phase's ``shape``), or a
+#: ``buf`` of another dtype
+DESTS = ("none", "contiguous", "strided", "float32")
+
+
 def make_phases(seed, n_phases):
     """A deterministic random program: per phase one op kind, one
     bijective target shift (same for all ranks, so each rank is hit by
     exactly one origin and old-value reads are deterministic), and
-    per-rank payload geometry."""
+    per-rank payload geometry -- a 2-D ``shape`` holding ``count``
+    elements for put / accumulate payloads and strided ``get``
+    destinations, and a ``get`` destination from ``DESTS``."""
     rng = np.random.default_rng(seed)
     phases = []
     for _ in range(n_phases):
@@ -63,11 +72,34 @@ def make_phases(seed, n_phases):
         disp = int(rng.integers(0, WIN_COUNT - count + 1))
         op = str(rng.choice(sorted(OPS)))
         values = rng.integers(0, 100, size=(N, count)).astype(float)
+        # a proper 2-D shape whenever ``count`` has one
+        rows = int(rng.choice([d for d in range(2, count) if count % d == 0]
+                              or [1, count]))
         phases.append({
             "kind": str(kind), "shift": shift, "count": count,
             "disp": disp, "op": op, "values": values,
+            "shape": (rows, count // rows),
+            "dest": str(rng.choice(DESTS)),
         })
     return phases
+
+
+def get_into(win, target, ph):
+    """``win.get`` into the phase's destination; returns every element
+    the destination's host array holds afterwards."""
+    count, disp = ph["count"], ph["disp"]
+    dest = ph.get("dest", "none")
+    if dest == "none":
+        return win.get(target, count, target_disp=disp)
+    if dest == "strided":
+        rows, cols = ph["shape"]
+        host = np.full((rows, 2 * cols), -1.0)
+        buf = host[:, cols:]
+    else:
+        host = buf = np.full(count, -1.0, dtype=(
+            np.float32 if dest == "float32" else np.float64))
+    assert win.get(target, count, target_disp=disp, buf=buf) is buf
+    return host.reshape(-1)
 
 
 def run_program(ctx, win, phases):
@@ -79,6 +111,8 @@ def run_program(ctx, win, phases):
     for ph in phases:
         target = (rank + ph["shift"]) % size
         vals = ph["values"][rank]
+        if ph["kind"] in ("put", "accumulate"):
+            vals = vals.reshape(ph.get("shape", vals.shape))
         if ph["kind"] == "put":
             win.put(vals, target, target_disp=ph["disp"])
         elif ph["kind"] == "accumulate":
@@ -93,8 +127,7 @@ def run_program(ctx, win, phases):
                                        target_disp=ph["disp"])
             log.append(float(np.asarray(old).reshape(-1)[0]))
         else:                                   # get
-            got = win.get(target, ph["count"], target_disp=ph["disp"])
-            log.append([float(x) for x in got])
+            log.append([float(x) for x in get_into(win, target, ph)])
         win.fence()
     final = win.get(rank)
     win.fence_end()
