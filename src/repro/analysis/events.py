@@ -44,8 +44,8 @@ class Event:
     peer: Optional[int] = None
     tag: Optional[int] = None
     seq: Optional[int] = None
-    # collective fields: (context, epoch) identify the episode
-    context: Optional[int] = None
+    # collective/HLS fields: (context, epoch) identify the episode
+    context: Optional[Hashable] = None
     epoch: Optional[int] = None
     op: Optional[str] = None
     group: Optional[Tuple[int, ...]] = None
@@ -109,6 +109,12 @@ class Trace:
             task, kind=EventKind.COLLECTIVE, context=context, epoch=epoch,
             op=op, group=tuple(group) if group is not None else None,
         )
+
+    def hls_sync(self, task: int, *, context: Hashable, epoch: int,
+                 op: str) -> Event:
+        """``task``'s part in one HLS directive episode."""
+        return self._append(task, kind=EventKind.HLS_SYNC, context=context,
+                            epoch=epoch, op=op)
 
     def rma(
         self,

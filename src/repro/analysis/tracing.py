@@ -1,8 +1,8 @@
 """Live trace recording from a running MPI job.
 
 Install a :class:`Tracer` on a runtime (``runtime.tracer = tracer``)
-before ``run()`` and it collects the synchronisation events (sends,
-receives, collectives) automatically through the runtime's hooks.
+before ``run()`` and it collects the synchronisation events (messages,
+collectives, HLS directives, RMA) through the runtime's probe.
 Variable accesses are recorded by the application through
 :meth:`Tracer.read` / :meth:`Tracer.write` -- the stand-in for the
 binary instrumentation the paper's future work assumes.
@@ -14,7 +14,7 @@ The recorded :class:`~repro.analysis.events.Trace` feeds
 from __future__ import annotations
 
 import threading
-from typing import Any, Hashable, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable
 
 import numpy as np
 
@@ -30,58 +30,34 @@ def _summarise(value: Any) -> Hashable:
     return value
 
 
+#: probe site -> the :class:`Trace` builder its fields are passed to; a
+#: fault-only site records nothing (DESIGN.md section 10)
+TRACE_SITES: Dict[str, Callable[..., Any]] = {
+    "p2p.send": Trace.send,          # sender, once the seq is assigned
+    "p2p.deliver": Trace.recv,       # receiver, at delivery
+    "coll.call": Trace.collective,   # once per user collective call
+    "hls.sync": Trace.hls_sync,      # HLS barrier / single episodes
+    "rma.put": Trace.rma,
+    "rma.get": Trace.rma,
+    "rma.epoch": Trace.epoch_call,
+}
+
+
 class Tracer:
-    """Runtime tracer implementing the hooks of
-    :class:`~repro.runtime.runtime.Runtime` (``record_send``,
-    ``record_recv``, ``record_collective``, ``register_task``)."""
+    """Runtime tracer: :meth:`record` is its one runtime hook, called
+    through ``Runtime.probe`` at every instrumented site."""
 
     def __init__(self, n_tasks: int) -> None:
         self.trace = Trace(n_tasks)
         self._lock = threading.Lock()
 
-    # ------------------------------------------------------- runtime hooks
-    def register_task(self, rank: int) -> None:
-        # Nothing to set up; kept for hook completeness.
-        del rank
-
-    def record_send(
-        self, src: int, dst: int, tag: int, context: int, seq: int
-    ) -> None:
-        with self._lock:
-            self.trace.send(src, dst, tag=tag, seq=seq)
-
-    def record_recv(
-        self, dst: int, src: int, tag: int, context: int, seq: int
-    ) -> None:
-        with self._lock:
-            self.trace.recv(dst, src, tag=tag, seq=seq)
-
-    def record_collective(
-        self, rank: int, context: int, kind: str, group: Tuple[int, ...], epoch: int
-    ) -> None:
-        with self._lock:
-            self.trace.collective(
-                rank, context=context, epoch=epoch, op=kind, group=group
-            )
-
-    def record_rma(
-        self, origin: int, win: int, op: str, target: int, nbytes: int
-    ) -> None:
-        """Record a one-sided access (put/get/accumulate) by ``origin``."""
-        with self._lock:
-            self.trace.rma(origin, win=win, op=op, target=target, nbytes=nbytes)
-
-    def record_epoch(
-        self,
-        rank: int,
-        win: int,
-        op: str,
-        target: Optional[int] = None,
-        group: Optional[Tuple[int, ...]] = None,
-    ) -> None:
-        """Record an RMA epoch boundary (fence/post/start/.../unlock)."""
-        with self._lock:
-            self.trace.epoch_call(rank, win=win, op=op, target=target, group=group)
+    def record(self, site: str, task: int, wake: Any = None,
+               **fields: Any) -> None:
+        """Append ``task``'s event for ``site`` (``wake`` is unused)."""
+        build = TRACE_SITES.get(site)
+        if build is not None:
+            with self._lock:
+                build(self.trace, task, **fields)
 
     # ---------------------------------------------------- access recording
     def read(self, rank: int, var: str, value: Any) -> None:

@@ -7,13 +7,13 @@ by *provoking* the rare schedules production would eventually find: a
 delivery delay and reorder, task crash at the Nth runtime call, slow
 receivers, spurious condition wakeups, payload-clone failure, transient
 comm-buffer exhaustion) and a :class:`FaultInjector` fires them from
-``faults.hit(site, task)`` hooks threaded through the hot paths.
+``Runtime.probe``, the one hook every instrumented site calls.
 
 Design rules:
 
-* **zero cost when off** -- every hook site guards on a single
-  attribute check (``runtime.faults is None``); an idle runtime
-  executes no injection code at all;
+* **zero cost when off** -- every site guards on a single attribute
+  check (``runtime.probe is None``); an idle runtime executes no
+  injection code at all;
 * **deterministic** -- injections key on per-``(site, task)`` hit
   counters, which depend only on each task's own call sequence, never
   on cross-task interleaving; the same plan over the same workload

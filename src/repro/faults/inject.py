@@ -1,12 +1,13 @@
 """The fault injector: plan execution at runtime hook sites.
 
-Hook contract (what ``Runtime``, ``Mailbox``, the collective engines
-and ``ScopeSyncState`` call)::
+Hook contract: sites call the runtime's probe, which calls
+:meth:`FaultInjector.hit` first when a plan is installed::
 
-    if faults is not None:
-        faults.hit(site, task)              # may sleep or raise
+    p = runtime.probe
+    if p is not None:
+        p(site, task, wake=waker, **fields)    # may sleep or raise
         # delivery site only:
-        act = faults.hit("p2p.post", src)   # may return ("reorder", hold)
+        act = p("p2p.post", src)               # may return ("reorder", hold)
 
 ``hit`` handles most actions internally -- ``delay`` sleeps, ``crash``
 raises :class:`~repro.runtime.errors.InjectedCrash`, ``clone_fail``
@@ -83,8 +84,10 @@ class FaultInjector:
         site: str,
         task: int,
         wake: Optional[Callable[[], None]] = None,
+        **fields: Any,
     ) -> Optional[Tuple[str, float]]:
-        """Announce one hook hit; fire every matching spec.
+        """Announce one hook hit; fire every matching spec (a site's
+        trace ``fields`` play no part, a trace-only site has no specs).
 
         Returns ``("reorder", hold_seconds)`` when a reorder fired (the
         mailbox implements the holdback), else ``None``.  May sleep

@@ -23,7 +23,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: injection sites -> the actions each site understands.  Sites are the
 #: stable contract between plans and the runtime hooks; adding a site
-#: means adding a ``faults.hit`` call at the matching code path.
+#: means adding a ``Runtime.probe`` call at the matching code path.
 SITES: Dict[str, Tuple[str, ...]] = {
     # message delivery: sender side of Runtime.post_message
     "p2p.post": ("delay", "crash", "reorder", "wake", "clone_fail"),

@@ -35,8 +35,14 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.task import TaskContext
 
 
+class _Unprobed:   # the runtime of a state built on its own
+    probe = None
+
+
 class ScopeSyncState:
-    """Synchronisation state of one scope instance."""
+    """Synchronisation state of one scope instance.  A task joins trace
+    episode ``(key, 2g)`` on arriving at a barrier or single of
+    generation ``g`` and ``(key, 2g + 1)`` on its release."""
 
     def __init__(
         self,
@@ -46,9 +52,8 @@ class ScopeSyncState:
         *,
         timeout: float,
         groups: Optional[Dict[int, int]] = None,
-        faults: Optional[Any] = None,
-        condition: Optional[Any] = None,
-        clock: Optional[Any] = None,
+        runtime: Optional[Any] = None,
+        key: str = "",
     ) -> None:
         if not participants:
             raise ValueError(f"scope instance {instance} has no tasks")
@@ -56,10 +61,10 @@ class ScopeSyncState:
         self._set_participants(participants, groups)
         self._abort = abort_flag
         self._timeout = timeout
-        # Condition + clock injected by the execution backend (a
+        # Condition + clock from the runtime's execution backend (a
         # CoopWaker and the virtual clock under backend="coop")
-        self._cond = condition if condition is not None else threading.Condition()
-        self._clock = clock if clock is not None else time.monotonic
+        self._cond = runtime.condition() if runtime else threading.Condition()
+        self._clock = runtime.now if runtime else time.monotonic
         self._count = 0
         self._generation = 0
         self._arrivals = 0           # monotone; deadline-extension progress
@@ -68,8 +73,10 @@ class ScopeSyncState:
         self._task_nowait: Dict[int, int] = {}
         self.local_ops = 0           # llc-local synchronisation operations
         self.cross_ops = 0           # operations crossing the llc boundary
-        #: fault injector (None = chaos off)
-        self.faults = faults
+        #: whose probe the directives read (live, every call)
+        self._runtime = runtime if runtime is not None else _Unprobed
+        #: trace context of its episodes (a string: never a comm's)
+        self.key = key
         # The missed-abort fix: parked single/barrier waiters only
         # recheck on a notify, so an abort must deliver one (the same
         # signal-abort pattern as Mailbox.receive).
@@ -92,10 +99,6 @@ class ScopeSyncState:
         """Wake every waiter parked on this scope (abort broadcast)."""
         with self._cond:
             self._cond.notify_all()
-
-    def _hit(self, site: str, rank: int) -> None:
-        if self.faults is not None:
-            self.faults.hit(site, rank, wake=self.wake)
 
     # ----------------------------------------------------------- accounting
     def _account_arrival(self, rank: int) -> None:
@@ -121,48 +124,60 @@ class ScopeSyncState:
         while self._generation == gen:
             self._cond.wait(timeout=dog.tick(self._arrivals))
 
-    # -------------------------------------------------------------- barrier
+    # ------------------------------------------------------ barrier, single
     def barrier(self, rank: int) -> None:
-        self._hit("hls.barrier", rank)
-        with self._cond:
-            self._account_arrival(rank)
-            gen = self._generation
-            self._count += 1
-            if self._count == self.size:
-                self._count = 0
-                self._generation += 1
-                self.epoch += 1
-                self._cond.notify_all()
-                return
-            self._wait_generation(gen)
+        self._enter("hls.barrier", rank, release=True)
 
-    # --------------------------------------------------------------- single
     def single_enter(self, rank: int) -> bool:
         """True for the task that must execute the block (the last one
         to arrive, per section IV-B); the others block until
         :meth:`single_done`."""
-        self._hit("hls.single", rank)
+        return self._enter("hls.single", rank)
+
+    def _enter(self, site: str, rank: int, release: bool = False) -> bool:
+        """One arrival; True for the last, which releases the others at
+        once if ``release`` (a barrier), else in :meth:`single_done`."""
+        p = self._runtime.probe
+        if p is not None:
+            p(site, rank, wake=self.wake)
         with self._cond:
             self._account_arrival(rank)
             gen = self._generation
             self._count += 1
-            if self._count == self.size:
+            last = self._count == self.size
+            if last:
                 self._count = 0
-                return True
-            self._wait_generation(gen)
-            return False
+                if release:
+                    self._generation += 1
+                    self.epoch += 1
+                    self._cond.notify_all()
+            else:
+                self._wait_generation(gen)
+        if p is not None:
+            p("hls.sync", rank, context=self.key, epoch=2 * gen, op=site)
+            if not last or release:
+                p("hls.sync", rank, context=self.key, epoch=2 * gen + 1,
+                  op="hls.release")
+        return last
 
     def single_done(self, rank: int) -> None:
         with self._cond:
+            gen = self._generation
             self._generation += 1
             self.epoch += 1
             self._cond.notify_all()
+        p = self._runtime.probe
+        if p is not None:
+            p("hls.sync", rank, context=self.key, epoch=2 * gen + 1,
+              op="hls.release")
 
     # -------------------------------------------------------------- nowait
     def single_nowait_enter(self, rank: int) -> bool:
         """True for the first task reaching this (dynamic) single; no
         barrier either way."""
-        self._hit("hls.nowait", rank)
+        p = self._runtime.probe
+        if p is not None:
+            p("hls.nowait", rank, wake=self.wake)
         with self._cond:
             self._account_arrival(rank)
             mine = self._task_nowait.get(rank, 0) + 1
@@ -213,6 +228,8 @@ class HLSSync:
         #: (through its handle) and read only by its own check_migration,
         #: so no task ever iterates a dict another task inserts into.
         self._task_directives: Dict[int, Dict[ScopeSpec, int]] = {}
+        #: keeps two programs' trace episodes on one instance apart
+        self._ordinal = len(runtime.post_move_hooks)
         runtime.post_move_hooks.append(self._on_move)
 
     # ----------------------------------------------------------------- state
@@ -252,9 +269,8 @@ class HLSSync:
                     instance, participants, self.runtime.abort_flag,
                     timeout=self.runtime.timeout,
                     groups=self._groups(instance, participants),
-                    faults=getattr(self.runtime, "faults", None),
-                    condition=self.runtime.condition(),
-                    clock=self.runtime.now,
+                    runtime=self.runtime,
+                    key=f"hls{self._ordinal}:{instance}",
                 )
                 self._states[instance] = st
             return st

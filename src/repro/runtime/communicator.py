@@ -217,12 +217,12 @@ class Comm:
     # i* form hands it out as a request.  MPI defines blocking as
     # start + wait, and that is all the difference there is.
     def _collective(self, kind: str) -> None:
+        # one user call: the trace-only site (faults fire per deposit)
         self._epoch += 1
-        tracer = self.runtime.tracer
-        if tracer is not None:
-            tracer.record_collective(
-                self.world_rank, self.context, kind, self.group, self._epoch
-            )
+        p = self.runtime.probe
+        if p is not None:
+            p("coll.call", self.world_rank, context=self.context,
+              epoch=self._epoch, op=kind, group=self.group)
 
     def _deposit(
         self, kind: str, payload: Any, site: str, root: int = 0,
@@ -243,8 +243,10 @@ class Comm:
 
     def _blocking(
         self, kind: str, payload: Any = None, root: int = 0,
-        op: Optional[Op] = None,
+        op: Optional[Op] = None, *, traced: bool = True,
     ) -> Any:
+        if traced:      # a user's call; set-up deposits leave no event
+            self._collective(kind)
         ep = self._deposit(kind, payload, "coll.sweep", root, op)
         return self._engine.wait_complete(self.rank, ep)[0]
 
@@ -257,49 +259,39 @@ class Comm:
         """allgather by reference (no clone, no trace event): how
         ``split``, ``Win`` creation and ``ChunkQueue`` set-up publish one
         rank's object to the others."""
-        return self._blocking("exchange", obj)
+        return self._blocking("exchange", obj, traced=False)
 
     def barrier(self) -> None:
-        self._collective("barrier")
         self._blocking("barrier")
 
     def bcast(self, obj: Any = None, root: int = 0) -> Any:
-        self._collective("bcast")
         return self._blocking("bcast", obj, root)
 
     def gather(self, obj: Any, root: int = 0) -> Optional[List[Any]]:
-        self._collective("gather")
         return self._blocking("gather", obj, root)
 
     def allgather(self, obj: Any) -> List[Any]:
-        self._collective("allgather")
         return self._blocking("allgather", obj)
 
     def scatter(self, objs: Optional[List[Any]] = None, root: int = 0) -> Any:
-        self._collective("scatter")
         return self._blocking("scatter", objs, root)
 
     def reduce(self, obj: Any, op: Op = SUM, root: int = 0) -> Optional[Any]:
-        self._collective("reduce")
         return self._blocking("reduce", obj, root, op)
 
     def allreduce(self, obj: Any, op: Op = SUM) -> Any:
-        self._collective("allreduce")
         return self._blocking("allreduce", obj, 0, op)
 
     def scan(self, obj: Any, op: Op = SUM) -> Any:
         """Inclusive prefix reduction."""
-        self._collective("scan")
         return self._blocking("scan", obj, 0, op)
 
     def alltoall(self, objs: List[Any]) -> List[Any]:
-        self._collective("alltoall")
         return self._blocking("alltoall", objs)
 
     def reduce_scatter(self, objs: List[Any], op: Op = SUM) -> Any:
         """Element-wise reduce of per-rank lists, then scatter: rank i
         gets op-fold over ranks of objs[i]."""
-        self._collective("reduce_scatter")
         columns = self._blocking("reduce_scatter", objs)
         out = columns[0]
         for v in columns[1:]:
@@ -374,7 +366,7 @@ class Comm:
         """Duplicate the communicator (fresh context, same group)."""
         self._collective("dup")
         ctx = self.runtime.alloc_context() if self.rank == 0 else None
-        ctx = self._blocking("bcast", ctx)
+        ctx = self._blocking("bcast", ctx, traced=False)
         return Comm(self.runtime, ctx, self.group, self.rank)
 
     def split(self, color: Optional[int], key: Optional[int] = None) -> Optional["Comm"]:
@@ -389,7 +381,7 @@ class Comm:
             ctx_map = {c: self.runtime.alloc_context() for c in colors}
         else:
             ctx_map = None
-        ctx_map = self._blocking("bcast", ctx_map)
+        ctx_map = self._blocking("bcast", ctx_map, traced=False)
         if color is None:
             return None
         members = sorted(

@@ -51,7 +51,6 @@ pipelined measurable and deterministic
 from __future__ import annotations
 
 import threading
-import time
 from functools import partial
 from itertools import chain
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -235,11 +234,10 @@ class IcollState:
     :func:`repro.machine.treemap.collective_levels` (innermost first);
     ``group`` maps comm rank -> world rank for the zero-copy legality
     check ``share(world_a, world_b)`` (``None`` = every delivery
-    clones).  ``make_cond``/``clock``/``sleep`` come from the execution
-    backend (``sleep`` serves the modeled link time), ``link_time``
-    returns seconds per MiB per cell, and ``shape`` is the
-    ``(algorithm, chunk_bytes)`` pair of episodes whose call does not
-    pin the algorithm."""
+    clones).  ``shape`` is the ``(algorithm, chunk_bytes)`` pair of
+    episodes whose call does not pin the algorithm.  ``owner`` is the
+    runtime, read live for its probe, condition, clock, task sleep and
+    modeled link time (``icoll_link_time_per_mib``)."""
 
     def __init__(
         self,
@@ -252,13 +250,8 @@ class IcollState:
         levels: Optional[Sequence[TreeLevel]] = None,
         group: Optional[Tuple[int, ...]] = None,
         share: Optional[Callable[[int, int], bool]] = None,
-        faults: Optional[Any] = None,
-        make_cond: Optional[Callable[[], Any]] = None,
-        clock: Optional[Callable[[], float]] = None,
-        sleep: Optional[Callable[[float], None]] = None,
-        link_time: Optional[Callable[[], float]] = None,
         shape: Tuple[str, int] = ("pipelined", DEFAULT_CHUNK_BYTES),
-        owner: Optional[Any] = None,
+        owner: Any,
     ) -> None:
         if size < 1:
             raise ValueError("communicator size must be >= 1")
@@ -267,13 +260,9 @@ class IcollState:
         self._timeout = timeout
         self._clone = clone
         self.metrics = metrics if metrics is not None else CollectiveMetrics()
-        #: fault injector (None = chaos off; one attribute test per op)
-        self.faults = faults
-        self._clock = clock if clock is not None else time.monotonic
-        self._sleep = sleep
-        self._link_time = link_time
+        self._clock = owner._backend.now     # one call per deadline check
         self._shape = shape
-        #: the runtime this state answers to (waitany park-owner check)
+        #: the runtime this state answers to (also the waitany park owner)
         self.owner = owner
         if levels is None:
             levels = [TreeLevel("comm", (tuple(range(size)),))]
@@ -284,7 +273,7 @@ class IcollState:
                 f"group of {len(self.group)} ranks for size-{size} state"
             )
         self._share = share
-        self._cond = (make_cond or threading.Condition)()
+        self._cond = owner.condition()
         self._episodes: Dict[int, _Episode] = {}
         #: bumped on every arrival and cell completion: the waitany park
         #: token and the progress measure for deadline extension
@@ -307,9 +296,7 @@ class IcollState:
         return new
 
     def _link_s_per_byte(self) -> float:
-        if self._link_time is None:
-            return 0.0
-        return float(self._link_time()) / float(1 << 20)
+        return float(self.owner.icoll_link_time_per_mib) / float(1 << 20)
 
     def _may_share(self, src: int, dst: int) -> bool:
         return self._share is not None and self._share(
@@ -349,8 +336,9 @@ class IcollState:
         The last depositor compiles the plan, and runs it when it is a
         single cell."""
         self._validate(kind, rank, payload, root, algorithm)
-        if self.faults is not None:
-            self.faults.hit(site, rank, wake=self._wake_all)
+        p = self.owner.probe
+        if p is not None:
+            p(site, rank, wake=self._wake_all)
         with self._cond:
             ep = self._episodes.get(seq)
             if ep is None:
@@ -809,10 +797,11 @@ class IcollState:
         cond = self._cond
         cond.release()
         try:
-            if self.faults is not None:
-                self.faults.hit("coll.ichunk", rank, wake=self._wake_all)
-            if cell.link_s > 0.0 and self._sleep is not None:
-                self._sleep(cell.link_s)
+            p = self.owner.probe
+            if p is not None:
+                p("coll.ichunk", rank, wake=self._wake_all)
+            if cell.link_s > 0.0:
+                self.owner.task_sleep(cell.link_s)
             cell.fn()
         finally:
             cond.acquire()
@@ -932,7 +921,7 @@ class CollectiveRequest(Request):
             kind=ep.kind,
             try_complete=lambda: state.test_complete(rank, ep),
             block_complete=lambda: state.wait_complete(rank, ep),
-            sleep=state._sleep,
+            sleep=state.owner.task_sleep,
             park=state.park_for_progress,
             park_token=state.progress_token,
             park_owner=state.owner,

@@ -26,8 +26,6 @@ a receive nobody answers still times out on schedule.
 
 from __future__ import annotations
 
-import threading
-import time
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, List, Optional, Tuple
@@ -162,32 +160,28 @@ class IndexedMatcher:
 class Mailbox:
     """Pending-message store for one task, with blocking matched receive."""
 
-    def __init__(self, owner: int, abort_flag: threading.Event,
-                 *, timeout: float = 30.0,
-                 condition: Optional[Any] = None,
-                 clock: Optional[Any] = None) -> None:
+    def __init__(self, owner: int, runtime: Any) -> None:
         self.owner = owner
+        self._runtime = runtime      # its probe: read on every receive
         self.matcher = IndexedMatcher()
-        # The execution backend injects how a receiver parks and tells
+        # The execution backend decides how a receiver parks and tells
         # time: a real Condition + time.monotonic (threads), or a
-        # scheduler-parking CoopWaker + the virtual clock (coop).
-        self._cond = condition if condition is not None else threading.Condition()
-        self._clock = clock if clock is not None else time.monotonic
-        self._abort = abort_flag
-        self._timeout = timeout
+        # scheduler-parking CoopWaker + the virtual clock (coop).  The
+        # backend's own clock: a deadline check is one call, not two.
+        self._cond = runtime._backend.condition()
+        self._clock = runtime._backend.now
+        self._abort = runtime.abort_flag
+        self._timeout = runtime.timeout
         self.posted = 0
         self.delivered = 0
         self.wakeups = 0   # times a parked receiver was woken
-        #: fault injector (None = chaos off; the hot path pays exactly
-        #: one attribute test); installed by Runtime.install_faults
-        self.faults: Optional[Any] = None
         #: envelopes held back by an injected reorder, in arrival order:
         #: ``[release deadline, envelope]`` entries.  Always empty when
         #: no plan is installed.
         self._held: List[List[Any]] = []
         # Event-driven receives park on the condition; an abort must be
         # announced, not discovered -- wake on the abort broadcast.
-        subscribe_abort(abort_flag, self.wake)
+        subscribe_abort(self._abort, self.wake)
 
     def post(self, env: Envelope, *, hold: Optional[float] = None) -> None:
         """Add a message; ``hold`` (fault injection only) keeps it
@@ -255,9 +249,10 @@ class Mailbox:
     def receive(self, source: int, tag: int, context: int) -> Envelope:
         """Block until a matching message arrives (an abort wins over a
         pending match)."""
-        if self.faults is not None:
+        p = self._runtime.probe
+        if p is not None:
             # slow receiver / crash-mid-receive injection site
-            self.faults.hit("p2p.recv", self.owner)
+            p("p2p.recv", self.owner)
         dog = None
         with self._cond:
             while True:

@@ -439,11 +439,6 @@ class Win:
         if self._shared.freed:
             raise MPIError("operation on a freed window")
 
-    def _hit(self, site: str) -> None:
-        f = self._shared.runtime.faults
-        if f is not None:
-            f.hit(site, self.comm.world_rank, wake=self._shared._wake)
-
     def _epoch(
         self,
         op: str,
@@ -451,16 +446,14 @@ class Win:
         group: Optional[Iterable[int]] = None,
     ) -> _WinShared:
         """The prologue of every synchronisation call: the ``rma.epoch``
-        fault site, the live check and the tracer's epoch event."""
-        self._hit("rma.epoch")
+        probe (fault site and epoch event), then the live check."""
+        st = self._shared
+        p = st.runtime.probe
+        if p is not None:
+            p("rma.epoch", self.comm.world_rank, wake=st._wake, win=st.id,
+              op=op, target=target, group=group)
         self._check_live()
-        tracer = self._shared.runtime.tracer
-        if tracer is not None:
-            tracer.record_epoch(
-                self.comm.world_rank, self._shared.id, op, target,
-                tuple(group) if group is not None else None,
-            )
-        return self._shared
+        return st
 
     def _check_epoch(self, target: int, op: str) -> None:
         if self._fence_open:
@@ -523,9 +516,9 @@ class Win:
         write: bool = False,
         view: bool = False,
     ) -> None:
-        """The one path every one-sided verb runs: the fault site
-        (``rma.put`` for a write, ``rma.get`` for a read), the live
-        check, the tracer's RMA event, the epoch check, the bounds check,
+        """The one path every one-sided verb runs: the probe (``rma.put``
+        for a write, ``rma.get`` for a read: fault site and RMA event),
+        the live check, the epoch check, the bounds check,
         the window's walk of ``[disp, disp+count)`` of ``target``'s
         segment -- which runs ``step(region, pos)`` on each piece,
         ``pos`` being the piece's offset in the access -- and one
@@ -533,12 +526,12 @@ class Win:
 
         ``write`` marks the access as modifying the segment; ``view``
         asks for a zero-copy read, which only a direct walk grants."""
-        self._hit("rma.put" if write else "rma.get")
-        self._check_live()
         st = self._shared
-        tracer = st.runtime.tracer
-        if tracer is not None:
-            tracer.record_rma(self.comm.world_rank, st.id, op, target, nbytes)
+        p = st.runtime.probe
+        if p is not None:
+            p("rma.put" if write else "rma.get", self.comm.world_rank,
+              wake=st._wake, win=st.id, op=op, target=target, nbytes=nbytes)
+        self._check_live()
         self._check_epoch(target, op)
         buf = self.shared_query(target)
         if disp < 0 or count < 0 or disp + count > buf.size:

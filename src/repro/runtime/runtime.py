@@ -195,19 +195,14 @@ class Runtime:
         )
         #: fault injector (None = chaos off; see repro.faults)
         self.faults = None
+        self.tracer = None      # sets ``probe`` to None (see the setter)
         self._retry_lock = threading.Lock()
         #: comm-buffer allocation retries performed (transient exhaustion)
         self.comm_alloc_retries = 0
         #: seconds from abort_flag.set() to the last task terminating
         #: (measured by run(); None when the job never aborted)
         self.abort_recovery_s: Optional[float] = None
-        self._mailboxes = [
-            Mailbox(
-                r, self.abort_flag, timeout=timeout,
-                condition=self._backend.condition(), clock=self._backend.now,
-            )
-            for r in range(self.n_tasks)
-        ]
+        self._mailboxes = [Mailbox(r, self) for r in range(self.n_tasks)]
         # Per-sender sequence cells: rank r's cell is only ever touched
         # by r's own thread (sends execute on the sender), so no lock.
         self._seq: List[Dict[int, int]] = [dict() for _ in range(self.n_tasks)]
@@ -237,7 +232,6 @@ class Runtime:
         #: bumped by every set_task_pu (ctx.move); whoever caches a
         #: placement-derived answer (HLS handles) stamps it with this
         self.pin_version = 0
-        self.tracer: Optional[Any] = None
         self.migration_checks: List[Callable[[TaskContext, int], None]] = []
         self.post_move_hooks: List[Callable[[int, int], None]] = []
         #: scope-aware arena layer: every simulated allocation in this
@@ -349,32 +343,48 @@ class Runtime:
 
     # ------------------------------------------------------------- chaos
     def install_faults(self, plan: Any) -> Any:
-        """Install a fault plan (or a prebuilt injector): thread the
-        injector into every mailbox and every existing collective engine.
-        Install *before* ``run()`` -- lazily created states pick the
-        injector up at construction.  Returns the injector."""
+        """Install a fault plan (or a prebuilt injector) and rebuild the
+        probe; every site reads the probe live, so a plan installed
+        between runs reaches states built by earlier runs.  Returns the
+        injector."""
         from repro.faults import FaultInjector
 
-        if isinstance(plan, FaultInjector):
-            injector = plan
-            if injector.runtime is not None and injector.runtime is not self:
-                # Hit counters and the runtime backref are per-runtime
-                # state: an injector already executing against another
-                # runtime must not be shared (its counters would count
-                # both jobs' hits).  Derive a fresh injector from the
-                # same plan instead.
-                injector = FaultInjector(injector.plan, runtime=self)
-            else:
-                injector.runtime = self
-        else:
+        injector = plan
+        if not isinstance(plan, FaultInjector):
             injector = FaultInjector(plan, runtime=self)
+        elif plan.runtime not in (None, self):
+            # hit counters are per-runtime state: an injector executing
+            # against another runtime is not shared, its plan is copied
+            injector = FaultInjector(plan.plan, runtime=self)
+        injector.runtime = self
         self.faults = injector
-        for mbox in self._mailboxes:
-            mbox.faults = injector
-        with self._coll_lock:
-            for st in self._icoll_states.values():
-                st.faults = injector
+        self.tracer = self._tracer      # rebuilds the probe
         return injector
+
+    @property
+    def tracer(self) -> Optional[Any]:
+        """The installed ``Tracer`` (None = tracing off)."""
+        return self._tracer
+
+    @tracer.setter
+    def tracer(self, tracer: Optional[Any]) -> None:
+        """Rebuild :attr:`probe`: None with no plan and no tracer; else
+        every site calls ``probe(site, task, wake=..., **fields)``, the
+        fault half first (it may sleep, raise or return a reorder), then
+        the trace half (DESIGN.md section 10)."""
+        self._tracer = tracer
+        hit = self.faults and self.faults.hit
+        record = tracer and tracer.record
+        if not (hit and record):
+            self.probe = hit or record
+            return
+
+        def probe(site: str, task: int, wake: Any = None, **fields: Any) -> Any:
+            act = hit(site, task, wake)
+            record(site, task, **fields)
+            return act
+
+        self.probe = probe
 
     # ------------------------------------------------------------- placement
     def task_pu(self, rank: int) -> int:
@@ -493,11 +503,6 @@ class Runtime:
                     ),
                     group=tuple(group),
                     share=self._collective_share_check(),
-                    faults=self.faults,
-                    make_cond=self._backend.condition,
-                    clock=self._backend.now,
-                    sleep=self.task_sleep,
-                    link_time=lambda: self.icoll_link_time_per_mib,
                     shape=(
                         ("pipelined", DEFAULT_CHUNK_BYTES)
                         if self.collective_algorithm == "hierarchical"
@@ -540,8 +545,8 @@ class Runtime:
     def attach_store(self, store: Any) -> None:
         """Register a bound :class:`~repro.storage.chunkstore.ChunkStore`
         (called by ``ChunkStore.bind``; idempotent).  Attached stores
-        feed fault-site hits through this runtime's injector and are
-        aggregated by ``metrics("storage")``."""
+        call this runtime's probe at their sites and are aggregated by
+        ``metrics("storage")``."""
         with self._stores_lock:
             if store not in self._stores:
                 self._stores.append(store)
@@ -572,9 +577,9 @@ class Runtime:
         attempt = 0
         while True:
             try:
-                f = self.faults
-                if f is not None:
-                    f.hit("p2p.alloc", task)
+                p = self.probe
+                if p is not None:
+                    p("p2p.alloc", task)
                 alloc = space.alloc(nbytes, label=label, kind="runtime",
                                     owner=owner)
                 # eager buffers live for the whole run; finalize()
@@ -606,12 +611,12 @@ class Runtime:
         # threads and non-preemptive policies).
         self._backend.checkpoint()
         hold: Optional[float] = None
-        f = self.faults
-        if f is not None:
+        p = self.probe
+        if p is not None:
             # delivery injection site: delay/crash/clone_fail fire
-            # inside hit; a reorder is returned for the mailbox to hold
-            # the envelope back
-            act = f.hit("p2p.post", src)
+            # inside the probe; a reorder is returned for the mailbox to
+            # hold the envelope back
+            act = p("p2p.post", src)
             if act is not None and act[0] == "reorder":
                 hold = act[1]
         intra = self.same_node(src, dst)
@@ -648,8 +653,8 @@ class Runtime:
             shard.inter_node += 1
         if copy_now:
             shard.send_copies += 1
-        if self.tracer is not None:
-            self.tracer.record_send(src, dst, tag, context, seq)
+        if p is not None:
+            p("p2p.send", src, dst=dst, tag=tag, seq=seq)
         if hold is not None:
             self._mailboxes[dst].post(env, hold=hold)
         else:
@@ -662,8 +667,9 @@ class Runtime:
         elif not env.owned:
             shard.elided += 1
             shard.elided_bytes += env.nbytes
-        if self.tracer is not None:
-            self.tracer.record_recv(env.dst, env.src, env.tag, env.context, env.seq)
+        p = self.probe
+        if p is not None:
+            p("p2p.deliver", env.dst, src=env.src, tag=env.tag, seq=env.seq)
 
     # ------------------------------------------------------------------ abort
     def signal_abort(self) -> None:
@@ -687,8 +693,6 @@ class Runtime:
         def worker(rank: int) -> None:
             ctx = TaskContext(self, rank)
             self.contexts[rank] = ctx
-            if self.tracer is not None:
-                self.tracer.register_task(rank)
             try:
                 results[rank] = main(ctx, *args, **kwargs)
             except BaseException as exc:  # noqa: BLE001 - must propagate

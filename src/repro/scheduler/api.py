@@ -125,11 +125,6 @@ class LoopReport:
         )
 
 
-def _hit(rt: Any, site: str, world_rank: int) -> None:
-    if rt.faults is not None:
-        rt.faults.hit(site, world_rank)
-
-
 def dynamic_for(
     ctx: Any,
     n_iters: int,
@@ -182,11 +177,17 @@ def dynamic_for(
     else:
         queue = ChunkQueue(ctx, comm, n_iters, pol)
         stealer = WorkStealer(queue, seed=steal_seed)
+
+        def claim(node: Optional[int] = None) -> Optional[Tuple[int, int]]:
+            p = rt.probe                # the sched.claim site, then claim
+            if p is not None:
+                p("sched.claim", world)
+            return queue.claim(node)
+
         comm.barrier()
         t0 = rt.now()
         while True:
-            _hit(rt, "sched.claim", world)
-            chunk = queue.claim()
+            chunk = claim()
             if chunk is not None:
                 stats.chunks_local += 1
                 run_chunk(chunk, t0)
@@ -200,7 +201,9 @@ def dynamic_for(
                 # host every atomic is serialised Python, so the
                 # drained-queue storm at loop end costs per-op).
                 for victim in stealer.victims():
-                    _hit(rt, "sched.steal", world)
+                    p = rt.probe
+                    if p is not None:
+                        p("sched.steal", world)
                     stats.steal_attempts += 1
                     stolen, seen = queue.steal(victim, min_steal=min_steal)
                     stealer.observe(
@@ -224,8 +227,7 @@ def dynamic_for(
                     if seen > 0:
                         # sub-min_steal tail (or a lost CAS race):
                         # drain it chunk-by-chunk right here
-                        _hit(rt, "sched.claim", world)
-                        chunk = queue.claim(victim)
+                        chunk = claim(victim)
                         if chunk is not None:
                             stats.remote_claims += 1
                             run_chunk(chunk, t0)
@@ -237,8 +239,7 @@ def dynamic_for(
                 for node in queue.nodes:
                     if node == queue.node:
                         continue
-                    _hit(rt, "sched.claim", world)
-                    chunk = queue.claim(node)
+                    chunk = claim(node)
                     if chunk is not None:
                         stats.remote_claims += 1
                         run_chunk(chunk, t0)

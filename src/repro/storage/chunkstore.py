@@ -70,7 +70,7 @@ class ChunkStore:
         #: pending (flushed but uncommitted) chunk versions:
         #: (name, idx) -> {"epoch", "crc", "nbytes"}
         self._pending: Dict[tuple, Dict[str, int]] = {}
-        #: the runtime this store is bound to (fault injection + metrics)
+        #: the runtime this store is bound to (its probe + metrics)
         self.runtime: Optional[Any] = None
         # counters (guarded by self._lock)
         self.chunk_reads = 0
@@ -116,9 +116,9 @@ class ChunkStore:
         return store
 
     def bind(self, runtime: Any) -> "ChunkStore":
-        """Bind the store to a runtime: fault-site hits are routed to
-        its injector and ``runtime.metrics("storage")`` aggregates this
-        store's counters.  Idempotent."""
+        """Bind the store to a runtime: its sites call the runtime's
+        probe and ``runtime.metrics("storage")`` aggregates this store's
+        counters.  Idempotent."""
         with self._lock:
             self.runtime = runtime
         attach = getattr(runtime, "attach_store", None)
@@ -218,7 +218,9 @@ class ChunkStore:
     def read_chunk(self, name: str, idx: int, *, task: int = 0) -> np.ndarray:
         """Read the latest readable version of one chunk (pending wins
         over committed) and validate its checksum."""
-        self._hit("storage.read", task)
+        p = getattr(self.runtime, "probe", None)   # None: unbound
+        if p is not None:
+            p("storage.read", task)
         idx = int(idx)
         with self._lock:
             meta = self._manifest["arrays"].get(name)
@@ -268,7 +270,9 @@ class ChunkStore:
     ) -> None:
         """Write one chunk as a *pending* version for the next epoch.
         Not durable until :meth:`commit` folds it into the manifest."""
-        self._hit("storage.write", task)
+        p = getattr(self.runtime, "probe", None)   # None: unbound
+        if p is not None:
+            p("storage.write", task)
         idx = int(idx)
         with self._lock:
             meta = self._manifest["arrays"].get(name)
@@ -295,7 +299,9 @@ class ChunkStore:
         """Fold every pending chunk version into the manifest and write
         it atomically: the fence-as-checkpoint step.  Returns the new
         committed epoch.  A no-op (same epoch) when nothing is pending."""
-        self._hit("storage.flush", task)
+        p = getattr(self.runtime, "probe", None)   # None: unbound
+        if p is not None:
+            p("storage.flush", task)
         with self._lock:
             if not self._pending:
                 return int(self._manifest["epoch"])
@@ -321,12 +327,6 @@ class ChunkStore:
         return epoch
 
     # ------------------------------------------------------------ internals
-    def _hit(self, site: str, task: int) -> None:
-        rt = self.runtime
-        faults = getattr(rt, "faults", None) if rt is not None else None
-        if faults is not None:
-            faults.hit(site, task)
-
     def _array_dir(self, name: str) -> str:
         return os.path.join(self.root, ARRAYS_DIR, name)
 

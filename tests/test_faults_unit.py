@@ -7,6 +7,7 @@ import threading
 
 import pytest
 
+from repro.analysis import Tracer
 from repro.faults import ACTIONS, FaultInjector, FaultPlan, FaultSpec, SITES
 from repro.machine import core2_cluster
 from repro.metrics import FaultMetrics
@@ -263,15 +264,21 @@ class TestZeroCostWhenOff:
     def test_runtime_without_plan_has_no_injector(self):
         rt = Runtime(core2_cluster(1), n_tasks=4)
         assert rt.faults is None
-        for r in range(4):
-            assert rt.mailbox(r).faults is None
+        assert rt.probe is None     # no plan, no tracer: one None test
 
     def test_install_threads_injector_everywhere(self):
+        # every site reads rt.probe live, so "everywhere" is one
+        # attribute (the late-install test in test_probe_seam.py checks
+        # that every site sees it)
         rt = Runtime(core2_cluster(1), n_tasks=4)
         inj = rt.install_faults(FaultPlan.single("p2p.post", "delay"))
         assert rt.faults is inj and inj.runtime is rt
-        for r in range(4):
-            assert rt.mailbox(r).faults is inj
+        assert rt.probe is not None
+        traced = Runtime(core2_cluster(1), n_tasks=4)
+        traced.tracer = Tracer(4)
+        assert traced.probe is not None
+        traced.tracer = None
+        assert traced.probe is None
 
     def test_fault_metrics_without_plan(self):
         rt = Runtime(core2_cluster(1), n_tasks=2)
