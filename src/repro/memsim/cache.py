@@ -18,10 +18,10 @@ class SetAssociativeCache:
 
     Statistics are monotone counters; :attr:`hits` + :attr:`misses`
     equals the number of :meth:`access` calls (an invariant the property
-    tests check).  ``CacheHierarchy._run`` inlines :meth:`access` and
-    :meth:`fill` on ``_sets`` and the counters; a change of policy here
-    must be made there too (``tests/test_memsim_kernel_equivalence.py``
-    compares the two).
+    tests check).  ``CacheHierarchy``'s generated access kernel inlines
+    :meth:`access` and :meth:`fill` on ``_sets`` and the counters; a
+    change of policy here must be made there too
+    (``tests/test_memsim_kernel_equivalence.py`` compares the two).
     """
 
     __slots__ = (

@@ -22,8 +22,10 @@ DRAM.
 
 from __future__ import annotations
 
+import linecache
+import textwrap
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, List, Set, Tuple
 
 import numpy as np
 
@@ -79,6 +81,166 @@ class AccessStats:
         return float(self.remote[pu] + self.mem[pu]) / total
 
 
+# ------------------------------------------------------------ access kernel
+# ``CacheHierarchy``'s one access kernel, generated per path depth (the
+# way ``collections.namedtuple`` builds its class): the walk through the
+# levels is straight-line code, one copy of a per-level block each, with
+# the level's set lists, directory and counters in locals ``S0, D0,
+# hit0, ...``.  Nothing machine-specific is in the source -- the locals
+# are unpacked from ``_kpath[pu]`` when a run starts -- so every
+# hierarchy of one depth shares one function.  ``_k`` in a block is the
+# level index.
+
+#: Evict the LRU line of set ``s`` if the fill overflowed it.
+_EVICT = """\
+if len(s) > W_k:
+    ev_k += 1
+    old = s.pop()
+    h = D_k[old]
+    if len(h) == 1:
+        del D_k[old]
+    else:
+        h.remove(I_k)
+"""
+
+#: Demand access to ``line`` at one level: a hit leaves the walk (the
+#: ``while`` around it), a miss fills and falls through to the next level.
+_DEMAND = """\
+s = S_k[line % N_k]
+h = D_k.get(line)
+if h is None:
+    D_k[line] = {I_k}
+elif I_k in h:
+    if s[0] != line:
+        s.remove(line)
+        s.insert(0, line)
+    hit_k += 1
+    sv = L_k
+    break
+else:
+    h.add(I_k)
+    sv = REMOTE_LEVEL
+s.insert(0, line)
+""" + _EVICT
+
+#: Prefetch fill of ``q`` at one level: a held line is left alone.
+_PREFETCH = """\
+h = D_k.get(q)
+if h is None or I_k not in h:
+    if h is None:
+        D_k[q] = {I_k}
+    else:
+        h.add(I_k)
+    s = S_k[q % N_k]
+    s.insert(0, q)
+""" + textwrap.indent(_EVICT, "    ")
+
+#: Write-invalidate of ``line`` in every other instance at one level.
+_INVALIDATE = """\
+h = D_k.get(line)
+if h is not None and (len(h) > 1 or I_k not in h):
+    sent += _invalidate(caches[L_k], h, I_k, line, D_k)
+"""
+
+#: Counters of one level, flushed once per run: ``reached`` is how many
+#: lines of the run got as far as this level.
+_FLUSH = """\
+self._hits[pu, _k] += hit_k
+C_k.hits += hit_k
+C_k.misses += reached - hit_k
+C_k.evictions += ev_k
+reached -= hit_k
+"""
+
+_KERNEL = """\
+def _run(self, pu, lines, write):
+    [{levels}] = self._kpath[pu]
+    caches = self.caches
+    P = self.prefetch_depth
+    {zero} = remote = mem = sent = 0
+    sv = MEMORY_LEVEL
+    for line in lines:
+        sv = MEMORY_LEVEL
+        while True:    # the walk: a hit breaks out of it
+{demand}\
+            if sv == REMOTE_LEVEL:
+                remote += 1
+            else:
+                mem += 1
+                if P:
+                    for q in range(line + 1, line + 1 + P):
+{prefetch}\
+            break
+        if write:
+{invalidate}\
+    n = reached = {n}
+{flush}\
+    self._remote[pu] += remote
+    self._mem[pu] += mem
+    self.prefetches += P * mem
+    if write:
+        self._writes[pu] += n
+        self._inval_sent[pu] += sent
+    return sv
+"""
+
+_KERNELS: Dict[int, Callable[..., int]] = {}
+
+
+def _invalidate(
+    instances: List[SetAssociativeCache], holders: Set[int], cid: int,
+    line: int, d: Dict[int, Set[int]],
+) -> int:
+    """Drop ``line`` from every instance in ``holders`` but ``cid``;
+    returns how many were invalidated."""
+    sent = 0
+    for other in tuple(holders):
+        if other != cid:
+            instances[other].invalidate(line)
+            holders.remove(other)
+            sent += 1
+    if not holders:
+        del d[line]
+    return sent
+
+
+def _kernel(depth: int) -> Callable[..., int]:
+    """The access kernel for hierarchies ``depth`` levels deep (built
+    once, then shared); see :meth:`CacheHierarchy.access_run`."""
+    fn = _KERNELS.get(depth)
+    if fn is not None:
+        return fn
+
+    def blocks(template: str, indent: int) -> str:
+        return "".join(
+            textwrap.indent(template.replace("_k", str(k)), " " * indent)
+            for k in range(depth)
+        )
+
+    src = _KERNEL.format(
+        levels=", ".join(f"(L{k}, I{k}, C{k}, S{k}, N{k}, W{k}, D{k})"
+                         for k in range(depth)),
+        zero=" = ".join(f"hit{k} = ev{k}" for k in range(depth)),
+        demand=blocks(_DEMAND, 12),
+        prefetch=blocks(_PREFETCH, 24),
+        invalidate=blocks(_INVALIDATE, 12),
+        n=" + ".join([f"hit{k}" for k in range(depth)] + ["remote", "mem"]),
+        flush=blocks(_FLUSH, 4),
+    )
+    filename = f"<memsim kernel, depth {depth}>"
+    namespace = {
+        "MEMORY_LEVEL": MEMORY_LEVEL,
+        "REMOTE_LEVEL": REMOTE_LEVEL,
+        "_invalidate": _invalidate,
+    }
+    exec(compile(src, filename, "exec"), namespace)
+    # mtime None: linecache.checkcache keeps the entry, so tracebacks
+    # and profilers can show the generated lines
+    linecache.cache[filename] = (len(src), None, src.splitlines(True), filename)
+    # setdefault: of two threads building one depth, both keep the first
+    return _KERNELS.setdefault(depth, namespace["_run"])
+
+
 class CacheHierarchy:
     """Simulated caches + coherence for one machine (or one node of it).
 
@@ -97,10 +259,14 @@ class CacheHierarchy:
         self.machine = machine
         self.levels: Tuple[int, ...] = tuple(sorted(machine.caches))
         self.llc_level = machine.llc_level
+        if not self.levels:
+            raise ValueError(
+                f"machine {machine.name!r} has no caches: a CacheHierarchy "
+                "needs at least one cache level")
         line = {machine.caches[lvl].line_bytes for lvl in self.levels}
         if len(line) != 1:
             raise ValueError(f"heterogeneous line sizes unsupported: {line}")
-        self.line_bytes = line.pop() if line else 64
+        self.line_bytes = line.pop()
         # caches[level][instance id] -> cache object
         self.caches: Dict[int, List[SetAssociativeCache]] = {}
         for lvl in self.levels:
@@ -114,7 +280,8 @@ class CacheHierarchy:
         # Per-PU path through the hierarchy, precomputed for the hot loop;
         # _kpath is the same walk with everything the kernel touches
         # already looked up (set lists and directories are only ever
-        # mutated in place, so the references stay good across flushes).
+        # mutated in place, so the references stay good across flushes),
+        # and _kernel the generated walk for a path this deep.
         self._path: List[Tuple[Tuple[int, int, SetAssociativeCache], ...]] = []
         self._kpath: List[Tuple[tuple, ...]] = []
         for pu in machine.pus:
@@ -127,6 +294,7 @@ class CacheHierarchy:
                 (lvl, cid, c, c._sets, c._n_sets, c._ways, self._dir[lvl])
                 for lvl, cid, c in path
             ))
+        self._kernel = _kernel(len(self.levels))
         n = machine.n_pus
         nl = len(self.levels)
         self._hits = np.zeros((n, nl), dtype=np.int64)
@@ -144,94 +312,29 @@ class CacheHierarchy:
     def access_run(
         self, pu: int, lines: Iterable[int], *, write: bool = False
     ) -> None:
-        """Simulate a run of accesses given as *line numbers* (hot path)."""
-        if isinstance(lines, np.ndarray):
-            lines = lines.tolist()    # Python ints only: see _run
-        self._run(pu, lines, write)
+        """Simulate a run of accesses given as *line numbers* (hot path).
 
-    def _access_line(self, pu: int, line: int, write: bool) -> int:
-        return self._run(pu, (int(line),), write)
-
-    def _run(
-        self, pu: int, lines: Iterable[int], write: bool, demand: bool = True
-    ) -> int:
-        """The access kernel: every entry point ends here.
-
-        Walks ``lines`` for one PU with the LRU hit/fill/evict and the
+        Every entry point ends in the access kernel (``_kernel``, the
+        generated ``_run`` for this hierarchy's depth), which walks
+        ``lines`` for one PU with the LRU hit/fill/evict and the
         directory update inlined, and returns the last service level.
         It leans on three invariants (DESIGN.md section 7): the
         directory mirrors the cache contents exactly, so ``cid in
         holders`` *is* the hit test and an evicted line always has a
         directory entry; ``lines`` are Python ints, so no NumPy scalar
-        ever reaches a set list or a directory key; and the per-PU
-        counters live in locals until the run ends.  ``demand=False`` is
-        the prefetch fill, which the kernel issues to itself on a DRAM
-        miss: same walk, but a held line is left alone (no LRU move, no
-        stop at the first hit) and only evictions and ``prefetches``
-        are counted.
+        ever reaches a set list or a directory key; and every counter of
+        this PU and of its own cache instances lives in locals until the
+        run ends (only the invalidations a write sends are counted in
+        place, by the other instances).  A DRAM miss issues the prefetch fill
+        (``prefetch_depth`` lines) inside the same walk: a held line is
+        left alone, and only evictions and ``prefetches`` are counted.
         """
-        path = self._kpath[pu]
-        caches = self.caches
-        depth = self.prefetch_depth if demand else 0
-        served = dict.fromkeys((MEMORY_LEVEL, REMOTE_LEVEL) + self.levels, 0)
-        sent = 0
-        service = MEMORY_LEVEL
-        for line in lines:
-            service = MEMORY_LEVEL
-            for lvl, cid, cache, sets, n_sets, ways, d in path:
-                s = sets[line % n_sets]
-                holders = d.get(line)
-                if holders is None:
-                    d[line] = {cid}
-                elif cid in holders:
-                    if not demand:
-                        continue
-                    if s[0] != line:
-                        s.remove(line)
-                        s.insert(0, line)
-                    cache.hits += 1
-                    service = lvl
-                    break
-                else:
-                    holders.add(cid)
-                    service = REMOTE_LEVEL    # some other instance has it
-                cache.misses += demand
-                s.insert(0, line)
-                if len(s) > ways:
-                    cache.evictions += 1
-                    evicted = s.pop()
-                    holders = d[evicted]
-                    if len(holders) == 1:
-                        del d[evicted]
-                    else:
-                        holders.remove(cid)
-            served[service] += 1
-            if depth and service == MEMORY_LEVEL:
-                self._run(pu, range(line + 1, line + 1 + depth), False, False)
-            if write:
-                for lvl, cid, _c, _s, _n, _w, d in path:
-                    holders = d.get(line)
-                    if holders is None or (len(holders) == 1 and cid in holders):
-                        continue
-                    for other in tuple(holders):
-                        if other != cid:
-                            caches[lvl][other].invalidate(line)
-                            holders.remove(other)
-                            sent += 1
-                    if not holders:
-                        del d[line]
-        n = sum(served.values())
-        if not demand:
-            self.prefetches += n
-            return service
-        for idx, lvl in enumerate(self.levels):
-            self._hits[pu, idx] += served[lvl]
-        self._remote[pu] += served[REMOTE_LEVEL]
-        self._mem[pu] += served[MEMORY_LEVEL]
-        if write:
-            self._writes[pu] += n
-            self._inval_sent[pu] += sent
-        return service
+        if isinstance(lines, np.ndarray):
+            lines = lines.tolist()    # Python ints only: see above
+        self._kernel(self, pu, lines, write)
+
+    def _access_line(self, pu: int, line: int, write: bool) -> int:
+        return self._kernel(self, pu, (int(line),), write)
 
     # ---------------------------------------------------------------- helpers
     def touch_range(self, pu: int, addr: int, nbytes: int, *, write: bool = False) -> None:

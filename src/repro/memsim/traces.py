@@ -51,8 +51,10 @@ def stream_trace(
 def stream_lines(base_addr: int, nbytes: int, *, line_bytes: int = 64) -> np.ndarray:
     """Sequential sweep touching each *line* once (cheaper stand-in for a
     vectorised streaming kernel)."""
+    if nbytes <= 0:
+        return np.empty(0, dtype=np.int64)
     first = base_addr // line_bytes
-    last = (base_addr + max(nbytes, 1) - 1) // line_bytes
+    last = (base_addr + nbytes - 1) // line_bytes
     return np.arange(first, last + 1, dtype=np.int64)
 
 
@@ -76,30 +78,36 @@ def blocked_matmul_trace(
     """
     if n <= 0:
         raise ValueError("matrix size must be positive")
+    if block < 1:
+        raise ValueError("block must be >= 1")
     block = min(block, n)
-    elems_per_line = max(1, line_bytes // elem_bytes)
     nb = (n + block - 1) // block
 
     def block_lines(base: int, bi: int, bj: int) -> np.ndarray:
-        rows = range(bi * block, min((bi + 1) * block, n))
-        segs = []
-        for r in rows:
-            start = base + (r * n + bj * block) * elem_bytes
-            width = (min((bj + 1) * block, n) - bj * block) * elem_bytes
-            first = start // line_bytes
-            last = (start + width - 1) // line_bytes
-            segs.append(np.arange(first, last + 1, dtype=np.int64))
-        return np.concatenate(segs)
+        """The lines of block (bi, bj), row by row: every row's segment
+        at once, as one ``arange`` shifted by ``repeat``ed row starts."""
+        rows = np.arange(bi * block, min((bi + 1) * block, n), dtype=np.int64)
+        start = base + (rows * n + bj * block) * elem_bytes
+        width = (min((bj + 1) * block, n) - bj * block) * elem_bytes
+        first = start // line_bytes
+        count = (start + width - 1) // line_bytes - first + 1
+        offset = np.cumsum(count) - count      # row's position in the block
+        return (np.repeat(first - offset, count)
+                + np.arange(count.sum(), dtype=np.int64))
 
+    def blocks(base: int) -> List[List[np.ndarray]]:
+        return [[block_lines(base, bi, bj) for bj in range(nb)]
+                for bi in range(nb)]
+
+    a, b, c = blocks(a_addr), blocks(b_addr), blocks(c_addr)
     out: List[np.ndarray] = []
     for bi in range(nb):
         for bj in range(nb):
-            c_lines = block_lines(c_addr, bi, bj)
-            out.append(c_lines)
+            out.append(c[bi][bj])
             for bk in range(nb):
-                out.append(block_lines(a_addr, bi, bk))
-                out.append(block_lines(b_addr, bk, bj))
-            out.append(c_lines)  # write-back touch
+                out.append(a[bi][bk])
+                out.append(b[bk][bj])
+            out.append(c[bi][bj])  # write-back touch
     return np.concatenate(out)
 
 

@@ -27,12 +27,19 @@ implementation ``CacheHierarchy`` shipped with before the fused kernel:
 one method call per level on plain ``SetAssociativeCache.access`` /
 ``fill`` / ``invalidate``, hit test by scanning the set, remote test by
 scanning the holders.  Slow and obviously right.
+
+**Trace builder.**  :func:`reference_blocked_matmul_trace` is the
+per-row construction ``blocked_matmul_trace`` shipped with before it
+built each block once: one ``np.arange`` per row of every block, rebuilt
+for every block triple of the schedule.
 """
 
 import threading
 import time
 from types import SimpleNamespace
 from typing import Any, Callable, List, Optional
+
+import numpy as np
 
 from repro.memsim.hierarchy import MEMORY_LEVEL, REMOTE_LEVEL, CacheHierarchy
 from repro.runtime import SUM
@@ -377,3 +384,31 @@ class ReferenceHierarchy(CacheHierarchy):
                     if not ev:
                         del d[evicted]
         self.prefetches += 1
+
+
+def reference_blocked_matmul_trace(a_addr, b_addr, c_addr, n, *,
+                                   elem_bytes=8, block=32, line_bytes=64):
+    """``blocked_matmul_trace``, one row segment at a time."""
+    block = min(block, n)
+    nb = (n + block - 1) // block
+
+    def block_lines(base, bi, bj):
+        segs = []
+        for r in range(bi * block, min((bi + 1) * block, n)):
+            start = base + (r * n + bj * block) * elem_bytes
+            width = (min((bj + 1) * block, n) - bj * block) * elem_bytes
+            first = start // line_bytes
+            last = (start + width - 1) // line_bytes
+            segs.append(np.arange(first, last + 1, dtype=np.int64))
+        return np.concatenate(segs)
+
+    out = []
+    for bi in range(nb):
+        for bj in range(nb):
+            c_lines = block_lines(c_addr, bi, bj)
+            out.append(c_lines)
+            for bk in range(nb):
+                out.append(block_lines(a_addr, bi, bk))
+                out.append(block_lines(b_addr, bk, bj))
+            out.append(c_lines)
+    return np.concatenate(out)
