@@ -32,7 +32,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from repro.hls import HLSProgram, enable_process_hls
+from repro.hls import HLSProgram
 from repro.machine import core2_cluster
 from repro.metrics import MemoryMetrics, MemoryReport, MemorySampler
 from repro.runtime import CommStats, ProcessRuntime, Runtime
@@ -102,10 +102,7 @@ def make_runtime(cfg) -> Runtime:
     """Build the runtime a config asks for (shared by apps)."""
     machine = core2_cluster(cfg.n_nodes)
     if cfg.runtime == "openmpi":
-        rt = ProcessRuntime(machine, n_tasks=cfg.n_tasks, timeout=120.0)
-        if cfg.hls:
-            enable_process_hls(rt)
-        return rt
+        return ProcessRuntime(machine, n_tasks=cfg.n_tasks, timeout=120.0)
     return Runtime(
         machine, n_tasks=cfg.n_tasks, timeout=120.0,
         sharing=getattr(cfg, "sharing", "private"),

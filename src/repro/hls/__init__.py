@@ -45,11 +45,7 @@ from repro.hls.compiler import (
     hls_compile,
     scan_pragmas,
 )
-from repro.hls.shared_segment import (
-    InterposedHeap,
-    SharedSegmentManager,
-    enable_process_hls,
-)
+from repro.hls.shared_segment import InterposedHeap
 
 __all__ = [
     "HLSDeclarationError",
@@ -71,6 +67,4 @@ __all__ = [
     "hls_compile",
     "compile_module_source",
     "InterposedHeap",
-    "SharedSegmentManager",
-    "enable_process_hls",
 ]

@@ -1,4 +1,4 @@
-"""HLS on process-based MPIs: the shared-segment backend (section IV-C).
+"""HLS on process-based MPIs: the interposed heap (section IV-C).
 
 "To be able to share variables and use shared-memory synchronization
 algorithms, all HLS variables and the corresponding structures must be
@@ -7,21 +7,16 @@ Additionally this shared memory segment should start with the same
 virtual address for all processes on the node" -- the isomalloc
 technique of PM2.
 
-Here each node gets one segment :class:`~repro.memory.arena.Arena` from
-the runtime's :class:`~repro.memory.manager.MemoryManager`.  The
-manager's base-address registry hands every node's segment the *same*
-region (``reserve_shared``), which is the isomalloc property: the
-segment starts at one fixed virtual address on every node, so
-cross-process pointers into HLS data are valid.  Distinct nodes never
-exchange raw pointers, so aliasing their ranges is safe -- and it is the
-one sanctioned exception to the registry's disjointness guarantee.
+On the process backend every scope-shared buffer lands in that segment
+(:meth:`~repro.runtime.process_mpi.ProcessRuntime.scope_space`), and the
+base-address registry hands every node's segment the *same* region
+(``reserve_shared``), so cross-process pointers into HLS data are valid.
+Distinct nodes never exchange raw pointers, so aliasing their ranges is
+safe -- the one sanctioned exception to the registry's disjointness.
 
-:func:`enable_process_hls` installs the manager as the runtime's
-``hls_segment`` so :class:`~repro.hls.storage.HLSStorage` routes HLS
-allocations into it instead of per-process memory.  The
-:class:`InterposedHeap` plays the role of the ``LD_PRELOAD`` malloc
-interposer: allocations made while a task is inside a ``single`` block
-land in the shared segment, others in the task's private space.
+:class:`InterposedHeap` is the ``LD_PRELOAD`` malloc interposer:
+allocations made while a task is inside a ``single`` block land in the
+node's scope space, others in the task's private space.
 """
 
 from __future__ import annotations
@@ -29,42 +24,23 @@ from __future__ import annotations
 import threading
 from typing import Dict
 
-from repro.memory import SEGMENT_KEY
-from repro.memory.arena import Arena
-from repro.memsim.address_space import Allocation
-from repro.runtime.process_mpi import ProcessRuntime
-
-
-class SharedSegmentManager:
-    """Per-node shared segments with the same-virtual-address property."""
-
-    def __init__(self, runtime: ProcessRuntime) -> None:
-        self.runtime = runtime
-
-    def segment(self, node: int) -> Arena:
-        return self.runtime.memory.segment_arena(node)
-
-    def node_bytes(self, node: int) -> int:
-        return self.segment(node).live_bytes
-
-    def virtual_base(self, node: int) -> int:
-        """The address every process on ``node`` sees the segment at."""
-        base, _limit = self.runtime.memory.registry.reserve_shared(SEGMENT_KEY)
-        return base
+from repro.machine.scopes import ScopeInstance, ScopeKind, ScopeSpec
+from repro.memsim.address_space import AddressSpace, Allocation
+from repro.runtime.runtime import Runtime
 
 
 class InterposedHeap:
     """LD_PRELOAD-style allocator interposition.
 
     While :meth:`inside_single` is active for a task, its dynamic
-    allocations are redirected to the node's shared segment (so an HLS
+    allocations are redirected to the node's scope space (so an HLS
     pointer assigned inside a ``single`` block references memory every
-    process can address); otherwise they go to the task's private space.
+    task of the node can address); otherwise they go to the task's
+    private space.
     """
 
-    def __init__(self, runtime: ProcessRuntime, segments: SharedSegmentManager) -> None:
+    def __init__(self, runtime: Runtime) -> None:
         self.runtime = runtime
-        self.segments = segments
         self._depth: Dict[int, int] = {}
         self._lock = threading.Lock()
 
@@ -83,45 +59,27 @@ class InterposedHeap:
         with self._lock:
             return self._depth.get(rank, 0) > 0
 
+    def _shared(self, rank: int) -> AddressSpace:
+        rt = self.runtime
+        return rt.scope_space(
+            ScopeInstance(ScopeSpec(ScopeKind.NODE), rt.node_of(rank)))
+
     def malloc(self, rank: int, nbytes: int, *, label: str = "") -> Allocation:
         if self.inside_single(rank):
-            node = self.runtime.node_of(rank)
-            return self.segments.segment(node).alloc(
+            return self._shared(rank).alloc(
                 nbytes, label=label or "heap(shared)", kind="hls"
             )
-        return self.runtime.task_space(rank).alloc(
+        return self.runtime.space_for(rank).alloc(
             nbytes, label=label or "heap", kind="app", owner=rank
         )
 
     def free(self, rank: int, alloc: Allocation) -> None:
         # The allocation's address range identifies which space owns it.
-        node = self.runtime.node_of(rank)
-        seg = self.segments.segment(node)
-        if seg.find(alloc.addr) is alloc:
-            seg.free(alloc)
+        shared = self._shared(rank)
+        if shared.find(alloc.addr) is alloc:
+            shared.free(alloc)
         else:
-            self.runtime.task_space(rank).free(alloc)
+            self.runtime.space_for(rank).free(alloc)
 
 
-def enable_process_hls(runtime: ProcessRuntime) -> SharedSegmentManager:
-    """Wire the shared-segment backend into a process-based runtime.
-
-    After this, :class:`~repro.hls.storage.HLSStorage` allocates HLS
-    module images in the node's shared segment.  The memory manager
-    counts each segment arena once per node natively (not once per
-    process), so no accounting override is needed.  Returns the manager
-    for inspection.
-    """
-    if not isinstance(runtime, ProcessRuntime):
-        raise TypeError("shared segments are only needed for process-based MPIs")
-    mgr = SharedSegmentManager(runtime)
-    runtime.hls_segment = mgr.segment  # consumed by HLSStorage
-    runtime.hls_segment_manager = mgr
-    return mgr
-
-
-__all__ = [
-    "SharedSegmentManager",
-    "InterposedHeap",
-    "enable_process_hls",
-]
+__all__ = ["InterposedHeap"]

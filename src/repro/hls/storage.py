@@ -90,16 +90,10 @@ class HLSStorage:
         rt = self.runtime
         if kind == "task":
             return rt.space_for(rank)
-        # HLS storage lives once per scope instance, in that instance's
-        # own arena: a numa- or cache(2)-scoped variable is placed (and
-        # accounted) at its level of the hierarchy, not collapsed into
-        # the node space.  The process backend instead routes every HLS
-        # slot through its per-node shared segment (section IV-C) --
-        # processes can only share what the isomalloc segment maps.
-        seg = getattr(rt, "hls_segment", None)
-        if seg is not None:
-            return seg(rt.node_of(rank))
-        return rt.memory.scope_arena(where)
+        # Once per scope instance, where the backend puts scope-shared
+        # buffers: the instance's own arena on threads (a numa variable
+        # is accounted at its level), the node's segment on processes.
+        return rt.scope_space(where)
 
     def _materialise(self, key: _SlotKey, module: HLSModule, rank: int) -> ModuleImage:
         with self._slot_lock(key):

@@ -15,7 +15,6 @@ from repro.memory.manager import (
     LeakRecord,
     LeakReport,
     MemoryManager,
-    SEGMENT_KEY,
     scope_level,
 )
 from repro.memory.registry import (
@@ -35,6 +34,5 @@ __all__ = [
     "LeakRecord",
     "LeakReport",
     "MemoryManager",
-    "SEGMENT_KEY",
     "scope_level",
 ]

@@ -9,8 +9,9 @@ its NUMA instance's storage, not be silently collapsed into the node's.
 :class:`MemoryManager` materialises one :class:`~repro.memory.arena.
 Arena` per :class:`~repro.machine.scopes.ScopeInstance` on first use,
 plus per-task arenas for the process backend's private images and
-per-node isomalloc segment arenas for the section IV-C shared-segment
-technique.  All bases come from one
+per-node isomalloc segment arenas, where that backend's
+``Runtime.scope_space`` puts every scope-shared buffer (section IV-C).
+All bases come from one
 :class:`~repro.memory.registry.BaseAddressRegistry`, so every arena's
 address range is provably disjoint (segments excepted, by design).
 
@@ -198,8 +199,9 @@ class MemoryManager:
         return self._materialise(key, make)
 
     def segment_arena(self, node: int) -> Arena:
-        """A node's isomalloc HLS segment (section IV-C): every node's
-        segment shares one base address -- the property that makes
+        """A node's isomalloc segment (section IV-C), the process
+        backend's home for scope-shared buffers: every node's segment
+        shares one base address -- the property that makes
         cross-process pointers into HLS data valid."""
         key = ("segment", node)
 

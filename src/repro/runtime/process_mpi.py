@@ -20,12 +20,13 @@ copy policy*, not the OS mechanism) but flips the policies:
   and 300MB less memory than Open MPI and this gap grows with the
   number of cores" observation in Tables II-IV.
 
-HLS on top of this backend requires the shared-segment technique of
-section IV-C, provided by :mod:`repro.hls.shared_segment`.
+Scope-shared buffers (HLS images, ``Win.allocate_shared`` windows) live
+in the node's isomalloc segment (section IV-C): :meth:`scope_space`.
 """
 
 from __future__ import annotations
 
+from repro.machine.scopes import ScopeInstance
 from repro.memsim.address_space import AddressSpace
 from repro.runtime.runtime import Runtime
 
@@ -79,10 +80,15 @@ class ProcessRuntime(Runtime):
     def space_for(self, rank: int) -> AddressSpace:
         return self.task_space(rank)
 
+    def scope_space(self, inst: ScopeInstance) -> AddressSpace:
+        """Processes share only what the isomalloc segment maps, so a
+        scope-shared buffer lives in its node's segment whatever the
+        instance's level (section IV-C)."""
+        return self.memory.segment_arena(self.machine.scope_instance_node(inst))
+
     # node_live_bytes needs no override: the memory manager attributes
     # each task arena to its owner's current node, so a node's total is
-    # its node-level pools plus the private spaces of resident ranks
-    # (plus the HLS shared segment, when enable_process_hls is active).
+    # its node-level pools, its segment and its ranks' private spaces.
 
     def _alloc_runtime_memory(self) -> None:
         # Per-process pools: allocate in each task's own space so the

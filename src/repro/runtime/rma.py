@@ -3,7 +3,7 @@
 The paper positions HLS against the MPI Forum's one-sided proposal:
 windows of exposed memory that peers access with ``put``/``get``/
 ``accumulate`` instead of matched send/receive pairs.  This module
-builds that full surface on the thread runtime:
+builds that full surface on every backend:
 
 * **window creation** -- :meth:`Win.create` (expose an existing buffer),
   :meth:`Win.allocate` (window-allocated per-rank buffers) and
@@ -26,12 +26,12 @@ chunk through its cache.  Payloads are flattened once (row-major), and
 a ``get`` destination the walk cannot fill in place is staged and
 copied back.
 
-Copy policy mirrors the rest of the runtime.  When origin and target
-share an address space and either the runtime runs ``sharing="shared"``
-or the window was allocated shared, an access is *direct*: the one
-semantic transfer touches the exposed segment with plain loads/stores
-and no staging copy is charged (``zero_copy_hits`` in
-``Runtime.metrics("rma")``).  Otherwise the access is charged one
+Copy policy mirrors the rest of the runtime.  When the window was
+allocated shared (node-shared on every backend), or the runtime runs
+``sharing="shared"`` and origin and target share an address space, an
+access is *direct*: the one semantic transfer touches the exposed
+segment with plain loads/stores and no staging copy is charged
+(``zero_copy_hits`` in ``Runtime.metrics("rma")``).  Otherwise the access is charged one
 origin-side staging copy, and the process backend
 (:mod:`repro.runtime.process_mpi`) charges a second and emulates the
 window with lazily allocated **per-origin mirror copies** of the target
@@ -52,6 +52,7 @@ from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Optional, Tup
 
 import numpy as np
 
+from repro.machine.scopes import ScopeInstance, ScopeKind, ScopeSpec
 from repro.metrics.rma import WIN_COUNTERS
 from repro.runtime.abort import Watchdog, subscribe_abort
 from repro.runtime.errors import MPIError, RMAEpochError
@@ -344,19 +345,14 @@ class Win:
         """Collective: one contiguous node-shared buffer, ``count``
         elements per rank (MPI_Win_allocate_shared analog).
 
-        Requires a backend with a shared node address space (the thread
-        runtime); the process backend raises ``MPIError`` instead of
-        silently handing out private buffers.  ``offsets`` optionally
+        The buffer lives where the backend puts memory every task of
+        the node addresses (:meth:`Runtime.scope_space`): the node's
+        arena on threads, its isomalloc segment on processes -- so
+        every access is direct on both.  ``offsets`` optionally
         overrides the contiguous per-rank layout and is validated
         against out-of-range and overlapping segments.
         """
         rt = comm.runtime
-        if not rt.shared_node_address_space:
-            raise MPIError(
-                "the process backend has no shared address space: "
-                "Win.allocate_shared is unavailable (use Win.allocate "
-                "for per-origin emulated windows)"
-            )
         world = [comm.to_world(r) for r in range(comm.size)]
         node0 = rt.node_of(world[0])
         if any(rt.node_of(w) != node0 for w in world):
@@ -387,7 +383,7 @@ class Win:
             st.base = base
             st.offsets = offs
             st.sizes = sizes
-            space = rt.node_space(node0)
+            space = rt.scope_space(ScopeInstance(ScopeSpec(ScopeKind.NODE), node0))
             alloc = space.alloc(
                 max(int(base.nbytes), 1), label="rma-shared-window",
                 kind="rma",
@@ -414,7 +410,7 @@ class Win:
         """A peer's segment by reference (MPI_Win_shared_query analog;
         any window kind on the thread backend, since all segments live
         in one process -- but only ``allocate_shared`` guarantees the
-        contiguous layout MPI promises)."""
+        contiguous layout MPI promises, and is shared on every backend)."""
         st = self._shared
         self._check_live()
         if not 0 <= rank < st.size:
@@ -560,21 +556,22 @@ class Win:
         write: bool, view: bool,
     ) -> int:
         """In-memory walk: ``step`` runs once, on the segment slice
-        itself.  The access is *direct* when origin and target share an
-        address space and either the runtime runs ``sharing="shared"``
-        or the window was allocated shared.  A direct read takes no
-        lock; every other access holds the ``(target, chunk)`` locks it
-        spans -- one ``acquire`` for one chunk -- so puts and
-        read-modify-writes on a chunk serialise.  Returns the staged
-        copies charged: none when direct, else one origin-side copy, or
-        two plus a mirror of the target segment on the process
+        itself.  The access is *direct* when the window was allocated
+        shared (its buffer is node-shared on every backend) or, under
+        ``sharing="shared"``, when origin and target share an address
+        space, as every pair of a one-node shared window does.  A direct
+        read takes no lock; every other access holds the ``(target,
+        chunk)`` locks it spans -- one ``acquire`` for one chunk -- so
+        puts and read-modify-writes on a chunk serialise.  Returns the
+        staged copies charged: none when direct, else one origin-side
+        copy, or two plus a mirror of the target segment on the process
         backend."""
         st = self._shared
         rt = st.runtime
         comm = self.comm
         seg = buf[disp:disp + count]
-        direct = (rt.sharing == "shared" or st.kind == "shared") and \
-            rt.shares_address_space(comm.world_rank, comm.to_world(target))
+        direct = (rt.shares_address_space(comm.world_rank, comm.to_world(target))
+                  if rt.sharing == "shared" else st.kind == "shared")
         if direct and not write:
             step(seg, 0)
             return 0

@@ -24,6 +24,7 @@ import time
 from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from repro.machine.scopes import ScopeInstance
 from repro.machine.topology import Machine, build_machine
 from repro.machine.treemap import collective_levels
 from repro.memory import LeakReport, MemoryManager
@@ -416,6 +417,13 @@ class Runtime:
 
     def space_for(self, rank: int) -> AddressSpace:
         return self.node_space(self.node_of(rank))
+
+    def scope_space(self, inst: ScopeInstance) -> AddressSpace:
+        """Where a buffer every task of scope instance ``inst``
+        addresses lives (an HLS image, an ``allocate_shared`` window, an
+        interposed ``single`` allocation): the instance's own arena,
+        since a node's tasks share one address space."""
+        return self.memory.scope_arena(inst)
 
     def all_spaces(self) -> Dict[int, AddressSpace]:
         """Materialised node spaces (node-scope arenas), keyed by node."""

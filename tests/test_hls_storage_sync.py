@@ -4,7 +4,7 @@ running on the thread-based runtime."""
 import numpy as np
 import pytest
 
-from repro.hls import HLSDeclarationError, HLSProgram, enable_process_hls
+from repro.hls import HLSDeclarationError, HLSProgram
 from repro.machine import core2_cluster, nehalem_ex_node, small_test_machine
 from repro.runtime import MigrationError, ProcessRuntime, Runtime
 
@@ -296,7 +296,6 @@ class TestMemoryAccounting:
 class TestProcessBackend:
     def test_hls_via_shared_segment(self):
         rt = ProcessRuntime(core2_cluster(1), n_tasks=8, timeout=5.0)
-        mgr = enable_process_hls(rt)
         prog = HLSProgram(rt)
         prog.declare("t", shape=(16,), scope="node")
 
@@ -309,43 +308,55 @@ class TestProcessBackend:
 
         assert rt.run(main) == [144.0] * 8
         # the image lives once, in the node's shared segment
-        assert mgr.node_bytes(0) >= 16 * 8
+        assert rt.memory.segment_arena(0).live_bytes >= 16 * 8
+
+    def test_images_in_segment_with_no_opt_in(self):
+        """A process runtime puts every scope-shared image in its node's
+        segment, which all its processes map -- never in a scope arena
+        (level ``node`` or ``numa``), which none of them does."""
+        rt = ProcessRuntime(core2_cluster(1), n_tasks=8, timeout=5.0)
+        prog = HLSProgram(rt)
+        prog.declare("t", shape=(16,), scope="node")
+        prog.declare("u", shape=(4,), scope="numa")
+
+        def main(ctx):
+            h = prog.attach(ctx)
+            return float(h["t"].sum() + h["u"].sum())
+
+        assert rt.run(main) == [0.0] * 8
+        levels = rt.memory.live_by_level(0)
+        assert "node" not in levels and "numa" not in levels
+        # one image of the (t, u) module per instance: the node and its
+        # two numa domains
+        assert levels["segment"] == 3 * (16 + 4) * 8
 
     def test_segment_base_identical_across_nodes(self):
         rt = ProcessRuntime(core2_cluster(2), n_tasks=16, timeout=5.0)
-        mgr = enable_process_hls(rt)
-        assert mgr.segment(0)._base == mgr.segment(1)._base
-        assert mgr.virtual_base(0) == mgr.virtual_base(1)
+        assert rt.memory.segment_arena(0)._base == rt.memory.segment_arena(1)._base
+        assert rt.memory.segment_arena(0).base == rt.memory.segment_arena(1).base
 
     def test_interposed_heap_routes_by_single_depth(self):
         from repro.hls import InterposedHeap
 
         rt = ProcessRuntime(core2_cluster(1), n_tasks=2, timeout=5.0)
-        mgr = enable_process_hls(rt)
-        heap = InterposedHeap(rt, mgr)
+        heap = InterposedHeap(rt)
         private = heap.malloc(0, 100)
         heap.enter_single(0)
         shared = heap.malloc(0, 200)
         heap.exit_single(0)
         assert rt.task_space(0).find(private.addr) is private
-        assert mgr.segment(0).find(shared.addr) is shared
+        assert rt.memory.segment_arena(0).find(shared.addr) is shared
         heap.free(0, shared)
         heap.free(0, private)
-        assert mgr.node_bytes(0) == 0
+        assert rt.memory.segment_arena(0).live_bytes == 0
 
     def test_exit_without_enter_raises(self):
         from repro.hls import InterposedHeap
 
         rt = ProcessRuntime(core2_cluster(1), n_tasks=1, timeout=5.0)
-        mgr = enable_process_hls(rt)
-        heap = InterposedHeap(rt, mgr)
+        heap = InterposedHeap(rt)
         with pytest.raises(RuntimeError):
             heap.exit_single(0)
-
-    def test_thread_runtime_rejected(self):
-        rt = Runtime(core2_cluster(1), n_tasks=2)
-        with pytest.raises(TypeError):
-            enable_process_hls(rt)
 
 
 class TestMigration:

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.hls import HLSProgram, enable_process_hls
+from repro.hls import HLSProgram
 from repro.machine import small_test_machine
 from repro.memory import MemoryManager
 from repro.metrics import MemorySampler
@@ -48,10 +48,9 @@ class TestSharedSegments:
     def test_segments_alias_one_region_other_arenas_do_not(self):
         machine = small_test_machine(n_nodes=2)
         rt = ProcessRuntime(machine, n_tasks=8, timeout=10.0)
-        mgr = enable_process_hls(rt)
-        s0, s1 = mgr.segment(0), mgr.segment(1)
+        s0, s1 = rt.memory.segment_arena(0), rt.memory.segment_arena(1)
         assert s0 is not s1
-        assert s0.base == s1.base == mgr.virtual_base(0)
+        assert s0.base == s1.base == rt.memory.segment_arena(0).base
         assert not _disjoint(s0, s1)      # isomalloc aliasing, on purpose
         for other in rt.memory.arenas():
             if other not in (s0, s1):
@@ -60,9 +59,8 @@ class TestSharedSegments:
     def test_segment_bytes_counted_once_per_node(self):
         machine = small_test_machine(n_nodes=2)
         rt = ProcessRuntime(machine, n_tasks=8, timeout=10.0)
-        mgr = enable_process_hls(rt)
         before = rt.node_live_bytes(0)
-        mgr.segment(0).alloc(1000, kind="hls")
+        rt.memory.segment_arena(0).alloc(1000, kind="hls")
         assert rt.node_live_bytes(0) == before + 1000
         assert rt.node_live_bytes(1) == before   # symmetric pools only
 

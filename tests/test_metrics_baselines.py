@@ -257,20 +257,27 @@ class TestSharedWindow:
         with pytest.raises(MPIError, match="exceeds the window"):
             rt.run(main)
 
-    def test_process_backend_rejected_not_silently_private(self):
-        """The process backend has no shared address space to map the
-        window into; it must raise instead of handing each rank a
-        private buffer that silently drops peer stores."""
+    def test_process_backend_shares_not_silently_private(self):
+        """The process backend has no shared address space, so the window
+        goes where its processes do share memory -- the node's isomalloc
+        segment -- never into private buffers that drop peer stores."""
         from repro.runtime import ProcessRuntime
 
         rt = ProcessRuntime(core2_cluster(1), n_tasks=2, timeout=5.0)
+        seg = rt.memory.segment_arena(0)
 
         def main(ctx):
             c = ctx.comm_world.split_by_node()
-            Win.allocate_shared(c, 4)
+            win = Win.allocate_shared(c, 4)
+            win.shared_query(1 - c.rank)[:] = 10.0 + c.rank
+            win.fence()
+            seen = float(win.local().sum())
+            live = seg.live_bytes
+            win.free()
+            return seen, live, seg.live_bytes
 
-        with pytest.raises(MPIError, match="no shared address space"):
-            rt.run(main)
+        assert rt.run(main) == [(44.0, 64, 0), (40.0, 64, 0)]
+        assert not rt.finalize()
 
     def test_negative_count_rejected(self):
         rt = Runtime(core2_cluster(1), n_tasks=2, timeout=5.0)

@@ -161,12 +161,11 @@ class TestListing4:
 
     def test_listing4_free_protected(self):
         """The free(B) is also single-protected: once per node."""
-        from repro.hls import InterposedHeap, SharedSegmentManager, enable_process_hls
+        from repro.hls import InterposedHeap
         from repro.runtime import ProcessRuntime
 
         rt = ProcessRuntime(core2_cluster(1), n_tasks=4, timeout=10.0)
-        mgr = enable_process_hls(rt)
-        heap = InterposedHeap(rt, mgr)
+        heap = InterposedHeap(rt)
         prog = HLSProgram(rt)
         prog.declare("Bptr", shape=(1,), dtype=np.int64, scope="node")
         allocs = {}
@@ -180,11 +179,11 @@ class TestListing4:
                 heap.exit_single(ctx.rank)
                 h.single_done("Bptr")
             addr = int(h["Bptr"][0])
-            assert mgr.segment(0).find(addr) is not None
+            assert rt.memory.segment_arena(0).find(addr) is not None
             ctx.comm_world.barrier()
             if h.single_enter("Bptr"):
                 heap.free(ctx.rank, allocs["B"])
                 h.single_done("Bptr")
 
         rt.run(main)
-        assert mgr.segment(0).find(allocs["B"].addr) is None
+        assert rt.memory.segment_arena(0).find(allocs["B"].addr) is None

@@ -534,12 +534,38 @@ def test_use_after_free_raises():
     thread_rt().run(main)
 
 
-def test_allocate_shared_rejected_on_process_backend():
-    def main(ctx):
-        Win.allocate_shared(ctx.comm_world.split_by_node(), 4)
+def test_allocate_shared_on_process_backend_is_node_shared():
+    """Never silently private: the process backend maps a shared window
+    into the node's isomalloc segment, so a peer store made before a
+    fence is seen after it, every access is direct (no staging, no
+    mirrors), and ``free`` returns the segment bytes."""
+    rt = process_rt()
+    seg = rt.memory.segment_arena(0)
 
-    with pytest.raises(MPIError, match="no shared address space"):
-        process_rt().run(main)
+    def main(ctx):
+        c = ctx.comm_world.split_by_node()
+        win = Win.allocate_shared(c, 4)
+        win.fence()
+        peer = (c.rank + 1) % c.size
+        win.shared_query(peer)[:] = float(c.rank + 1)
+        win.fence()
+        seen = float(win.local()[0])
+        win.fence()
+        win.put(np.full(4, float(c.rank)), peer)
+        win.fence_end()
+        live = seg.live_bytes
+        win.free()
+        return seen, live, seg.live_bytes
+
+    res = rt.run(main)
+    assert [seen for seen, _, _ in res] == [float((r - 1) % N + 1)
+                                            for r in range(N)]
+    assert all(live == N * 4 * 8 for _, live, _ in res)
+    assert all(after == 0 for _, _, after in res)
+    m = rt.metrics("rma")
+    assert m.zero_copy_hits == N and m.staged_copies == 0
+    assert m.mirror_bytes == 0
+    assert not rt.finalize()
 
 
 # ------------------------------------------------------------- validation

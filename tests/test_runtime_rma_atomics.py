@@ -234,16 +234,15 @@ def _rmw_mix(win, target):
 def test_rmw_core_exact_rma_counters(factory):
     """The read-modify-write core's full counter contract, pinned
     exactly: a fixed RMW mix, one rank at a time (so no chunk lock is
-    ever contended), on a ``Win.create`` window and -- where the backend
-    has a shared address space -- an ``allocate_shared`` window.  Staged
+    ever contended), on a ``Win.create`` window and an
+    ``allocate_shared`` window (node-shared on every backend).  Staged
     vs zero-copy accounting, process-backend mirrors, payload bytes and
     the window synchronizer's ``(acquisitions, waits)`` must all come
     out to the same numbers whatever the RMW core looks like inside."""
     def main(ctx):
         c = ctx.comm_world
-        wins = [Win.create(c, np.zeros(SEG, dtype=np.int64))]
-        if ctx.runtime.shared_node_address_space:
-            wins.append(Win.allocate_shared(c, SEG, np.int64))
+        wins = [Win.create(c, np.zeros(SEG, dtype=np.int64)),
+                Win.allocate_shared(c, SEG, np.int64)]
         target = (ctx.rank + 1) % c.size
         syncs = []
         for win in wins:
@@ -264,14 +263,14 @@ def test_rmw_core_exact_rma_counters(factory):
     res = rt.run(main)
     process = not rt.shared_node_address_space
     direct_private = rt.sharing == "shared"
-    n_wins = 1 if process else 2
+    n_wins = 2
     assert all(s == [(N * MIX_ACQUISITIONS, 0)] * n_wins for s in res)
 
     # per window: direct accesses are zero-copy; staged ones cost one
     # origin copy, two (plus one mirror per origin) on the process backend
     copies = 2 if process else 1
     staged_copies = staged = zero_hits = zero = mirror = 0
-    for kind in ("create", "shared")[:n_wins]:
+    for kind in ("create", "shared"):
         if kind == "shared" or direct_private:
             zero_hits += N * MIX_OPS
             zero += N * MIX_BYTES
@@ -357,28 +356,23 @@ def test_put_get_exact_rma_counters(factory):
     """``put`` / ``get``'s full counter contract, pinned exactly like the
     RMW core's above: direct and staged puts (one- and two-chunk), gets
     with no ``buf``, a contiguous ``buf`` and ``copy=False``, on a
-    ``Win.create`` window and -- with a shared address space -- an
-    ``allocate_shared`` one.  Staged vs zero-copy accounting, mirrors,
+    ``Win.create`` window and an ``allocate_shared`` one, on every
+    backend.  Staged vs zero-copy accounting, mirrors,
     bytes, chunk-lock traffic and the (untouched) storage counters must
     come out the same whatever the access path looks like inside."""
     def main(ctx):
         rt = ctx.runtime
         c = ctx.comm_world
         wins = [(Win.create(c, np.zeros(SEG, dtype=np.int64)),
-                 rt.sharing == "shared")]
-        if rt.shared_node_address_space:
-            wins.append((Win.allocate_shared(c, SEG, np.int64), True))
-        return [_run_put_get_mix(ctx, win, rt.shared_node_address_space
-                                 and direct)
-                for win, direct in wins]
+                 rt.sharing == "shared"),
+                (Win.allocate_shared(c, SEG, np.int64), True)]
+        return [_run_put_get_mix(ctx, win, direct) for win, direct in wins]
 
     rt = factory()
     res = rt.run(main)
     process = not rt.shared_node_address_space
     copies = 2 if process else 1
-    directs = [rt.sharing == "shared" and not process]
-    if not process:
-        directs.append(True)
+    directs = [rt.sharing == "shared" and not process, True]
     n_wins = len(directs)
 
     expected = dict.fromkeys(

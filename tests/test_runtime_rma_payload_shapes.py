@@ -42,12 +42,8 @@ MEMORY_WINDOWS = {
     "allocate_shared": lambda c: Win.allocate_shared(c, COUNT),
 }
 
-#: every (runtime, in-memory window kind) pair; the process backend has
-#: no shared address space, so no ``allocate_shared``
-CASES = [
-    (rt, kind) for rt in RUNTIMES for kind in MEMORY_WINDOWS
-    if not (rt == "process" and kind == "allocate_shared")
-]
+#: every (runtime, in-memory window kind) pair
+CASES = [(rt, kind) for rt in RUNTIMES for kind in MEMORY_WINDOWS]
 case_param = pytest.mark.parametrize("rt_name,kind", CASES)
 
 
