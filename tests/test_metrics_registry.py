@@ -145,3 +145,126 @@ class TestSubsystemAccess:
                      "storage_metrics", "loadbalance_metrics",
                      "collective_sharing"):
             assert not hasattr(Runtime, meth), meth
+
+
+class TestSnapshotKeysAndRounding:
+    """Each counter-record subsystem's snapshot: its keys, in render
+    order, and how many decimal places each derived or float key keeps.
+    A fresh runtime's snapshot must carry the same keys."""
+
+    KEYS = {
+        "p2p": (
+            "matcher", "posted", "delivered", "pending", "comparisons",
+            "comparisons_per_delivery", "wakeups", "messages", "bytes",
+            "intra_node", "inter_node", "send_copies", "recv_copies",
+            "elided", "elided_bytes",
+        ),
+        "rma": (
+            "windows", "ops", "puts", "gets", "accumulates", "fetch_and_ops",
+            "compare_and_swaps", "bytes", "staged_copies", "staged_bytes",
+            "zero_copy_hits", "zero_copy_bytes", "zero_copy_fraction",
+            "epoch_waits", "fences", "locks", "mirror_bytes",
+            "chunk_lock_acquisitions", "chunk_lock_waits",
+        ),
+        "sched": (
+            "backend", "n_tasks", "context_switches", "decisions", "parks",
+            "notify_wakes", "timer_wakes", "preemptions", "max_runq_depth",
+            "stall_recoveries", "vtime",
+        ),
+        "faults": (
+            "chaos", "plan_seed", "plan_specs", "hits", "injections",
+            "fired", "aborts_propagated", "alloc_retries",
+            "recovery_latency_s",
+        ),
+        "storage": (
+            "stores", "committed_epochs", "chunk_reads", "chunk_writes",
+            "read_bytes", "written_bytes", "commits", "spills",
+            "spill_bytes", "faults", "fault_bytes", "resident_bytes",
+            "peak_resident_bytes", "resident_chunks",
+        ),
+        "loadbalance": (
+            "loops", "chunks", "chunks_local", "chunks_stolen",
+            "remote_claims", "stolen_fraction", "steal_attempts",
+            "steal_failures", "steal_success_rate", "iterations", "busy_s",
+            "idle_s", "busy_fraction", "mean_finish_cov", "mean_work_cov",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(KEYS))
+    def test_runtime_snapshot_keys_in_order(self, name):
+        rt = Runtime(n_tasks=2, timeout=10.0)
+        rt.run(_ring)
+        assert tuple(rt.metrics().snapshot()[name]) == self.KEYS[name]
+        assert tuple(rt.metrics(name).snapshot()) == self.KEYS[name]
+        rt.finalize()
+
+    def test_p2p_rounding(self):
+        from repro.metrics import P2PMetrics
+
+        snap = P2PMetrics(comparisons=1, delivered=3).snapshot()
+        assert tuple(snap) == self.KEYS["p2p"]
+        assert snap["comparisons_per_delivery"] == 0.333
+        assert P2PMetrics().snapshot()["comparisons_per_delivery"] == 0.0
+
+    def test_rma_rounding(self):
+        from repro.metrics import RMAMetrics
+
+        snap = RMAMetrics(puts=1, gets=2, accumulates=3, fetch_and_ops=4,
+                          compare_and_swaps=5, bytes=3,
+                          zero_copy_bytes=1).snapshot()
+        assert tuple(snap) == self.KEYS["rma"]
+        assert snap["ops"] == 15
+        assert snap["zero_copy_fraction"] == 0.333
+
+    def test_sched_rounding(self):
+        from repro.metrics import SchedMetrics
+
+        snap = SchedMetrics(backend="coop", vtime=1 / 3).snapshot()
+        assert tuple(snap) == self.KEYS["sched"]
+        assert snap["vtime"] == 0.333333
+        assert snap["backend"] == "coop"
+
+    def test_faults_rounding_and_fired_copy(self):
+        from repro.metrics import FaultMetrics
+
+        m = FaultMetrics(chaos=True, fired={"delay": 2},
+                         recovery_latency_s=1 / 3)
+        snap = m.snapshot()
+        assert tuple(snap) == self.KEYS["faults"]
+        assert snap["recovery_latency_s"] == 0.333333
+        assert snap["fired"] == {"delay": 2}
+        snap["fired"]["delay"] = 99
+        assert m.fired == {"delay": 2}
+        assert FaultMetrics().snapshot()["recovery_latency_s"] is None
+
+    def test_storage_keys_are_raw_counters(self):
+        from repro.metrics import StorageMetrics
+
+        m = StorageMetrics(spill_bytes=7, peak_resident_bytes=11)
+        snap = m.snapshot()
+        assert tuple(snap) == self.KEYS["storage"]
+        assert snap["spill_bytes"] == 7
+        assert snap["peak_resident_bytes"] == 11
+
+    def test_loadbalance_rounding_and_hidden_fields(self):
+        from repro.metrics import LoadBalanceMetrics
+
+        m = LoadBalanceMetrics(
+            loops=1, chunks_local=2, chunks_stolen=1, steal_attempts=3,
+            steal_failures=1, busy_s=1 / 3, idle_s=2 / 3,
+            finish_cov=[1 / 3], busy_cov=[0.5], work_cov=[2 / 3],
+        )
+        snap = m.snapshot()
+        assert tuple(snap) == self.KEYS["loadbalance"]
+        assert snap["chunks"] == 3
+        assert snap["stolen_fraction"] == 0.333
+        assert snap["steal_success_rate"] == 0.667
+        assert snap["busy_s"] == 0.333333
+        assert snap["idle_s"] == 0.666667
+        assert snap["busy_fraction"] == 0.333
+        assert snap["mean_finish_cov"] == 0.3333
+        assert snap["mean_work_cov"] == 0.6667
+        empty = LoadBalanceMetrics().snapshot()
+        assert empty["steal_success_rate"] == 0.0
+        assert empty["mean_work_cov"] == 0.0
+        assert empty["busy_fraction"] == 0.0
