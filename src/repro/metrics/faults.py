@@ -15,12 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from repro.metrics.report import Table
+from repro.metrics.report import Record
 
 
 @dataclass
-class FaultMetrics:
+class FaultMetrics(Record):
     """One runtime's aggregated chaos counters."""
+
+    TITLE = "fault metrics"
+    ROUND = {"recovery_latency_s": 6}
 
     #: was a fault plan installed at all?
     chaos: bool = False
@@ -28,9 +31,10 @@ class FaultMetrics:
     plan_seed: Optional[int] = None
     #: specs in the installed plan
     plan_specs: int = 0
-    #: injection-site hits observed (counter increments)
+    #: the injector's ``snapshot()``, same names: injection-site hits
+    #: observed (counter increments) and injections actually fired,
+    #: total and per action
     hits: int = 0
-    #: injections actually fired, total and per action
     injections: int = 0
     fired: Dict[str, int] = field(default_factory=dict)
     #: blocked operations terminated with AbortError by the abort signal
@@ -42,55 +46,17 @@ class FaultMetrics:
 
     @classmethod
     def from_runtime(cls, runtime: Any) -> "FaultMetrics":
-        m = cls()
         injector = getattr(runtime, "faults", None)
-        if injector is not None:
-            snap = injector.snapshot()
-            m.chaos = True
-            m.plan_seed = injector.plan.seed
-            m.plan_specs = len(injector.plan)
-            m.hits = snap["hits"]
-            m.injections = snap["injections"]
-            m.fired = snap["fired"]
+        if injector is None:
+            m = cls()
+        else:
+            m = cls(chaos=True, plan_seed=injector.plan.seed,
+                    plan_specs=len(injector.plan), **injector.snapshot())
         flag = getattr(runtime, "abort_flag", None)
         m.aborts_propagated = getattr(flag, "propagated", 0)
         m.alloc_retries = getattr(runtime, "comm_alloc_retries", 0)
         m.recovery_latency_s = getattr(runtime, "abort_recovery_s", None)
         return m
-
-    # ----------------------------------------------------------- reporting
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "chaos": self.chaos,
-            "plan_seed": self.plan_seed,
-            "plan_specs": self.plan_specs,
-            "hits": self.hits,
-            "injections": self.injections,
-            "fired": dict(self.fired),
-            "aborts_propagated": self.aborts_propagated,
-            "alloc_retries": self.alloc_retries,
-            "recovery_latency_s": (
-                None if self.recovery_latency_s is None
-                else round(self.recovery_latency_s, 6)
-            ),
-        }
-
-    def render(self) -> str:
-        table = Table(["counter", "value"], title="fault metrics")
-        snap = self.snapshot()
-        fired = snap.pop("fired")
-        for key, value in snap.items():
-            table.add_row(key, value)
-        for action in sorted(fired):
-            table.add_row(f"fired[{action}]", fired[action])
-        return table.render()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"FaultMetrics(chaos={self.chaos}, injections={self.injections}, "
-            f"aborts_propagated={self.aborts_propagated}, "
-            f"alloc_retries={self.alloc_retries})"
-        )
 
 
 __all__ = ["FaultMetrics"]

@@ -14,14 +14,28 @@ static oracle and the dynamic policies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List
+from typing import Any, List
 
-from repro.metrics.report import Table
+from repro.metrics.report import Record
 
 
 @dataclass
-class LoadBalanceMetrics:
+class LoadBalanceMetrics(Record):
     """Aggregated accounting of every self-scheduled loop a runtime ran."""
+
+    TITLE = "load-balance metrics"
+    DERIVED = {
+        "loops": ("chunks",),
+        "remote_claims": ("stolen_fraction",),
+        "steal_failures": ("steal_success_rate",),
+        "idle_s": ("busy_fraction", "mean_finish_cov", "mean_work_cov"),
+    }
+    ROUND = {
+        "stolen_fraction": 3, "steal_success_rate": 3, "busy_s": 6,
+        "idle_s": 6, "busy_fraction": 3, "mean_finish_cov": 4,
+        "mean_work_cov": 4,
+    }
+    HIDDEN = frozenset({"finish_cov", "busy_cov", "work_cov", "reports"})
 
     #: dynamic_for loops reported (rank-0 registrations)
     loops: int = 0
@@ -55,14 +69,8 @@ class LoadBalanceMetrics:
             m.busy_cov.append(rep.busy_cov)
             m.work_cov.append(rep.work_cov)
             for row in rep.rows:
-                m.chunks_local += row["chunks_local"]
-                m.chunks_stolen += row["chunks_stolen"]
-                m.remote_claims += row["remote_claims"]
-                m.steal_attempts += row["steal_attempts"]
-                m.steal_failures += row["steal_failures"]
-                m.iterations += row["iterations"]
-                m.busy_s += row["busy_s"]
-                m.idle_s += row["idle_s"]
+                for key in _ROW_KEYS:
+                    setattr(m, key, getattr(m, key) + row[key])
         return m
 
     # ------------------------------------------------------------- derived
@@ -97,38 +105,11 @@ class LoadBalanceMetrics:
         total = self.busy_s + self.idle_s
         return self.busy_s / total if total > 0 else 0.0
 
-    # ----------------------------------------------------------- reporting
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "loops": self.loops,
-            "chunks": self.chunks,
-            "chunks_local": self.chunks_local,
-            "chunks_stolen": self.chunks_stolen,
-            "remote_claims": self.remote_claims,
-            "stolen_fraction": round(self.stolen_fraction, 3),
-            "steal_attempts": self.steal_attempts,
-            "steal_failures": self.steal_failures,
-            "steal_success_rate": round(self.steal_success_rate, 3),
-            "iterations": self.iterations,
-            "busy_s": round(self.busy_s, 6),
-            "idle_s": round(self.idle_s, 6),
-            "busy_fraction": round(self.busy_fraction, 3),
-            "mean_finish_cov": round(self.mean_finish_cov, 4),
-            "mean_work_cov": round(self.mean_work_cov, 4),
-        }
-
-    def render(self) -> str:
-        table = Table(["counter", "value"], title="load-balance metrics")
-        for key, value in self.snapshot().items():
-            table.add_row(key, value)
-        return table.render()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"LoadBalanceMetrics(loops={self.loops}, chunks={self.chunks}, "
-            f"stolen={self.chunks_stolen}, "
-            f"mean_finish_cov={self.mean_finish_cov:.3f})"
-        )
+#: the per-task row counters summed over every loop, named as the rows
+#: (``LoopStats``) name them
+_ROW_KEYS = ("chunks_local", "chunks_stolen", "remote_claims",
+             "steal_attempts", "steal_failures", "iterations", "busy_s",
+             "idle_s")
 
 
 __all__ = ["LoadBalanceMetrics"]

@@ -14,14 +14,18 @@ returns it as a plain dict for benchmark ``extra_info``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict
+from typing import Any
 
-from repro.metrics.report import Table
+from repro.metrics.report import Record
 
 
 @dataclass
-class P2PMetrics:
+class P2PMetrics(Record):
     """One runtime's aggregated point-to-point counters."""
+
+    TITLE = "p2p metrics"
+    DERIVED = {"comparisons": ("comparisons_per_delivery",)}
+    ROUND = {"comparisons_per_delivery": 3}
 
     #: matcher algorithm of the runtime's mailboxes
     matcher: str = "indexed"
@@ -34,7 +38,7 @@ class P2PMetrics:
     comparisons: int = 0
     #: times a parked receiver was woken (event-driven receives)
     wakeups: int = 0
-    # traffic / copy counters (mirrors Runtime.stats)
+    # traffic / copy counters: Runtime.stats' CommStats fields, same names
     messages: int = 0
     bytes: int = 0
     intra_node: int = 0
@@ -48,7 +52,8 @@ class P2PMetrics:
     def from_runtime(cls, runtime: Any) -> "P2PMetrics":
         """Aggregate the per-mailbox and per-task-shard counters of one
         runtime into a snapshot."""
-        m = cls(matcher=runtime.mailbox(0).matcher.algorithm)
+        m = cls(matcher=runtime.mailbox(0).matcher.algorithm,
+                **vars(runtime.stats))
         for rank in range(runtime.n_tasks):
             mbox = runtime.mailbox(rank)
             m.posted += mbox.posted
@@ -56,15 +61,6 @@ class P2PMetrics:
             m.pending += mbox.pending_count()
             m.comparisons += mbox.matcher.comparisons
             m.wakeups += mbox.wakeups
-        stats = runtime.stats
-        m.messages = stats.messages
-        m.bytes = stats.bytes
-        m.intra_node = stats.intra_node
-        m.inter_node = stats.inter_node
-        m.send_copies = stats.send_copies
-        m.recv_copies = stats.recv_copies
-        m.elided = stats.elided
-        m.elided_bytes = stats.elided_bytes
         return m
 
     # ------------------------------------------------------------- derived
@@ -73,39 +69,6 @@ class P2PMetrics:
         """Mean matcher steps per successful match (1.0 is the indexed
         matcher's exact-receive ideal; the linear matcher pays O(pending))."""
         return self.comparisons / self.delivered if self.delivered else 0.0
-
-    # ----------------------------------------------------------- reporting
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "matcher": self.matcher,
-            "posted": self.posted,
-            "delivered": self.delivered,
-            "pending": self.pending,
-            "comparisons": self.comparisons,
-            "comparisons_per_delivery": round(self.comparisons_per_delivery, 3),
-            "wakeups": self.wakeups,
-            "messages": self.messages,
-            "bytes": self.bytes,
-            "intra_node": self.intra_node,
-            "inter_node": self.inter_node,
-            "send_copies": self.send_copies,
-            "recv_copies": self.recv_copies,
-            "elided": self.elided,
-            "elided_bytes": self.elided_bytes,
-        }
-
-    def render(self) -> str:
-        table = Table(["counter", "value"], title="p2p metrics")
-        for key, value in self.snapshot().items():
-            table.add_row(key, value)
-        return table.render()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"P2PMetrics(matcher={self.matcher!r}, "
-            f"delivered={self.delivered}, comparisons={self.comparisons}, "
-            f"elided={self.elided})"
-        )
 
 
 __all__ = ["P2PMetrics"]

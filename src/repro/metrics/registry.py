@@ -25,67 +25,29 @@ snapshots serialise to the identical string -- the convention
 from __future__ import annotations
 
 import json
+from operator import attrgetter
 from typing import Any, Callable, Dict, Tuple
 
-
-def _p2p(runtime) -> Any:
-    from repro.metrics.p2p import P2PMetrics
-
-    return P2PMetrics.from_runtime(runtime)
-
-
-def _collectives(runtime) -> Any:
-    # the live per-runtime counter object; its snapshot() is the frozen
-    # view MetricsSnapshot keeps
-    return runtime.collective_metrics
-
-
-def _rma(runtime) -> Any:
-    from repro.metrics.rma import RMAMetrics
-
-    return RMAMetrics.from_runtime(runtime)
-
-
-def _sched(runtime) -> Any:
-    from repro.metrics.sched import SchedMetrics
-
-    return SchedMetrics.from_runtime(runtime)
-
-
-def _faults(runtime) -> Any:
-    from repro.metrics.faults import FaultMetrics
-
-    return FaultMetrics.from_runtime(runtime)
-
-
-def _memory(runtime) -> Any:
-    from repro.metrics.memory import MemoryMetrics
-
-    return MemoryMetrics.from_runtime(runtime)
-
-
-def _storage(runtime) -> Any:
-    from repro.metrics.storage import StorageMetrics
-
-    return StorageMetrics.from_runtime(runtime)
-
-
-def _loadbalance(runtime) -> Any:
-    from repro.metrics.loadbalance import LoadBalanceMetrics
-
-    return LoadBalanceMetrics.from_runtime(runtime)
-
+from repro.metrics.faults import FaultMetrics
+from repro.metrics.loadbalance import LoadBalanceMetrics
+from repro.metrics.memory import MemoryMetrics
+from repro.metrics.p2p import P2PMetrics
+from repro.metrics.rma import RMAMetrics
+from repro.metrics.sched import SchedMetrics
+from repro.metrics.storage import StorageMetrics
 
 #: every metrics subsystem, in canonical order
 SUBSYSTEMS: Dict[str, Callable[[Any], Any]] = {
-    "p2p": _p2p,
-    "collectives": _collectives,
-    "rma": _rma,
-    "sched": _sched,
-    "faults": _faults,
-    "memory": _memory,
-    "storage": _storage,
-    "loadbalance": _loadbalance,
+    "p2p": P2PMetrics.from_runtime,
+    # the live per-runtime counter object; its snapshot() is the frozen
+    # view MetricsSnapshot keeps
+    "collectives": attrgetter("collective_metrics"),
+    "rma": RMAMetrics.from_runtime,
+    "sched": SchedMetrics.from_runtime,
+    "faults": FaultMetrics.from_runtime,
+    "memory": MemoryMetrics.from_runtime,
+    "storage": StorageMetrics.from_runtime,
+    "loadbalance": LoadBalanceMetrics.from_runtime,
 }
 
 #: subsystem names, in registry order
@@ -142,11 +104,8 @@ class MetricsSnapshot:
 
     def render(self) -> str:
         lines = ["metrics snapshot:"]
-        for name, obj in self.objects.items():
-            renderer = getattr(obj, "render", None)
-            body = renderer() if renderer is not None else repr(obj)
-            lines.extend("  " + line for line in body.splitlines())
-            del name
+        for obj in self.objects.values():
+            lines.extend("  " + line for line in obj.render().splitlines())
         return "\n".join(lines)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

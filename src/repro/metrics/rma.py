@@ -15,14 +15,18 @@ snapshot; ``snapshot()`` returns it as a plain dict for benchmark
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, Dict
+from typing import Any
 
-from repro.metrics.report import Table
+from repro.metrics.report import Record
 
 
 @dataclass
-class RMAMetrics:
+class RMAMetrics(Record):
     """One runtime's aggregated one-sided counters."""
+
+    TITLE = "rma metrics"
+    DERIVED = {"windows": ("ops",), "zero_copy_bytes": ("zero_copy_fraction",)}
+    ROUND = {"zero_copy_fraction": 3}
 
     #: windows ever created on the runtime
     windows: int = 0
@@ -101,33 +105,6 @@ class RMAMetrics:
     def zero_copy_fraction(self) -> float:
         """Fraction of payload bytes moved without a staging copy."""
         return self.zero_copy_bytes / self.bytes if self.bytes else 0.0
-
-    # ----------------------------------------------------------- reporting
-    def snapshot(self) -> Dict[str, Any]:
-        """Every field in declaration order, with ``ops`` after
-        ``windows`` and ``zero_copy_fraction`` after ``zero_copy_bytes``."""
-        snap: Dict[str, Any] = {}
-        for f in fields(self):
-            snap[f.name] = getattr(self, f.name)
-            if f.name == "windows":
-                snap["ops"] = self.ops
-            elif f.name == "zero_copy_bytes":
-                snap["zero_copy_fraction"] = round(self.zero_copy_fraction, 3)
-        return snap
-
-    def render(self) -> str:
-        table = Table(["counter", "value"], title="rma metrics")
-        for key, value in self.snapshot().items():
-            table.add_row(key, value)
-        return table.render()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"RMAMetrics(windows={self.windows}, ops={self.ops}, "
-            f"staged_bytes={self.staged_bytes}, "
-            f"zero_copy_hits={self.zero_copy_hits})"
-        )
-
 
 #: the counters each window keeps itself (``_WinShared.counters``): every
 #: field but the window count and the chunk-lock pair, which are read

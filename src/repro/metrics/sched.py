@@ -12,15 +12,18 @@ comparable across backends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict
+from dataclasses import dataclass, fields
+from typing import Any
 
-from repro.metrics.report import Table
+from repro.metrics.report import Record
 
 
 @dataclass
-class SchedMetrics:
+class SchedMetrics(Record):
     """One runtime's scheduler counter snapshot."""
+
+    TITLE = "sched metrics"
+    ROUND = {"vtime": 6}
 
     #: execution backend name ("threads" or "coop")
     backend: str = "threads"
@@ -57,46 +60,15 @@ class SchedMetrics:
             )
         return cls(
             backend=getattr(runtime, "execution_backend", "coop"),
-            n_tasks=sched.n_tasks,
-            context_switches=sched.context_switches,
-            decisions=sched.decisions,
-            parks=sched.parks,
-            notify_wakes=sched.notify_wakes,
-            timer_wakes=sched.timer_wakes,
-            preemptions=sched.preemptions,
-            max_runq_depth=sched.max_runq_depth,
-            stall_recoveries=sched.stall_recoveries,
-            vtime=sched.vtime,
+            **{name: getattr(sched, name) for name in _SCHED_COUNTERS},
         )
 
-    # ----------------------------------------------------------- reporting
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "backend": self.backend,
-            "n_tasks": self.n_tasks,
-            "context_switches": self.context_switches,
-            "decisions": self.decisions,
-            "parks": self.parks,
-            "notify_wakes": self.notify_wakes,
-            "timer_wakes": self.timer_wakes,
-            "preemptions": self.preemptions,
-            "max_runq_depth": self.max_runq_depth,
-            "stall_recoveries": self.stall_recoveries,
-            "vtime": round(self.vtime, 6),
-        }
 
-    def render(self) -> str:
-        table = Table(["counter", "value"], title="sched metrics")
-        for key, value in self.snapshot().items():
-            table.add_row(key, value)
-        return table.render()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"SchedMetrics(backend={self.backend!r}, "
-            f"switches={self.context_switches}, parks={self.parks}, "
-            f"runq_max={self.max_runq_depth})"
-        )
+#: every field but ``backend``: the coop scheduler keeps each under the
+#: same name
+_SCHED_COUNTERS = tuple(
+    f.name for f in fields(SchedMetrics) if f.name != "backend"
+)
 
 
 __all__ = ["SchedMetrics"]

@@ -13,14 +13,16 @@ benchmark ``extra_info``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict
+from typing import Any
 
-from repro.metrics.report import Table
+from repro.metrics.report import Record
 
 
 @dataclass
-class StorageMetrics:
+class StorageMetrics(Record):
     """One runtime's aggregated out-of-core counters."""
+
+    TITLE = "storage metrics"
 
     #: chunk stores bound to the runtime
     stores: int = 0
@@ -34,8 +36,9 @@ class StorageMetrics:
     written_bytes: int = 0
     #: atomic manifest commits (durable checkpoints)
     commits: int = 0
-    #: capacity-pressure evictions (chunk written back + freed) and
-    #: faults (chunk re-read from the store)
+    #: the residency counters, named as ``SpillManager.counters()``
+    #: names them: capacity-pressure evictions (chunk written back +
+    #: freed) and faults (chunk re-read from the store)
     spills: int = 0
     spill_bytes: int = 0
     faults: int = 0
@@ -47,7 +50,8 @@ class StorageMetrics:
 
     @classmethod
     def from_runtime(cls, runtime: Any) -> "StorageMetrics":
-        m = cls()
+        spill = getattr(runtime, "storage_spill", None)
+        m = cls(**spill.counters()) if spill is not None else cls()
         stores_of = getattr(runtime, "stores", None)
         for store in (stores_of() if stores_of is not None else []):
             c = store.counters()
@@ -58,49 +62,7 @@ class StorageMetrics:
             m.read_bytes += c["read_bytes"]
             m.written_bytes += c["written_bytes"]
             m.commits += c["commits"]
-        spill = getattr(runtime, "storage_spill", None)
-        if spill is not None:
-            c = spill.counters()
-            m.spills = c["spills"]
-            m.spill_bytes = c["spill_bytes"]
-            m.faults = c["faults"]
-            m.fault_bytes = c["fault_bytes"]
-            m.resident_bytes = c["resident_bytes"]
-            m.peak_resident_bytes = c["peak_resident_bytes"]
-            m.resident_chunks = c["resident_chunks"]
         return m
-
-    # ----------------------------------------------------------- reporting
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "stores": self.stores,
-            "committed_epochs": self.committed_epochs,
-            "chunk_reads": self.chunk_reads,
-            "chunk_writes": self.chunk_writes,
-            "read_bytes": self.read_bytes,
-            "written_bytes": self.written_bytes,
-            "commits": self.commits,
-            "spills": self.spills,
-            "spill_bytes": self.spill_bytes,
-            "faults": self.faults,
-            "fault_bytes": self.fault_bytes,
-            "resident_bytes": self.resident_bytes,
-            "peak_resident_bytes": self.peak_resident_bytes,
-            "resident_chunks": self.resident_chunks,
-        }
-
-    def render(self) -> str:
-        table = Table(["counter", "value"], title="storage metrics")
-        for key, value in self.snapshot().items():
-            table.add_row(key, value)
-        return table.render()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"StorageMetrics(stores={self.stores}, "
-            f"commits={self.commits}, spills={self.spills}, "
-            f"resident_bytes={self.resident_bytes})"
-        )
 
 
 __all__ = ["StorageMetrics"]

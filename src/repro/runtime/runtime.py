@@ -59,6 +59,15 @@ class CommStats:
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
+def check_policies(algorithm: Optional[str], sharing: str) -> None:
+    """Raise :class:`MPIError` unless ``Runtime`` accepts this collective
+    ``algorithm`` (``None`` = the class default) and ``sharing`` policy."""
+    if algorithm is not None and algorithm not in ("flat", "hierarchical"):
+        raise MPIError(f"unknown collective algorithm {algorithm!r}")
+    if sharing not in ("private", "shared"):
+        raise MPIError(f"unknown sharing policy {sharing!r}")
+
+
 class Runtime:
     """Thread-based MPI runtime; see module docstring.
 
@@ -151,12 +160,9 @@ class Runtime:
         registry: Optional[Any] = None,
         name: Optional[str] = None,
     ) -> None:
+        check_policies(algorithm, sharing)
         if algorithm is not None:
-            if algorithm not in ("flat", "hierarchical"):
-                raise MPIError(f"unknown collective algorithm {algorithm!r}")
             self.collective_algorithm = algorithm
-        if sharing not in ("private", "shared"):
-            raise MPIError(f"unknown sharing policy {sharing!r}")
         #: HLS sharing policy: governs the zero-copy fast path of both
         #: collectives and point-to-point deliveries
         self.sharing = sharing
@@ -742,4 +748,4 @@ class Runtime:
         return results
 
 
-__all__ = ["Runtime", "CommStats"]
+__all__ = ["Runtime", "CommStats", "check_policies"]

@@ -131,23 +131,33 @@ def make_execution_backend(
     on_drain: Optional[Callable[[], None]] = None,
 ) -> ExecutionBackend:
     """Build the execution backend ``Runtime(backend=...)`` asked for."""
-    if name == "threads":
-        if schedule is not None:
-            raise MPIError(
-                "schedule policies need backend='coop' -- the OS owns "
-                "the interleaving under the threads backend"
-            )
-        return ThreadsBackend()
     if name == "coop":
         return CoopBackend(n_tasks, schedule, on_drain=on_drain)
-    raise MPIError(
-        f"unknown execution backend {name!r} (use 'threads' or 'coop')"
-    )
+    check_backend(name, schedule)
+    return ThreadsBackend()
+
+
+def check_backend(name: str, schedule: ScheduleSpec = None) -> None:
+    """Raise :class:`MPIError` unless :func:`make_execution_backend`
+    accepts backend ``name`` with ``schedule`` (a coop schedule is
+    checked by building its policy, :func:`make_policy`)."""
+    if name == "coop":
+        make_policy(schedule)
+    elif name != "threads":
+        raise MPIError(
+            f"unknown execution backend {name!r} (use 'threads' or 'coop')"
+        )
+    elif schedule is not None:
+        raise MPIError(
+            "schedule policies need backend='coop' -- the OS owns "
+            "the interleaving under the threads backend"
+        )
 
 
 __all__ = [
     "CoopBackend",
     "ExecutionBackend",
     "ThreadsBackend",
+    "check_backend",
     "make_execution_backend",
 ]

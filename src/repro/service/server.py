@@ -25,6 +25,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Optional, Tuple
 
+from repro.runtime.errors import MPIError
 from repro.service.errors import (
     AdmissionError,
     QueueFullError,
@@ -118,7 +119,8 @@ class _Handler(BaseHTTPRequestHandler):
         length = int(self.headers.get("Content-Length", "0"))
         try:
             spec = JobSpec.from_json(self.rfile.read(length).decode())
-        except (ValueError, TypeError, json.JSONDecodeError) as exc:
+        except (ValueError, TypeError, MPIError) as exc:
+            # MPIError: a runtime option the runtime itself refuses
             self._reply(400, {"error": f"bad job spec: {exc}"})
             return
         try:

@@ -15,8 +15,9 @@ the observability endpoint or stored as artifacts.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from dataclasses import dataclass, field, fields
+from functools import partial
+from typing import Any, Callable, Dict, Optional
 
 from repro.faults.plan import FaultPlan
 from repro.machine.presets import (
@@ -25,6 +26,8 @@ from repro.machine.presets import (
 )
 from repro.machine.topology import Machine, build_machine
 from repro.runtime.errors import MPIError
+from repro.runtime.runtime import check_policies
+from repro.runtime.sched.backend import check_backend
 
 #: default declared footprint when the spec does not carry one (covers
 #: the runtime's own comm pools for small jobs)
@@ -54,55 +57,51 @@ class JobSpec:
             raise ValueError("n_tasks must be >= 1")
         if self.footprint_bytes < 0:
             raise ValueError("footprint_bytes must be >= 0")
+        # the runtime's own checks, so a bad spec is refused at submit
+        # rather than failing on a worker; the machine is not built
+        self._machine_builder()
+        check_policies(self.algorithm, self.sharing)
+        check_backend(self.backend, self.schedule)
 
     # ------------------------------------------------------------- machine
     def machine_for(self) -> Machine:
         """Build the simulated machine this spec names.
 
-        Presets: ``flat`` (one node, one core per task), ``small``
-        (the 2-socket unit-test machine), ``nehalem`` or
-        ``nehalem:<scale>`` (the paper's 4-socket node, scaled down).
+        Presets: ``flat`` (one node, one core per task), ``flat:<n>``
+        (``n`` such nodes), ``small`` (the 2-socket unit-test machine),
+        ``nehalem`` or ``nehalem:<scale>`` (the paper's 4-socket node,
+        scaled down).
         """
-        preset = self.preset
-        if preset in ("flat", ""):
-            return build_machine(
-                n_nodes=1, sockets_per_node=1,
-                cores_per_socket=self.n_tasks, caches=(), name="flat",
-            )
-        if preset.startswith("flat:"):
-            n_nodes = int(preset.split(":", 1)[1])
-            per = max(1, -(-self.n_tasks // n_nodes))  # ceil division
-            return build_machine(
-                n_nodes=n_nodes, sockets_per_node=1,
-                cores_per_socket=per, caches=(), name=f"flat{n_nodes}",
+        return self._machine_builder()()
+
+    def _machine_builder(self) -> Callable[[], Machine]:
+        """The preset's machine constructor, unbuilt; raises
+        :class:`MPIError` for a preset it does not know."""
+        preset = self.preset or "flat"
+        name, colon, arg = preset.partition(":")
+        if colon and not (arg.isdecimal() and int(arg) > 0):
+            raise MPIError(f"unknown machine preset {self.preset!r}")
+        count = int(arg) if colon else None
+        if name == "flat":
+            n_nodes = count or 1
+            return partial(
+                build_machine, n_nodes=n_nodes, sockets_per_node=1,
+                cores_per_socket=-(-self.n_tasks // n_nodes),  # ceil
+                caches=(), name="flat" if count is None else f"flat{count}",
             )
         if preset == "small":
-            return small_test_machine()
-        if preset == "nehalem" or preset.startswith("nehalem:"):
-            scale = 64
-            if ":" in preset:
-                scale = int(preset.split(":", 1)[1])
-            return nehalem_ex_node(scale=scale)
+            return small_test_machine
+        if name == "nehalem":
+            return partial(nehalem_ex_node, scale=count or 64)
         raise MPIError(f"unknown machine preset {self.preset!r}")
 
     # --------------------------------------------------------------- (de)ser
     def to_dict(self) -> Dict[str, Any]:
-        return {
-            "app": self.app,
-            "n_tasks": self.n_tasks,
-            "params": dict(self.params),
-            "preset": self.preset,
-            "sharing": self.sharing,
-            "backend": self.backend,
-            "algorithm": self.algorithm,
-            "schedule": self.schedule,
-            "fault_plan": (
-                self.fault_plan.to_dict() if self.fault_plan is not None
-                else None
-            ),
-            "footprint_bytes": self.footprint_bytes,
-            "timeout": self.timeout,
-        }
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["params"] = dict(self.params)
+        if self.fault_plan is not None:
+            data["fault_plan"] = self.fault_plan.to_dict()
+        return data
 
     def to_json(self) -> str:
         """Canonical JSON: equal specs serialise identically."""
@@ -115,12 +114,7 @@ class JobSpec:
         plan = data.get("fault_plan")
         if plan is not None and not isinstance(plan, FaultPlan):
             data["fault_plan"] = FaultPlan.from_dict(plan)
-        known = {
-            "app", "n_tasks", "params", "preset", "sharing", "backend",
-            "algorithm", "schedule", "fault_plan", "footprint_bytes",
-            "timeout",
-        }
-        unknown = set(data) - known
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown job spec fields: {sorted(unknown)}")
         return cls(**data)

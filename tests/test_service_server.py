@@ -160,3 +160,13 @@ class TestAdmissionStatusCodes:
                 assert "retry" in body["error"]
                 gate.set()
                 manager.drain(timeout=30.0)
+
+
+class TestBadRuntimeFields:
+    def test_bad_backend_400_and_no_job(self, service):
+        manager, server = service
+        status, body = _post(server.url + "/jobs",
+                             {"app": "ring", "backend": "bogus"})
+        assert status == 400
+        assert "unknown execution backend" in body["error"]
+        assert manager.jobs() == []

@@ -374,3 +374,28 @@ class TestInjectorRebinding:
         assert b["injections"] == 0             # B never perturbed
         rt_a.finalize()
         rt_b.finalize()
+
+
+class TestSpecRejectsBadRuntimeFields:
+    """A spec whose runtime fields the runtime would refuse is refused
+    when it is built, before it can hold a worker slot."""
+
+    @pytest.mark.parametrize("fields, match", [
+        ({"backend": "bogus"}, "unknown execution backend"),
+        ({"sharing": "weird"}, "unknown sharing policy"),
+        ({"schedule": "random:1"}, "need backend='coop'"),
+        ({"preset": "nope"}, "unknown machine preset"),
+        ({"algorithm": "tree"}, "unknown collective algorithm"),
+        ({"backend": "coop", "schedule": "zigzag"},
+         "unknown schedule policy"),
+    ])
+    def test_constructor_raises(self, fields, match):
+        with pytest.raises(MPIError, match=match):
+            JobSpec(app="ring", **fields)
+
+    def test_valid_runtime_fields_accepted(self):
+        for fields in ({"backend": "coop", "schedule": "random:1"},
+                       {"algorithm": "flat", "sharing": "shared"},
+                       {"preset": "flat:2"}, {"preset": "nehalem:8"},
+                       {"preset": ""}, {"preset": "small"}):
+            JobSpec(app="ring", **fields)
