@@ -35,9 +35,10 @@ import numpy as np
 from repro.hls import HLSProgram
 from repro.machine import core2_cluster
 from repro.metrics import MemoryMetrics, MemoryReport, MemorySampler
-from repro.runtime import CommStats, ProcessRuntime, Runtime
+from repro.runtime import CommStats, Runtime
+from repro.runtime.config import POLICIES, RuntimeConfig
 
-RUNTIMES = ("mpc", "openmpi")
+RUNTIMES = tuple(POLICIES)
 
 # -- fitted model constants (documented in EXPERIMENTS.md) ----------------
 EOS_TABLE_BYTES = 128 << 20          # paper: ~128MB EOS table
@@ -62,16 +63,11 @@ class EulerMHDConfig:
     sharing: str = "private"         # zero-copy policy (mpc only)
 
     def __post_init__(self) -> None:
-        if self.runtime not in RUNTIMES:
-            raise ValueError(f"runtime must be one of {RUNTIMES}")
+        runtime_config(self)
         if self.hls and self.runtime == "openmpi":
             # Possible via the shared-segment backend, but the paper
             # only evaluates HLS on MPC.
             raise ValueError("Table II evaluates HLS on MPC only")
-        if self.sharing not in ("private", "shared"):
-            raise ValueError(f"unknown sharing policy {self.sharing!r}")
-        if self.sharing == "shared" and self.runtime == "openmpi":
-            raise ValueError("the process backend cannot share address space")
 
     @property
     def n_tasks(self) -> int:
@@ -98,15 +94,19 @@ class AppRunResult:
     loadbalance: Optional[Any] = None
 
 
+def runtime_config(cfg) -> RuntimeConfig:
+    """The runtime an app config asks for, and the config's check: an
+    unknown ``runtime`` is a ``ValueError``, a combination the runtime
+    refuses (``sharing="shared"`` on ``"openmpi"``) an ``MPIError``."""
+    if cfg.runtime not in RUNTIMES:
+        raise ValueError(f"runtime must be one of {RUNTIMES}")
+    return RuntimeConfig(mpi=cfg.runtime, sharing=cfg.sharing, timeout=120.0)
+
+
 def make_runtime(cfg) -> Runtime:
     """Build the runtime a config asks for (shared by apps)."""
-    machine = core2_cluster(cfg.n_nodes)
-    if cfg.runtime == "openmpi":
-        return ProcessRuntime(machine, n_tasks=cfg.n_tasks, timeout=120.0)
-    return Runtime(
-        machine, n_tasks=cfg.n_tasks, timeout=120.0,
-        sharing=getattr(cfg, "sharing", "private"),
-    )
+    return Runtime(core2_cluster(cfg.n_nodes), n_tasks=cfg.n_tasks,
+                   **runtime_config(cfg).options())
 
 
 def run_eulermhd(cfg: EulerMHDConfig) -> AppRunResult:
@@ -194,4 +194,5 @@ __all__ = [
     "AppRunResult",
     "run_eulermhd",
     "make_runtime",
+    "runtime_config",
 ]

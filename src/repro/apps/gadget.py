@@ -24,12 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.eulermhd import AppRunResult, make_runtime
+from repro.apps.eulermhd import AppRunResult, make_runtime, runtime_config
 from repro.hls import HLSProgram
 from repro.metrics import MemorySampler
 from repro.scheduler import dynamic_for
-
-RUNTIMES = ("mpc", "openmpi")
 
 #: near-field radius of the dynamic path's clustered force loop
 NEAR_RADIUS = 0.12
@@ -67,14 +65,9 @@ class GadgetConfig:
     sharing: str = "private"         # zero-copy policy (mpc only)
 
     def __post_init__(self) -> None:
-        if self.runtime not in RUNTIMES:
-            raise ValueError(f"runtime must be one of {RUNTIMES}")
+        runtime_config(self)
         if self.hls and self.runtime == "openmpi":
             raise ValueError("Table III evaluates HLS on MPC only")
-        if self.sharing not in ("private", "shared"):
-            raise ValueError(f"unknown sharing policy {self.sharing!r}")
-        if self.sharing == "shared" and self.runtime == "openmpi":
-            raise ValueError("the process backend cannot share address space")
 
     @property
     def n_tasks(self) -> int:

@@ -27,12 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.eulermhd import AppRunResult, make_runtime
+from repro.apps.eulermhd import AppRunResult, make_runtime, runtime_config
 from repro.hls import HLSProgram
 from repro.metrics import MemorySampler
 from repro.scheduler import dynamic_for, node_chunk_tables, make_policy
-
-RUNTIMES = ("mpc", "openmpi")
 
 #: modeled seconds per covered sphere-row in the dynamic path (the
 #: rendering cost a chunk's rows represent; empty sky is nearly free --
@@ -70,18 +68,13 @@ class TachyonConfig:
     sharing: str = "private"         # zero-copy policy (mpc only)
 
     def __post_init__(self) -> None:
-        if self.runtime not in RUNTIMES:
-            raise ValueError(f"runtime must be one of {RUNTIMES}")
+        runtime_config(self)
         if self.hls and self.runtime == "openmpi":
             raise ValueError("Table IV evaluates HLS on MPC only")
         if self.height == 0:
             object.__setattr__(self, "height", 2 * self.n_tasks)
         if self.height % self.n_tasks:
             raise ValueError("height must divide evenly among tasks")
-        if self.sharing not in ("private", "shared"):
-            raise ValueError(f"unknown sharing policy {self.sharing!r}")
-        if self.sharing == "shared" and self.runtime == "openmpi":
-            raise ValueError("the process backend cannot share address space")
 
     @property
     def n_tasks(self) -> int:

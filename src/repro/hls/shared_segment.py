@@ -7,8 +7,8 @@ Additionally this shared memory segment should start with the same
 virtual address for all processes on the node" -- the isomalloc
 technique of PM2.
 
-On the process backend every scope-shared buffer lands in that segment
-(:meth:`~repro.runtime.process_mpi.ProcessRuntime.scope_space`), and the
+Under ``mpi="openmpi"`` every scope-shared buffer lands in that segment
+(:meth:`~repro.runtime.runtime.Runtime.scope_space`), and the
 base-address registry hands every node's segment the *same* region
 (``reserve_shared``), so cross-process pointers into HLS data are valid.
 Distinct nodes never exchange raw pointers, so aliasing their ranges is

@@ -187,11 +187,6 @@ class HLSStorage:
             img.alloc.size for key, img in self._images.items() if key[0] == "hls"
         )
 
-    def private_images_bytes(self) -> int:
-        return sum(
-            img.alloc.size for key, img in self._images.items() if key[0] == "task"
-        )
-
     def live_bytes_by_level(self) -> Dict[str, int]:
         """HLS image bytes per hierarchy level (figure-2 accounting):
         ``node``/``numa``/``cache(L)``/``core`` for shared images,

@@ -149,13 +149,6 @@ class MemoryManager:
         arena.set_capacity(arena.live_bytes + int(budget))
         return arena
 
-    def cap_task(self, rank: int, budget: int) -> Arena:
-        """Like :meth:`cap_node`, for a task's private arena (the
-        process backend's address space)."""
-        arena = self.task_arena(rank)
-        arena.set_capacity(arena.live_bytes + int(budget))
-        return arena
-
     def scope_arena(self, inst: ScopeInstance) -> Arena:
         """The arena backing one scope instance (lazily created).
 
@@ -223,15 +216,6 @@ class MemoryManager:
     def arenas(self) -> List[Arena]:
         with self._lock:
             return list(self._arenas.values())
-
-    def node_arenas(self) -> Dict[int, Arena]:
-        """Materialised node-scope arenas, keyed by node."""
-        with self._lock:
-            return {
-                a.scope.index: a
-                for a in self._arenas.values()
-                if a.scope is not None and a.scope.spec.kind is ScopeKind.NODE
-            }
 
     def arenas_on_node(self, node: int) -> List[Arena]:
         rt = self.runtime

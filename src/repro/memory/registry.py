@@ -105,9 +105,5 @@ class BaseAddressRegistry:
         with self._lock:
             return [(n, b, l) for n, (b, l) in sorted(self._regions.items())]
 
-    def shared_regions(self) -> List[Tuple[str, int, int]]:
-        with self._lock:
-            return [(k, b, l) for k, (b, l) in sorted(self._shared.items())]
-
 
 __all__ = ["BaseAddressRegistry", "DEFAULT_FLOOR", "DEFAULT_REGION_BYTES"]

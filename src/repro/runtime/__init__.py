@@ -13,9 +13,10 @@ Quick use::
     results = rt.run(main)
 
 See :class:`~repro.runtime.runtime.Runtime` (MPC analog: MPI tasks are
-threads, same-node tasks share an address space) and
-:class:`~repro.runtime.process_mpi.ProcessRuntime` (Open MPI analog:
-private address spaces, sender-side copies, eager buffers).
+threads, same-node tasks share an address space) and its
+:class:`~repro.runtime.config.RuntimeConfig`, where ``mpi="openmpi"``
+is the process baseline (private address spaces, sender-side copies,
+eager buffers; ``ProcessRuntime`` defaults to it).
 """
 
 from repro.runtime.abort import AbortSignal
@@ -43,6 +44,7 @@ from repro.runtime.request import Request
 from repro.runtime.icoll import DEFAULT_CHUNK_BYTES, CollectiveRequest, IcollState
 from repro.runtime.communicator import Comm
 from repro.runtime.task import TaskContext
+from repro.runtime.config import RuntimeConfig
 from repro.runtime.runtime import CommStats, Runtime
 from repro.runtime.process_mpi import ProcessRuntime
 from repro.runtime.rma import LOCK_EXCLUSIVE, LOCK_SHARED, Win
@@ -88,6 +90,7 @@ __all__ = [
     "Comm",
     "TaskContext",
     "Runtime",
+    "RuntimeConfig",
     "CommStats",
     "ProcessRuntime",
     "Win",

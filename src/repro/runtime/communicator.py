@@ -139,7 +139,7 @@ class Comm:
             kind="recv", try_complete=_try, block_complete=_block,
             sleep=self.runtime.task_sleep,
             park=mbox.park_for_activity, park_token=mbox.activity_token,
-            park_owner=self.runtime,
+            park_owner=mbox,
         )
 
     def sendrecv(

@@ -262,7 +262,7 @@ class IcollState:
         self.metrics = metrics if metrics is not None else CollectiveMetrics()
         self._clock = owner._backend.now     # one call per deadline check
         self._shape = shape
-        #: the runtime this state answers to (also the waitany park owner)
+        #: the runtime this state answers to
         self.owner = owner
         if levels is None:
             levels = [TreeLevel("comm", (tuple(range(size)),))]
@@ -924,7 +924,7 @@ class CollectiveRequest(Request):
             sleep=state.owner.task_sleep,
             park=state.park_for_progress,
             park_token=state.progress_token,
-            park_owner=state.owner,
+            park_owner=state,
         )
         self.state = state
         self.episode = ep

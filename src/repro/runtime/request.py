@@ -25,10 +25,10 @@ class Request:
     #: (and how late a post racing the park is noticed under threads)
     WAITANY_PARK_CAP = 1.0
 
-    #: waitany calls that found requests parked on *different* runtimes
-    #: and fell back to polling (a park token from runtime A says
-    #: nothing about activity on runtime B, so parking on it could
-    #: sleep through B's completion for a full park cap per sweep)
+    #: waitany calls that found requests parking on *different* objects
+    #: (mailbox, collective engine) and fell back to polling: a park
+    #: token from one says nothing about activity on another, so
+    #: parking on it could sleep through a completion for a full cap
     mixed_backend_fallbacks = 0
 
     def __init__(
@@ -55,8 +55,8 @@ class Request:
         # wake the poller instead of being discovered by the next sweep.
         self._park = park
         self._park_token = park_token
-        # The runtime the park belongs to: waitany may only use the
-        # event-driven path when every parker in the list agrees.
+        # The object whose condition ``park`` waits on: waitany may only
+        # use the event-driven path when every parker in the list agrees.
         self._park_owner = park_owner
         self._done = False
         self._result: Any = None
@@ -129,14 +129,14 @@ class Request:
             if r._park is not None and r._park_token is not None
         ]
         # The event-driven path parks on ONE request's condition; that
-        # is only sound when every parker answers to the same runtime
-        # (one runtime's activity token is stale for another's events).
+        # is only sound when every parker parks on the same object (a
+        # mailbox's token is stale for a collective engine's events).
         # Mixed lists fall back to bounded polling, loudly counted.
         owners = {id(r._park_owner) for r in parkers}
         if len(owners) > 1:
             Request.mixed_backend_fallbacks += 1
             logger.debug(
-                "waitany: %d requests parked on %d different runtimes; "
+                "waitany: %d requests park on %d different objects; "
                 "falling back to polling (fallback #%d)",
                 len(parkers), len(owners), Request.mixed_backend_fallbacks,
             )

@@ -1,4 +1,4 @@
-"""The thread-based MPI runtime (MPC analog).
+"""The MPI runtime: the thread-based MPC analog and its Open MPI baseline.
 
 "An interesting feature of MPC is that MPI tasks are executed inside
 user-level threads instead of processes [...] Thus, in MPC, MPI tasks on
@@ -13,8 +13,9 @@ or not at all when source and destination buffers coincide (the Tachyon
 optimisation).  Inter-node messages are copied at the sender, modelling
 NIC injection.
 
-The process-based baseline (:mod:`repro.runtime.process_mpi`) overrides
-the address-space and copy policies to behave like Open MPI.
+``Runtime(mpi="openmpi")`` runs the same engine under the process
+baseline's address-space and copy policy
+(:data:`~repro.runtime.config.OPENMPI`).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from repro.memsim.address_space import AddressSpace, Allocation
 from repro.metrics.collectives import CollectiveMetrics
 from repro.runtime.abort import AbortSignal
 from repro.runtime.communicator import Comm
+from repro.runtime.config import RuntimeConfig
 from repro.runtime.errors import AbortError, MPIError, TransientCommError
 from repro.runtime.icoll import DEFAULT_CHUNK_BYTES, IcollState
 from repro.runtime.message import Envelope, Mailbox
@@ -59,15 +61,6 @@ class CommStats:
             setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
 
-def check_policies(algorithm: Optional[str], sharing: str) -> None:
-    """Raise :class:`MPIError` unless ``Runtime`` accepts this collective
-    ``algorithm`` (``None`` = the class default) and ``sharing`` policy."""
-    if algorithm is not None and algorithm not in ("flat", "hierarchical"):
-        raise MPIError(f"unknown collective algorithm {algorithm!r}")
-    if sharing not in ("private", "shared"):
-        raise MPIError(f"unknown sharing policy {sharing!r}")
-
-
 class Runtime:
     """Thread-based MPI runtime; see module docstring.
 
@@ -78,30 +71,11 @@ class Runtime:
         one core per task.
     n_tasks:
         Number of MPI tasks (default: one per PU).
-    timeout:
-        Deadlock watchdog in seconds for blocking operations.
     pinning:
         Optional explicit task -> PU map (default round-robin).
-    algorithm:
-        Default cell shape of collectives whose call pins none:
-        ``"hierarchical"`` (the topology tree, large arrays chunked at
-        ``DEFAULT_CHUNK_BYTES``) or ``"flat"`` (direct copies).
-        Defaults to the class's ``collective_algorithm``; anything else
-        raises ``MPIError``.
-    sharing:
-        ``"private"`` (every delivery clones) or ``"shared"`` (tasks in
-        one address space may receive collective and point-to-point
-        payloads by reference).
     faults:
         A ``repro.faults`` plan or injector to install (``None`` =
         chaos off); same as calling :meth:`install_faults`.
-    backend:
-        ``"threads"`` (one OS thread per task) or ``"coop"`` (the
-        cooperative scheduler with a virtual clock).
-    schedule:
-        Coop interleaving: ``None``/``"fifo"``, ``"random:SEED"``, a
-        recorded ``ScheduleTrace`` to replay, or a ``SchedulePolicy``.
-        Only valid with ``backend="coop"``.
     registry:
         A shared ``BaseAddressRegistry`` to draw arena regions from, so
         several runtimes (the job service's tenants) get disjoint
@@ -109,63 +83,37 @@ class Runtime:
     name:
         Namespace prefixed to this runtime's arena names; generated
         from ``registry`` when one is given and ``name`` is not.
+    options:
+        The :class:`~repro.runtime.config.RuntimeConfig` fields --
+        ``mpi``, ``backend``, ``schedule``, ``sharing``, ``algorithm``,
+        ``timeout`` -- built into :attr:`config`, which refuses a bad
+        value or combination with ``MPIError``.
     """
-
-    backend_name = "mpc-thread"
-    #: copy message payloads at the sender even for same-node transfers
-    copy_at_send_intra_node = False
-    #: do tasks on the same node share an address space?
-    shared_node_address_space = True
-    #: default cell shape of collectives: "hierarchical" (the topology
-    #: tree with DEFAULT_CHUNK_BYTES chunking, what the thread backend
-    #: uses) or "flat" (direct copies, the process baseline)
-    collective_algorithm = "hierarchical"
-    #: does the backend emulate RMA windows with per-origin mirror
-    #: copies?  False for the thread backend (one window, shared);
-    #: True for the process baseline (see repro.runtime.rma)
-    rma_mirror_copies = False
-
-    # Comm-buffer memory model (bytes), calibrated against Table II's
-    # "MPC consumes between 100 and 300MB less memory than Open MPI and
-    # this gap grows with the number of cores":
-    COMM_BASE = 24 << 20
-    COMM_PER_LOCAL_TASK = 96 << 10
-    COMM_PER_PAIR = 4 << 10      # per (local task, total rank) pair
-    #: eager buffers allocated lazily when two ranks first communicate
-    #: (0 for MPC: same-node transfers go through the shared heap and
-    #: the pool above covers the rest)
-    EAGER_PER_CONNECTION = 0
-
-    # Bounded retry-with-backoff for *transient* comm-buffer exhaustion
-    # (the eager pool can momentarily fail under all-to-all connection
-    # storms; the chaos harness injects exactly that).  A retry sleeps
-    # ``ALLOC_BACKOFF * 2**attempt`` seconds; after ``ALLOC_RETRIES``
-    # failed retries the TransientCommError propagates and crashes the
-    # task like any other send failure.
-    ALLOC_RETRIES = 4
-    ALLOC_BACKOFF = 0.001
 
     def __init__(
         self,
         machine: Optional[Machine] = None,
         n_tasks: Optional[int] = None,
         *,
-        timeout: float = 30.0,
         pinning: Optional[Sequence[int]] = None,
-        algorithm: Optional[str] = None,
-        sharing: str = "private",
         faults: Optional[Any] = None,
-        backend: str = "threads",
-        schedule: Optional[Any] = None,
         registry: Optional[Any] = None,
         name: Optional[str] = None,
+        **options: Any,
     ) -> None:
-        check_policies(algorithm, sharing)
-        if algorithm is not None:
-            self.collective_algorithm = algorithm
+        #: every runtime policy, checked once and frozen
+        self.config = config = RuntimeConfig(**options)
+        #: the memory and copy policy ``config.mpi`` picks; its
+        #: constants also read as runtime attributes (``rt.COMM_BASE``)
+        self.policy = config.policy
+        vars(self).update(vars(self.policy))
+        self.collective_algorithm = (
+            config.algorithm or self.policy.collective_algorithm
+        )
         #: HLS sharing policy: governs the zero-copy fast path of both
         #: collectives and point-to-point deliveries
-        self.sharing = sharing
+        self.sharing = config.sharing
+        self.timeout = config.timeout
         if machine is None:
             if n_tasks is None:
                 raise MPIError("provide a machine, n_tasks, or both")
@@ -185,7 +133,6 @@ class Runtime:
             self._pin = list(pinning)
         else:
             self._pin = [i % machine.n_pus for i in range(self.n_tasks)]
-        self.timeout = timeout
         # Subscribable abort: every blocking primitive registers a waker,
         # so one set() wakes tasks parked anywhere (mailboxes, collective
         # engines, HLS scopes) -- abort is announced, never discovered.
@@ -195,9 +142,9 @@ class Runtime:
         # "coop" = the cooperative scheduler of repro.runtime.sched).
         # Built before any blocking primitive so they all draw their
         # conditions and clock from it.
-        self.execution_backend = backend
+        self.execution_backend = config.backend
         self._backend = make_execution_backend(
-            backend, self.n_tasks, schedule=schedule,
+            config.backend, self.n_tasks, schedule=config.schedule,
             on_drain=self.signal_abort,
         )
         #: fault injector (None = chaos off; see repro.faults)
@@ -417,23 +364,31 @@ class Runtime:
 
     # ---------------------------------------------------------------- memory
     def node_space(self, node: int) -> AddressSpace:
-        """The shared address space of a node (thread backend): its
-        node-scope arena, lazily materialised by the memory manager."""
+        """The shared address space of a node (MPC): its node-scope
+        arena, lazily materialised by the memory manager."""
         return self.memory.node_arena(node)
 
+    def task_space(self, rank: int) -> AddressSpace:
+        """The private address space of one task (one per process under
+        ``mpi="openmpi"``): its per-task arena.  The base-address
+        registry keeps it disjoint from every node arena."""
+        return self.memory.task_arena(rank)
+
     def space_for(self, rank: int) -> AddressSpace:
-        return self.node_space(self.node_of(rank))
+        if self.shared_node_address_space:
+            return self.node_space(self.node_of(rank))
+        return self.task_space(rank)
 
     def scope_space(self, inst: ScopeInstance) -> AddressSpace:
         """Where a buffer every task of scope instance ``inst``
         addresses lives (an HLS image, an ``allocate_shared`` window, an
-        interposed ``single`` allocation): the instance's own arena,
-        since a node's tasks share one address space."""
-        return self.memory.scope_arena(inst)
-
-    def all_spaces(self) -> Dict[int, AddressSpace]:
-        """Materialised node spaces (node-scope arenas), keyed by node."""
-        return dict(self.memory.node_arenas())
+        interposed ``single`` allocation): the instance's own arena when
+        a node's tasks share one address space; otherwise its node's
+        isomalloc segment whatever the instance's level, since processes
+        share only what the segment maps (section IV-C)."""
+        if self.shared_node_address_space:
+            return self.memory.scope_arena(inst)
+        return self.memory.segment_arena(self.machine.scope_instance_node(inst))
 
     def node_live_bytes(self, node: int) -> int:
         """Live simulated bytes attributed to a node, over every arena
@@ -467,14 +422,22 @@ class Runtime:
         )
 
     def _alloc_runtime_memory(self) -> None:
-        nodes = {self.node_of(r) for r in range(self.n_tasks)}
-        for node in nodes:
-            local = len(self.tasks_on_node(node))
-            space = self.node_space(node)
+        """The static comm pools: one per node in its shared space, or
+        one per process in its own space -- so the process node total
+        scales with local ranks * job size.  (A node's total needs no
+        more: the memory manager attributes each task arena to its
+        owner's current node.)"""
+        if self.shared_node_address_space:
+            nodes = {self.node_of(r) for r in range(self.n_tasks)}
+            pools = [(self.node_space(n), len(self.tasks_on_node(n)), None)
+                     for n in nodes]
+        else:
+            pools = [(self.task_space(r), 1, r) for r in range(self.n_tasks)]
+        for space, local, owner in pools:
             alloc = space.alloc(
                 self.comm_buffer_bytes(local, self.n_tasks),
-                label=f"{self.backend_name}-comm-buffers",
-                kind="runtime",
+                label=f"{self.backend_name}-comm-buffers", kind="runtime",
+                owner=owner,
             )
             self._pool_allocs.append((space, alloc))
 
@@ -748,4 +711,4 @@ class Runtime:
         return results
 
 
-__all__ = ["Runtime", "CommStats", "check_policies"]
+__all__ = ["Runtime", "CommStats"]

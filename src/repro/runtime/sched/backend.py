@@ -12,16 +12,16 @@ The seed runtime hard-wired one OS thread per task into
   runner token, :class:`CoopWaker` conditions, a virtual clock, and a
   recorded :class:`ScheduleTrace` per run.
 
-``ProcessRuntime`` (the Open MPI baseline) is a *policy* subclass of
-``Runtime`` -- memory and copy behaviour -- so it composes freely with
-either execution backend.
+The Open MPI baseline is a memory and copy policy, another field of
+the same :class:`~repro.runtime.config.RuntimeConfig` (``mpi``), so it
+composes freely with either execution backend.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Optional, Union
+from typing import Callable, Optional, Union
 
 from repro.runtime.errors import MPIError
 from repro.runtime.sched.coop import CoopScheduler
@@ -123,41 +123,20 @@ class CoopBackend(ExecutionBackend):
         return self.sched.trace
 
 
-_BACKENDS = {"threads": ThreadsBackend, "coop": CoopBackend}
-
-
 def make_execution_backend(
     name: str, n_tasks: int, *, schedule: ScheduleSpec = None,
     on_drain: Optional[Callable[[], None]] = None,
 ) -> ExecutionBackend:
-    """Build the execution backend ``Runtime(backend=...)`` asked for."""
+    """Build the execution backend ``Runtime(backend=...)`` asked for
+    (the name and schedule were checked by its ``RuntimeConfig``)."""
     if name == "coop":
         return CoopBackend(n_tasks, schedule, on_drain=on_drain)
-    check_backend(name, schedule)
     return ThreadsBackend()
-
-
-def check_backend(name: str, schedule: ScheduleSpec = None) -> None:
-    """Raise :class:`MPIError` unless :func:`make_execution_backend`
-    accepts backend ``name`` with ``schedule`` (a coop schedule is
-    checked by building its policy, :func:`make_policy`)."""
-    if name == "coop":
-        make_policy(schedule)
-    elif name != "threads":
-        raise MPIError(
-            f"unknown execution backend {name!r} (use 'threads' or 'coop')"
-        )
-    elif schedule is not None:
-        raise MPIError(
-            "schedule policies need backend='coop' -- the OS owns "
-            "the interleaving under the threads backend"
-        )
 
 
 __all__ = [
     "CoopBackend",
     "ExecutionBackend",
     "ThreadsBackend",
-    "check_backend",
     "make_execution_backend",
 ]

@@ -328,10 +328,8 @@ class JobManager:
             else:
                 rt = Runtime(
                     spec.machine_for(), n_tasks=spec.n_tasks,
-                    timeout=spec.timeout, sharing=spec.sharing,
-                    backend=spec.backend, algorithm=spec.algorithm,
-                    schedule=spec.schedule, faults=spec.fault_plan,
-                    registry=self.registry, name=f"job{job.id}",
+                    faults=spec.fault_plan, registry=self.registry,
+                    name=f"job{job.id}", **spec.options(),
                 )
                 job.runtime = rt
                 run_error: Optional[BaseException] = None

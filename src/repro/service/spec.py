@@ -2,20 +2,22 @@
 
 A :class:`JobSpec` is everything the service needs to run one job:
 which app (a name in the :mod:`repro.service.apps` registry), on what
-simulated machine, with which runtime policies (sharing, execution
-backend, collective algorithm, schedule policy), under which fault
-plan, and with what declared resource footprint -- the number the
-admission controller checks against the service's memory capacity.
+simulated machine, with which runtime policies (a job spec *is* a
+:class:`~repro.runtime.config.RuntimeConfig`: it inherits ``mpi``,
+``backend``, ``schedule``, ``sharing``, ``algorithm`` and ``timeout``
+and their one check), under which fault plan, and with what declared
+resource footprint -- the number the admission controller checks
+against the service's memory capacity.
 
 Specs round-trip through canonical JSON (sorted keys, compact
-separators, the repo-wide convention), so jobs can be submitted over
-the observability endpoint or stored as artifacts.
+separators, the repo-wide convention; the runtime fields stay flat), so
+jobs can be submitted over the observability endpoint or stored as
+artifacts.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Dict, Optional
 
@@ -25,9 +27,8 @@ from repro.machine.presets import (
     small_test_machine,
 )
 from repro.machine.topology import Machine, build_machine
+from repro.runtime.config import RuntimeConfig
 from repro.runtime.errors import MPIError
-from repro.runtime.runtime import check_policies
-from repro.runtime.sched.backend import check_backend
 
 #: default declared footprint when the spec does not carry one (covers
 #: the runtime's own comm pools for small jobs)
@@ -35,20 +36,17 @@ DEFAULT_FOOTPRINT = 64 << 20
 
 
 @dataclass(frozen=True)
-class JobSpec:
+class JobSpec(RuntimeConfig):
     """One declarative job submission."""
 
     app: str                                  # app-registry name
     n_tasks: int = 2
     params: Dict[str, Any] = field(default_factory=dict)  # app kwargs
     preset: str = "flat"                      # machine preset (see machine_for)
-    sharing: str = "private"                  # "private" | "shared"
-    backend: str = "threads"                  # "threads" | "coop"
-    algorithm: Optional[str] = None           # collective algorithm
-    schedule: Optional[str] = None            # coop schedule policy spec
     fault_plan: Optional[FaultPlan] = None    # chaos plan for this job
     footprint_bytes: int = DEFAULT_FOOTPRINT  # declared resource footprint
-    timeout: float = 30.0                     # runtime deadlock watchdog
+
+    noun = "job spec"
 
     def __post_init__(self) -> None:
         if not self.app:
@@ -60,8 +58,7 @@ class JobSpec:
         # the runtime's own checks, so a bad spec is refused at submit
         # rather than failing on a worker; the machine is not built
         self._machine_builder()
-        check_policies(self.algorithm, self.sharing)
-        check_backend(self.backend, self.schedule)
+        super().__post_init__()
 
     # ------------------------------------------------------------- machine
     def machine_for(self) -> Machine:
@@ -97,16 +94,11 @@ class JobSpec:
 
     # --------------------------------------------------------------- (de)ser
     def to_dict(self) -> Dict[str, Any]:
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data = super().to_dict()
         data["params"] = dict(self.params)
         if self.fault_plan is not None:
             data["fault_plan"] = self.fault_plan.to_dict()
         return data
-
-    def to_json(self) -> str:
-        """Canonical JSON: equal specs serialise identically."""
-        return json.dumps(self.to_dict(), sort_keys=True,
-                          separators=(",", ":"))
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "JobSpec":
@@ -114,14 +106,7 @@ class JobSpec:
         plan = data.get("fault_plan")
         if plan is not None and not isinstance(plan, FaultPlan):
             data["fault_plan"] = FaultPlan.from_dict(plan)
-        unknown = set(data) - {f.name for f in fields(cls)}
-        if unknown:
-            raise ValueError(f"unknown job spec fields: {sorted(unknown)}")
-        return cls(**data)
-
-    @classmethod
-    def from_json(cls, text: str) -> "JobSpec":
-        return cls.from_dict(json.loads(text))
+        return super().from_dict(data)
 
 
 __all__ = ["DEFAULT_FOOTPRINT", "JobSpec"]

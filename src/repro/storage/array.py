@@ -233,11 +233,6 @@ class ChunkedArray:
         per resident chunk slice (caller holds the span)."""
         self.chunkwise(start, count, fn, task=task, dirty=True, lock=False)
 
-    def write_locked(self, start: int, values: np.ndarray, *, task: int = 0) -> None:
-        """Write ``values`` at ``start`` (caller holds the span)."""
-        values = np.asarray(values).reshape(-1)
-        self.apply_locked(start, values.size, copy_in(values), task=task)
-
     def rmw_locked(
         self,
         start: int,

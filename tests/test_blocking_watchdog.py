@@ -254,6 +254,29 @@ class RmaLockWaiter(RmaStartWaiter):
             win.unlock(ctx.rank)
 
 
+class RmaWaitWaiter(RmaStartWaiter):
+    def setup(self, ctx):
+        win = Win.allocate(ctx.comm_world, 2)
+        if ctx.rank == 0:
+            win.post([3])
+        return win
+
+    def wait(self, ctx, win):
+        win.wait()
+
+    def step(self, ctx, win):
+        if ctx.rank == 3:           # the one origin closes its access epoch
+            win.start([0])
+            win.complete()
+        else:                       # unrelated exposure epochs open
+            win.post([ctx.rank])
+
+
+class RmaLockAllWaiter(RmaLockWaiter):
+    def wait(self, ctx, win):
+        win.lock_all()
+
+
 # ------------------------------------------------------------ the battery
 def drive(waiter, backend, helper, *, timeout=None):
     """Run the waiter's program; returns rank 0's ``(outcome, elapsed)``
@@ -387,6 +410,14 @@ class TestRmaStart(WatchdogContract):
 
 class TestRmaLock(WatchdogContract):
     make_waiter = RmaLockWaiter
+
+
+class TestRmaWait(WatchdogContract):
+    make_waiter = RmaWaitWaiter
+
+
+class TestRmaLockAll(WatchdogContract):
+    make_waiter = RmaLockAllWaiter
 
 
 # --------------------------------------------------- the RMA regression

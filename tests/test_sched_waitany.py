@@ -111,3 +111,32 @@ def test_waitany_threads_backend_unchanged():
 
     rt = Runtime(core2_cluster(1), n_tasks=2, timeout=10.0)
     assert rt.run(main)[0] == "ok"
+
+
+@pytest.mark.parametrize("seed", [2, 11])
+def test_waitany_mixed_engine_list_sees_ready_receive(seed):
+    """A receive and a collective request park on different conditions
+    (the mailbox and the collective engine).  waitany must notice the
+    receive when it lands, not park on the barrier's condition for a
+    full WAITANY_PARK_CAP: rank 1 joins the barrier only after rank 0
+    has answered the receive."""
+    def main(ctx):
+        c = ctx.comm_world
+        if ctx.rank == 0:
+            bar = c.ibarrier()
+            req = c.irecv(source=1, tag=3)
+            idx, obj = Request.waitany([bar, req])
+            seen = ctx.runtime.now()
+            c.send("reply", dest=1, tag=4)
+            bar.wait()
+            return idx, obj, seen
+        ctx.sleep(0.05)
+        c.send("ping", dest=0, tag=3)
+        c.recv(source=0, tag=4)
+        c.ibarrier().wait()
+        return None
+
+    idx, obj, seen = coop_rt(seed).run(main)[0]
+    assert (idx, obj) == (1, "ping")
+    # seen at the send (virtual 0.05), not one park cap (1.0) later
+    assert seen == pytest.approx(0.05, abs=0.01)
