@@ -9,7 +9,10 @@
 * :mod:`~repro.apps.gadget` -- Table III: N-body SPH with a shared
   Ewald correction table;
 * :mod:`~repro.apps.tachyon` -- Table IV: ray tracer with replicated
-  scene and image.
+  scene and image;
+* :mod:`~repro.apps.driver` -- where every one of them meets the
+  runtime: the Tables II-IV run skeleton and the Table I / Figure 3
+  table placement.
 
 All sizes are scaled down from the paper by a uniform factor (the cache
 simulator works at line granularity, so fits-in-cache relations are
@@ -18,9 +21,10 @@ preserved); EXPERIMENTS.md records the mapping.
 
 from repro.apps.mesh_update import MeshUpdateConfig, MeshUpdateResult, run_mesh_update
 from repro.apps.matmul import MatmulConfig, MatmulResult, run_matmul
-from repro.apps.eulermhd import EulerMHDConfig, AppRunResult, run_eulermhd
+from repro.apps.driver import AppRunResult
+from repro.apps.eulermhd import EulerMHDConfig, run_eulermhd
 from repro.apps.gadget import GadgetConfig, run_gadget
-from repro.apps.tachyon import TachyonConfig, TachyonResult, run_tachyon
+from repro.apps.tachyon import TachyonConfig, run_tachyon
 
 __all__ = [
     "MeshUpdateConfig",
@@ -35,6 +39,5 @@ __all__ = [
     "GadgetConfig",
     "run_gadget",
     "TachyonConfig",
-    "TachyonResult",
     "run_tachyon",
 ]

@@ -26,19 +26,11 @@ paper's cluster.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Any, Optional
 
 import numpy as np
 
-from repro.hls import HLSProgram
-from repro.machine import core2_cluster
-from repro.metrics import MemoryMetrics, MemoryReport, MemorySampler
-from repro.runtime import CommStats, Runtime
-from repro.runtime.config import POLICIES, RuntimeConfig
-
-RUNTIMES = tuple(POLICIES)
+from repro.apps.driver import AppConfig, AppRunResult, NodeTable, run_app
 
 # -- fitted model constants (documented in EXPERIMENTS.md) ----------------
 EOS_TABLE_BYTES = 128 << 20          # paper: ~128MB EOS table
@@ -50,92 +42,28 @@ TIME_FACTOR = {"mpc": 1.0, "openmpi": 0.93}
 
 
 @dataclass(frozen=True)
-class EulerMHDConfig:
+class EulerMHDConfig(AppConfig):
     """One Table II cell."""
 
-    n_nodes: int = 4                 # 8 cores per node
-    runtime: str = "mpc"             # mpc | openmpi
-    hls: bool = False
+    TABLE = "II"
+
+    seed: int = 3
     steps: int = 4
     local_n: int = 24                # live per-task mesh block (scaled)
     eos_n: int = 64                  # live EOS table resolution
-    seed: int = 3
-    sharing: str = "private"         # zero-copy policy (mpc only)
-
-    def __post_init__(self) -> None:
-        runtime_config(self)
-        if self.hls and self.runtime == "openmpi":
-            # Possible via the shared-segment backend, but the paper
-            # only evaluates HLS on MPC.
-            raise ValueError("Table II evaluates HLS on MPC only")
-
-    @property
-    def n_tasks(self) -> int:
-        return self.n_nodes * 8
-
-
-@dataclass
-class AppRunResult:
-    """Outcome of one application run (one Tables II-IV row)."""
-
-    app: str
-    runtime: str
-    hls: bool
-    n_cores: int
-    modeled_time_s: float
-    wall_s: float
-    mem: MemoryReport
-    comm: CommStats
-    checksum: float                  # solver output, for variant equivalence
-    #: end-of-run per-node / per-level / per-kind live-bytes snapshot
-    memory_metrics: Optional[MemoryMetrics] = None
-    #: ``rt.metrics("loadbalance")`` when the app ran a self-scheduled
-    #: loop (``schedule != "static"``), else None
-    loadbalance: Optional[Any] = None
-
-
-def runtime_config(cfg) -> RuntimeConfig:
-    """The runtime an app config asks for, and the config's check: an
-    unknown ``runtime`` is a ``ValueError``, a combination the runtime
-    refuses (``sharing="shared"`` on ``"openmpi"``) an ``MPIError``."""
-    if cfg.runtime not in RUNTIMES:
-        raise ValueError(f"runtime must be one of {RUNTIMES}")
-    return RuntimeConfig(mpi=cfg.runtime, sharing=cfg.sharing, timeout=120.0)
-
-
-def make_runtime(cfg) -> Runtime:
-    """Build the runtime a config asks for (shared by apps)."""
-    return Runtime(core2_cluster(cfg.n_nodes), n_tasks=cfg.n_tasks,
-                   **runtime_config(cfg).options())
 
 
 def run_eulermhd(cfg: EulerMHDConfig) -> AppRunResult:
     """Run one configuration; returns time + memory in Table II form."""
-    rt = make_runtime(cfg)
-    prog = HLSProgram(rt, enabled=cfg.hls)
-    eos_shape = (cfg.eos_n, cfg.eos_n)
-    prog.declare(
-        "eos_table", shape=eos_shape, dtype=np.float64, scope="node",
-        virtual_bytes=EOS_TABLE_BYTES,
-    )
-    sampler = MemorySampler(rt)
-    sampler.sample()                                  # startup sample
-    solver_bytes = SOLVER_BASE + SOLVER_GLOBAL // cfg.n_tasks
     n = cfg.local_n
 
-    def main(ctx):
-        h = prog.attach(ctx)
+    def init_eos(tbl):
+        ii = np.arange(cfg.eos_n)
+        tbl[...] = 1.0 + np.add.outer(ii, ii) / (2.0 * cfg.eos_n)
+
+    def kernel(ctx, h, sampler):
         c = ctx.comm_world
         rng = np.random.default_rng(cfg.seed + ctx.rank)
-        ctx.alloc(solver_bytes, label="solver-fields")
-        # one task per node initialises the shared EOS table
-        if h.single_enter("eos_table"):
-            try:
-                tbl = h["eos_table"]
-                ii = np.arange(cfg.eos_n)
-                tbl[...] = 1.0 + np.add.outer(ii, ii) / (2.0 * cfg.eos_n)
-            finally:
-                h.single_done("eos_table")
         table = h["eos_table"]
 
         density = rng.random((n, n)) + 0.5
@@ -166,33 +94,14 @@ def run_eulermhd(cfg: EulerMHDConfig) -> AppRunResult:
             c.barrier()
         return float(density.sum())
 
-    t0 = time.monotonic()
-    sums = rt.run(main)
-    wall = time.monotonic() - t0
-
-    modeled = TIME_K * TIME_FACTOR[cfg.runtime] / cfg.n_tasks + TIME_C
-    result = AppRunResult(
-        app="eulermhd",
-        runtime=cfg.runtime,
-        hls=cfg.hls,
-        n_cores=cfg.n_tasks,
-        modeled_time_s=modeled,
-        wall_s=wall,
-        mem=sampler.report(),
-        comm=rt.stats,
-        checksum=float(np.sum(sums)),
-        memory_metrics=rt.metrics("memory"),
+    return run_app(
+        cfg, "eulermhd",
+        [NodeTable("eos_table", (cfg.eos_n, cfg.eos_n), EOS_TABLE_BYTES,
+                   init_eos)],
+        ("solver-fields", SOLVER_BASE + SOLVER_GLOBAL // cfg.n_tasks),
+        kernel,
+        lambda rt: TIME_K * TIME_FACTOR[cfg.runtime] / cfg.n_tasks + TIME_C,
     )
-    prog.close()    # the result holds snapshots, not the images
-    return result
 
 
-__all__ = [
-    "RUNTIMES",
-    "EOS_TABLE_BYTES",
-    "EulerMHDConfig",
-    "AppRunResult",
-    "run_eulermhd",
-    "make_runtime",
-    "runtime_config",
-]
+__all__ = ["EOS_TABLE_BYTES", "EulerMHDConfig", "run_eulermhd"]

@@ -19,14 +19,11 @@ modelled faithfully:
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.eulermhd import AppRunResult, make_runtime, runtime_config
-from repro.hls import HLSProgram
-from repro.metrics import MemorySampler
+from repro.apps.driver import AppConfig, AppRunResult, NodeTable, run_app
 from repro.scheduler import dynamic_for
 
 #: near-field radius of the dynamic path's clustered force loop
@@ -45,33 +42,22 @@ TIME_FACTOR = {"mpc": 1.0, "openmpi": 0.933}
 
 
 @dataclass(frozen=True)
-class GadgetConfig:
+class GadgetConfig(AppConfig):
     """One Table III cell."""
 
-    n_nodes: int = 4
-    runtime: str = "mpc"
-    hls: bool = False
+    TABLE = "III"
+
+    seed: int = 11
     steps: int = 3
     particles_per_task: int = 64     # live (scaled) particle count
     ewald_n: int = 32                # live Ewald table resolution (n^3)
     connect_all_peers: bool = True   # Gadget's all-pairs exchange pattern
-    seed: int = 11
     #: "static" = the legacy per-task decomposition; anything else
     #: ("even" | "fixed[:K]" | "guided[:MIN]" | "factoring[:MIN]") runs
     #: the clustered particle loop through ``scheduler.dynamic_for``
     #: ("even" being the measured static oracle of that same loop)
     schedule: str = "static"
     steal: bool = True
-    sharing: str = "private"         # zero-copy policy (mpc only)
-
-    def __post_init__(self) -> None:
-        runtime_config(self)
-        if self.hls and self.runtime == "openmpi":
-            raise ValueError("Table III evaluates HLS on MPC only")
-
-    @property
-    def n_tasks(self) -> int:
-        return self.n_nodes * 8
 
 
 def _trilinear(table: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -160,34 +146,17 @@ def _dynamic_step_loop(ctx, cfg: GadgetConfig, ewald, sampler) -> float:
 
 def run_gadget(cfg: GadgetConfig) -> AppRunResult:
     """Run one configuration; returns time + memory in Table III form."""
-    rt = make_runtime(cfg)
-    prog = HLSProgram(rt, enabled=cfg.hls)
-    prog.declare(
-        "ewald_table",
-        shape=(cfg.ewald_n, cfg.ewald_n, cfg.ewald_n),
-        dtype=np.float64,
-        scope="node",
-        virtual_bytes=EWALD_TABLE_BYTES,
-    )
-    sampler = MemorySampler(rt)
-    sampler.sample()
-    particle_bytes = PARTICLE_BASE + PARTICLE_GLOBAL // cfg.n_tasks
 
-    def main(ctx):
-        h = prog.attach(ctx)
+    def init_ewald(tbl):
+        g = np.linspace(0, 1, cfg.ewald_n)
+        tbl[...] = np.exp(
+            -(g[:, None, None] ** 2 + g[None, :, None] ** 2
+              + g[None, None, :] ** 2)
+        )
+
+    def kernel(ctx, h, sampler):
         c = ctx.comm_world
         rng = np.random.default_rng(cfg.seed + ctx.rank)
-        ctx.alloc(particle_bytes, label="particles+tree")
-        if h.single_enter("ewald_table"):
-            try:
-                tbl = h["ewald_table"]
-                g = np.linspace(0, 1, cfg.ewald_n)
-                tbl[...] = np.exp(
-                    -(g[:, None, None] ** 2 + g[None, :, None] ** 2
-                      + g[None, None, :] ** 2)
-                )
-            finally:
-                h.single_done("ewald_table")
         ewald = h["ewald_table"]
 
         pos = rng.random((cfg.particles_per_task, 3))
@@ -218,28 +187,14 @@ def run_gadget(cfg: GadgetConfig) -> AppRunResult:
             c.barrier()
         return float(np.abs(vel).sum())
 
-    t0 = time.monotonic()
-    sums = rt.run(main)
-    wall = time.monotonic() - t0
-
-    modeled = TIME_K * TIME_FACTOR[cfg.runtime] / cfg.n_tasks
-    result = AppRunResult(
-        app="gadget",
-        runtime=cfg.runtime,
-        hls=cfg.hls,
-        n_cores=cfg.n_tasks,
-        modeled_time_s=modeled,
-        wall_s=wall,
-        mem=sampler.report(),
-        comm=rt.stats,
-        checksum=float(np.sum(sums)),
-        memory_metrics=rt.metrics("memory"),
-        loadbalance=(
-            rt.metrics("loadbalance") if cfg.schedule != "static" else None
-        ),
+    n = cfg.ewald_n
+    return run_app(
+        cfg, "gadget",
+        [NodeTable("ewald_table", (n, n, n), EWALD_TABLE_BYTES, init_ewald)],
+        ("particles+tree", PARTICLE_BASE + PARTICLE_GLOBAL // cfg.n_tasks),
+        kernel,
+        lambda rt: TIME_K * TIME_FACTOR[cfg.runtime] / cfg.n_tasks,
     )
-    prog.close()    # the result holds snapshots, not the images
-    return result
 
 
 __all__ = ["EWALD_TABLE_BYTES", "GadgetConfig", "run_gadget"]

@@ -19,13 +19,9 @@ realistic proportion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
 
-import numpy as np
-
-from repro.hls import HLSProgram
+from repro.apps.driver import place_table
 from repro.machine import nehalem_ex_node
-from repro.machine.topology import Machine
 from repro.memsim import (
     CacheHierarchy,
     TimingModel,
@@ -33,7 +29,6 @@ from repro.memsim import (
     run_phase,
 )
 from repro.memsim.traces import stream_lines
-from repro.runtime import Runtime
 
 VARIANTS = ("seq", "none", "node", "numa")
 
@@ -72,36 +67,16 @@ class MatmulResult:
     flops: float                     # measured useful flops per task
 
 
-def _placements(machine: Machine, cfg: MatmulConfig):
-    """Materialise A, B, C through the runtime; B per the HLS variant."""
-    n_tasks = 1 if cfg.variant == "seq" else cfg.tasks
-    rt = Runtime(machine, n_tasks=n_tasks, timeout=10.0)
-    enabled = cfg.variant in ("node", "numa")
-    prog = HLSProgram(rt, enabled=enabled)
-    scope = cfg.variant if enabled else "node"
-    elems = cfg.n * cfg.n
-    prog.declare("B", shape=(elems,), dtype=np.float64, scope=scope)
-
-    def main(ctx):
-        h = prog.attach(ctx)
-        b_addr = h.addr("B")
-        a = ctx.alloc(elems * 8, label=f"A-rank{ctx.rank}")
-        c = ctx.alloc(elems * 8, label=f"C-rank{ctx.rank}")
-        return (ctx.pu, a.addr, b_addr, c.addr)
-
-    placements = rt.run(main)
-    prog.close()
-    seen: Dict[int, int] = {}
-    for rank, (_pu, _a, b_addr, _c) in enumerate(placements):
-        seen.setdefault(b_addr, rank)
-    writers = sorted(seen.values())
-    return placements, writers
-
-
 def run_matmul(cfg: MatmulConfig) -> MatmulResult:
     """Run one configuration and report flops/cycle per task."""
     machine = nehalem_ex_node(scale=cfg.machine_scale)
-    placements, writers = _placements(machine, cfg)
+    # B per the HLS variant; A and C per task
+    elems = cfg.n * cfg.n
+    placements, writers = place_table(
+        machine, 1 if cfg.variant == "seq" else cfg.tasks,
+        cfg.variant if cfg.variant in ("node", "numa") else None,
+        elems, {"A": elems * 8, "C": elems * 8},
+    )
     pus = [p for p, _, _, _ in placements]
     writer_pus = [placements[w][0] for w in writers]
 
@@ -111,7 +86,7 @@ def run_matmul(cfg: MatmulConfig) -> MatmulResult:
     nbytes = cfg.n * cfg.n * 8
     gemm_traces = [
         blocked_matmul_trace(a, b, c, cfg.n, block=cfg.block, line_bytes=line)
-        for _pu, a, b, c in placements
+        for _pu, b, a, c in placements
     ]
     compute = 2.0 * cfg.n ** 3 / cfg.flops_per_cycle   # per task-step
 
@@ -120,7 +95,7 @@ def run_matmul(cfg: MatmulConfig) -> MatmulResult:
         measured = step >= cfg.warmup_steps
         if cfg.update and step > 0:
             wtraces = [
-                stream_lines(placements[w][2], nbytes, line_bytes=line)
+                stream_lines(placements[w][1], nbytes, line_bytes=line)
                 for w in writers
             ]
             t = run_phase(hier, tm, wtraces, writer_pus, write=True)

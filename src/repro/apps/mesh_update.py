@@ -20,12 +20,12 @@ unbiased).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.hls import HLSProgram
+from repro.apps.driver import place_table
 from repro.machine import nehalem_ex_node
 from repro.machine.topology import Machine
 from repro.memsim import (
@@ -35,7 +35,6 @@ from repro.memsim import (
     run_phase,
 )
 from repro.memsim.traces import stream_lines
-from repro.runtime import Runtime
 
 #: Cells per task for the paper's three settings, divided by the default
 #: machine_scale=64: paper small=50^3=125k cells (~1MB), medium=100^3
@@ -92,37 +91,6 @@ class MeshUpdateResult:
     par_cycles: float
     table_miss_ratio: float          # parallel run, averaged over tasks
     invalidations: int
-
-
-def _placements(
-    machine: Machine, cfg: MeshUpdateConfig
-) -> Tuple[List[Tuple[int, int, int]], List[int]]:
-    """Materialise storage through the real runtime + HLS program.
-
-    Returns per-task ``(pu, table_addr, mesh_addr)`` and the ranks that
-    perform the table update (one per scope instance under HLS; every
-    task without)."""
-    rt = Runtime(machine, timeout=10.0)
-    prog = HLSProgram(rt, enabled=cfg.variant != "none")
-    scope = cfg.variant if cfg.variant != "none" else "node"
-    prog.declare(
-        "table", shape=(cfg.table_bytes // 8,), dtype=np.float64, scope=scope
-    )
-
-    def main(ctx):
-        h = prog.attach(ctx)
-        table_addr = h.addr("table")
-        mesh = ctx.alloc(cfg.cells * 8, label=f"mesh-rank{ctx.rank}")
-        return (ctx.pu, table_addr, mesh.addr)
-
-    placements = rt.run(main)
-    prog.close()
-    # Writers: the task of lowest rank per distinct table address.
-    seen: Dict[int, int] = {}
-    for rank, (_pu, t_addr, _m) in enumerate(placements):
-        seen.setdefault(t_addr, rank)
-    writers = sorted(seen.values())
-    return placements, writers
 
 
 def _simulate(
@@ -203,7 +171,10 @@ def run_mesh_update(cfg: MeshUpdateConfig) -> MeshUpdateResult:
     machine = nehalem_ex_node(scale=cfg.machine_scale)
     rng = np.random.default_rng(cfg.seed)
 
-    placements, writers = _placements(machine, cfg)
+    placements, writers = place_table(
+        machine, machine.n_pus, None if cfg.variant == "none" else cfg.variant,
+        cfg.table_bytes // 8, {"mesh": cfg.cells * 8},
+    )
     par_cycles, par_stats = _simulate(machine, cfg, placements, writers, rng)
 
     # Sequential baseline: one task, its own private table and mesh --

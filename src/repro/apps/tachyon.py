@@ -22,14 +22,11 @@ because rank 0's node copies less.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.eulermhd import AppRunResult, make_runtime, runtime_config
-from repro.hls import HLSProgram
-from repro.metrics import MemorySampler
+from repro.apps.driver import AppConfig, AppRunResult, NodeTable, run_app
 from repro.scheduler import dynamic_for, node_chunk_tables, make_policy
 
 #: modeled seconds per covered sphere-row in the dynamic path (the
@@ -49,44 +46,28 @@ COPY_COST_S = 5.0 / (7 * FRAMES_FULL)
 
 
 @dataclass(frozen=True)
-class TachyonConfig:
+class TachyonConfig(AppConfig):
     """One Table IV cell."""
 
-    n_nodes: int = 4
-    runtime: str = "mpc"
-    hls: bool = False
+    TABLE = "IV"
+
+    seed: int = 5
     frames: int = 2                  # live frames (scaled from 5000)
     width: int = 64                  # live image width
     height: int = 0                  # live image height; 0 = 2 rows/task
     n_spheres: int = 12
-    seed: int = 5
     #: "static" = the legacy one-strip-per-task decomposition; anything
     #: else ("even" | "fixed[:K]" | "guided[:MIN]" | "factoring[:MIN]")
     #: self-schedules row chunks through ``scheduler.dynamic_for``
     schedule: str = "static"
     steal: bool = True
-    sharing: str = "private"         # zero-copy policy (mpc only)
 
     def __post_init__(self) -> None:
-        runtime_config(self)
-        if self.hls and self.runtime == "openmpi":
-            raise ValueError("Table IV evaluates HLS on MPC only")
+        super().__post_init__()
         if self.height == 0:
             object.__setattr__(self, "height", 2 * self.n_tasks)
         if self.height % self.n_tasks:
             raise ValueError("height must divide evenly among tasks")
-
-    @property
-    def n_tasks(self) -> int:
-        return self.n_nodes * 8
-
-
-@dataclass
-class TachyonResult(AppRunResult):
-    """Table IV row plus elision evidence."""
-
-    elided_messages: int = 0
-    elided_bytes: int = 0
 
 
 def _render_strip(
@@ -192,36 +173,19 @@ def _dynamic_render_loop(ctx, cfg: TachyonConfig, scene, image, sampler):
     return total
 
 
-def run_tachyon(cfg: TachyonConfig) -> TachyonResult:
+def run_tachyon(cfg: TachyonConfig) -> AppRunResult:
     """Run one configuration; returns the Table IV row."""
-    rt = make_runtime(cfg)
-    prog = HLSProgram(rt, enabled=cfg.hls)
-    prog.declare(
-        "scene", shape=(cfg.n_spheres, 5), dtype=np.float64, scope="node",
-        virtual_bytes=SCENE_BYTES,
-    )
-    prog.declare(
-        "image", shape=(cfg.height, cfg.width), dtype=np.float64, scope="node",
-        virtual_bytes=IMAGE_BYTES,
-    )
-    sampler = MemorySampler(rt)
-    sampler.sample()
     rows_per_task = cfg.height // cfg.n_tasks
 
-    def main(ctx):
-        h = prog.attach(ctx)
+    def init_scene(sc):
+        rng = np.random.default_rng(cfg.seed)
+        sc[:, 0:2] = rng.uniform(-0.4, 0.4, (cfg.n_spheres, 2))
+        sc[:, 2] = rng.uniform(1.0, 2.0, cfg.n_spheres)
+        sc[:, 3] = rng.uniform(0.05, 0.2, cfg.n_spheres)
+        sc[:, 4] = rng.uniform(0.3, 1.0, cfg.n_spheres)
+
+    def kernel(ctx, h, sampler):
         c = ctx.comm_world
-        ctx.alloc(APP_BASE, label="buffers+rank-state")
-        if h.single_enter("scene"):
-            try:
-                rng = np.random.default_rng(cfg.seed)
-                sc = h["scene"]
-                sc[:, 0:2] = rng.uniform(-0.4, 0.4, (cfg.n_spheres, 2))
-                sc[:, 2] = rng.uniform(1.0, 2.0, cfg.n_spheres)
-                sc[:, 3] = rng.uniform(0.05, 0.2, cfg.n_spheres)
-                sc[:, 4] = rng.uniform(0.3, 1.0, cfg.n_spheres)
-            finally:
-                h.single_done("scene")
         scene = h["scene"]
         image = h["image"]
         if cfg.schedule != "static":
@@ -250,44 +214,30 @@ def run_tachyon(cfg: TachyonConfig) -> TachyonResult:
             c.barrier()
         return total
 
-    t0 = time.monotonic()
-    sums = rt.run(main)
-    wall = time.monotonic() - t0
+    def modeled_time(rt):
+        # Copy model: rank-0's node performs (copied strips on node 0)
+        # real memcpys per frame; elided ones are free.  Scale measured
+        # counts to the paper's 5000 frames.
+        node0_local = len(rt.tasks_on_node(0)) - 1   # senders on rank 0's node
+        copied_per_frame = node0_local - (rt.stats.elided // max(cfg.frames, 1))
+        copy_s = max(copied_per_frame, 0) * FRAMES_FULL * COPY_COST_S
+        return TIME_K / cfg.n_tasks + copy_s + (
+            1.0 if cfg.runtime == "openmpi" else 0.0   # extra sender-side copies
+        )
 
-    # Copy model: rank-0's node performs (copied strips on node 0) real
-    # memcpys per frame; elided ones are free.  Scale measured counts to
-    # the paper's 5000 frames.
-    node0_local = len(rt.tasks_on_node(0)) - 1     # senders on rank 0's node
-    copied_per_frame = node0_local - (rt.stats.elided // max(cfg.frames, 1))
-    copy_s = max(copied_per_frame, 0) * FRAMES_FULL * COPY_COST_S
-    modeled = TIME_K / cfg.n_tasks + copy_s + (
-        1.0 if cfg.runtime == "openmpi" else 0.0   # extra sender-side copies
+    return run_app(
+        cfg, "tachyon",
+        [NodeTable("scene", (cfg.n_spheres, 5), SCENE_BYTES, init_scene),
+         NodeTable("image", (cfg.height, cfg.width), IMAGE_BYTES)],
+        ("buffers+rank-state", APP_BASE),
+        kernel,
+        modeled_time,
     )
-    result = TachyonResult(
-        app="tachyon",
-        runtime=cfg.runtime,
-        hls=cfg.hls,
-        n_cores=cfg.n_tasks,
-        modeled_time_s=modeled,
-        wall_s=wall,
-        mem=sampler.report(),
-        comm=rt.stats,
-        checksum=float(sums[0]),
-        memory_metrics=rt.metrics("memory"),
-        elided_messages=rt.stats.elided,
-        elided_bytes=rt.stats.elided_bytes,
-        loadbalance=(
-            rt.metrics("loadbalance") if cfg.schedule != "static" else None
-        ),
-    )
-    prog.close()    # the result holds snapshots, not the images
-    return result
 
 
 __all__ = [
     "SCENE_BYTES",
     "IMAGE_BYTES",
     "TachyonConfig",
-    "TachyonResult",
     "run_tachyon",
 ]

@@ -21,9 +21,10 @@ overhead negligible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
-from repro.apps.eulermhd import AppRunResult, EulerMHDConfig, run_eulermhd
+from repro.apps.driver import AppConfig, AppRunResult
+from repro.apps.eulermhd import EulerMHDConfig, run_eulermhd
 from repro.metrics import Table
 
 PAPER = {
@@ -86,23 +87,37 @@ class MemoryTableResult:
         return "\n".join(lines)
 
 
-def run_table2(
-    *, core_counts: Sequence[int] = (256, 512, 736), **config_overrides
+def run_memory_table(
+    *,
+    title: str,
+    paper: Dict[Tuple[int, str], Tuple[float, float, float]],
+    config: Callable[..., AppConfig],
+    run: Callable[[AppConfig], AppRunResult],
+    core_counts: Sequence[int],
+    **config_overrides,
 ) -> MemoryTableResult:
-    """Regenerate Table II (``core_counts`` must be multiples of 8)."""
+    """Regenerate one of Tables II-IV: every variant at every core count
+    (``core_counts`` must be multiples of 8)."""
     rows: Dict[Tuple[int, str], AppRunResult] = {}
     for cores in core_counts:
         if cores % 8:
             raise ValueError("core counts must be multiples of 8 (8/node)")
         for label, runtime, hls in VARIANTS:
-            cfg = EulerMHDConfig(
+            cfg = config(
                 n_nodes=cores // 8, runtime=runtime, hls=hls, **config_overrides
             )
-            rows[(cores, label)] = run_eulermhd(cfg)
-    return MemoryTableResult(
+            rows[(cores, label)] = run(cfg)
+    return MemoryTableResult(title=title, paper=paper, rows=rows)
+
+
+def run_table2(
+    *, core_counts: Sequence[int] = (256, 512, 736), **config_overrides
+) -> MemoryTableResult:
+    """Regenerate Table II (``core_counts`` must be multiples of 8)."""
+    return run_memory_table(
         title="Table II -- EulerMHD time and memory per node",
-        paper=PAPER,
-        rows=rows,
+        paper=PAPER, config=EulerMHDConfig, run=run_eulermhd,
+        core_counts=core_counts, **config_overrides,
     )
 
 

@@ -15,11 +15,10 @@ negligible.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Sequence
 
-from repro.apps.eulermhd import AppRunResult
 from repro.apps.gadget import GadgetConfig, run_gadget
-from repro.experiments.table2 import MemoryTableResult, VARIANTS
+from repro.experiments.table2 import MemoryTableResult, run_memory_table
 
 PAPER = {
     (256, "MPC HLS"): (1540, 703, 747),
@@ -32,19 +31,10 @@ def run_table3(
     *, core_counts: Sequence[int] = (256,), **config_overrides
 ) -> MemoryTableResult:
     """Regenerate Table III."""
-    rows: Dict[Tuple[int, str], AppRunResult] = {}
-    for cores in core_counts:
-        if cores % 8:
-            raise ValueError("core counts must be multiples of 8 (8/node)")
-        for label, runtime, hls in VARIANTS:
-            cfg = GadgetConfig(
-                n_nodes=cores // 8, runtime=runtime, hls=hls, **config_overrides
-            )
-            rows[(cores, label)] = run_gadget(cfg)
-    return MemoryTableResult(
+    return run_memory_table(
         title="Table III -- Gadget-2 time and memory per node",
-        paper=PAPER,
-        rows=rows,
+        paper=PAPER, config=GadgetConfig, run=run_gadget,
+        core_counts=core_counts, **config_overrides,
     )
 
 

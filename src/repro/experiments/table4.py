@@ -14,11 +14,10 @@ on rank 0's node (the copy-elision path, measured via ``comm.elided``).
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Sequence
 
-from repro.apps.eulermhd import AppRunResult
 from repro.apps.tachyon import TachyonConfig, run_tachyon
-from repro.experiments.table2 import MemoryTableResult, VARIANTS
+from repro.experiments.table2 import MemoryTableResult, run_memory_table
 
 PAPER = {
     (736, "MPC HLS"): (83, 748, 931),
@@ -31,19 +30,10 @@ def run_table4(
     *, core_counts: Sequence[int] = (736,), **config_overrides
 ) -> MemoryTableResult:
     """Regenerate Table IV."""
-    rows: Dict[Tuple[int, str], AppRunResult] = {}
-    for cores in core_counts:
-        if cores % 8:
-            raise ValueError("core counts must be multiples of 8 (8/node)")
-        for label, runtime, hls in VARIANTS:
-            cfg = TachyonConfig(
-                n_nodes=cores // 8, runtime=runtime, hls=hls, **config_overrides
-            )
-            rows[(cores, label)] = run_tachyon(cfg)
-    return MemoryTableResult(
+    return run_memory_table(
         title="Table IV -- Tachyon time and memory per node",
-        paper=PAPER,
-        rows=rows,
+        paper=PAPER, config=TachyonConfig, run=run_tachyon,
+        core_counts=core_counts, **config_overrides,
     )
 
 

@@ -663,6 +663,10 @@ class Runtime:
         """Launch ``main(ctx, *args, **kwargs)`` on every task; returns
         the per-rank results.  Any task's exception aborts the job and
         is re-raised."""
+        if self.abort_flag.is_set():
+            # every blocking primitive would fail at once with a
+            # misleading secondary AbortError
+            raise AbortError("runtime aborted by an earlier run; build a new Runtime")
         results: List[Any] = [None] * self.n_tasks
         errors: List[tuple] = []
         err_lock = threading.Lock()

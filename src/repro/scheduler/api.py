@@ -12,7 +12,7 @@ and executed by:
    :class:`~repro.scheduler.stealer.WorkStealer` picks victims
    (randomized, then richest-first from observed counters) and takes
    half their remaining chunks with one CAS;
-3. **remote mop-up claims** -- the sub-``min_steal`` tails that are not
+3. **remote mop-up claims** -- the sub-``MIN_STEAL`` tails that are not
    worth a bulk steal are drained chunk-by-chunk with remote
    fetch-and-adds, so termination is a full sweep observing every node
    word drained.
@@ -133,10 +133,7 @@ def dynamic_for(
     comm: Optional[Any] = None,
     policy: PolicyLike = "guided",
     steal: bool = True,
-    min_steal: int = 2,
-    steal_seed: int = 0,
     label: str = "loop",
-    register: bool = True,
 ) -> TaskLoopStats:
     """Collectively execute ``body`` over ``[0, n_iters)`` with dynamic
     self-scheduling; returns this task's :class:`TaskLoopStats` (rank 0
@@ -176,7 +173,7 @@ def dynamic_for(
         total = rt.now() - t0
     else:
         queue = ChunkQueue(ctx, comm, n_iters, pol)
-        stealer = WorkStealer(queue, seed=steal_seed)
+        stealer = WorkStealer(queue)
 
         def claim(node: Optional[int] = None) -> Optional[Tuple[int, int]]:
             p = rt.probe                # the sched.claim site, then claim
@@ -205,7 +202,7 @@ def dynamic_for(
                     if p is not None:
                         p("sched.steal", world)
                     stats.steal_attempts += 1
-                    stolen, seen = queue.steal(victim, min_steal=min_steal)
+                    stolen, seen = queue.steal(victim)
                     stealer.observe(
                         victim, max(seen - len(stolen), 0)
                     )
@@ -225,7 +222,7 @@ def dynamic_for(
                         break
                     stats.steal_failures += 1
                     if seen > 0:
-                        # sub-min_steal tail (or a lost CAS race):
+                        # sub-MIN_STEAL tail (or a lost CAS race):
                         # drain it chunk-by-chunk right here
                         chunk = claim(victim)
                         if chunk is not None:
@@ -254,7 +251,7 @@ def dynamic_for(
 
     stats.idle_s = max(total - stats.busy_s, 0.0)
     rows = comm.gather(asdict(stats), root=0)
-    if comm.rank == 0 and register:
+    if comm.rank == 0:
         rt.register_loop_report(LoopReport.from_rows(
             label=label, policy=policy_spec(pol), n_iters=int(n_iters),
             steal=bool(steal) and not isinstance(pol, StaticPolicy),

@@ -62,6 +62,10 @@ from repro.scheduler.policy import SelfSchedPolicy
 
 _HEAD_MASK = (1 << 32) - 1
 
+#: a victim with fewer remaining chunks is not worth a bulk steal; its
+#: tail is mopped up with remote claims instead
+MIN_STEAL = 2
+
 #: element displacements in the per-leader counters window
 _WORD = 0       # packed head/tail
 _ALLOC = 1      # donation allocation cursor (monotonic, never reused)
@@ -239,9 +243,7 @@ class ChunkQueue:
             return None
         return self._descriptor(node, head)
 
-    def steal(
-        self, victim: int, *, min_steal: int = 2
-    ) -> Tuple[List[Tuple[int, int]], int]:
+    def steal(self, victim: int) -> Tuple[List[Tuple[int, int]], int]:
         """Try to steal half of ``victim``'s remaining chunks off the
         head end with one CAS on the packed word.  Returns ``(chunks,
         remaining_seen)``; an empty list means the victim was too poor
@@ -252,7 +254,7 @@ class ChunkQueue:
         word = self._cwin.fetch_and_op(np.uint64(0), target=leader)
         head, tail = unpack_counters(word)
         remaining = tail - head
-        if remaining < max(min_steal, 1):
+        if remaining < MIN_STEAL:
             return [], max(remaining, 0)
         k = remaining // 2
         # Copy the descriptors BEFORE the CAS: rows below the tail are

@@ -7,6 +7,7 @@ from repro.machine import core2_cluster, small_test_machine
 from repro.runtime import (
     ANY_SOURCE,
     ANY_TAG,
+    AbortError,
     DeadlockError,
     Runtime,
     Status,
@@ -302,3 +303,24 @@ class TestErrorPropagation:
         with pytest.raises(RuntimeError):
             run(2, main, timeout=30.0)
         assert time.monotonic() - t0 < 5.0
+
+    def test_run_after_abort_names_the_earlier_run(self):
+        """A runtime an earlier run aborted refuses the next run up
+        front instead of failing its first blocking call."""
+        def crash(ctx):
+            if ctx.rank == 0:
+                raise ValueError("boom")
+            ctx.comm_world.barrier()
+
+        def clean(ctx):
+            c = ctx.comm_world
+            if ctx.rank == 0:
+                c.send(1, dest=1)
+                return None
+            return c.recv(source=0)
+
+        rt = Runtime(n_tasks=2, timeout=5.0)
+        with pytest.raises(ValueError, match=r"\[rank 0\] boom"):
+            rt.run(crash)
+        with pytest.raises(AbortError, match="aborted by an earlier run"):
+            rt.run(clean)
