@@ -24,10 +24,10 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, List, Optional, Tuple, TYPE_CHECKING
+from typing import Any, Dict, Optional, Tuple, TYPE_CHECKING
 
 from repro.machine.scopes import ScopeInstance, ScopeKind, ScopeSpec
-from repro.runtime.abort import Watchdog, subscribe_abort
+from repro.runtime.abort import WaitPoint
 from repro.runtime.errors import MigrationError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -39,10 +39,11 @@ class _Unprobed:   # the runtime of a state built on its own
     probe = None
 
 
-class ScopeSyncState:
+class ScopeSyncState(WaitPoint):
     """Synchronisation state of one scope instance.  A task joins trace
     episode ``(key, 2g)`` on arriving at a barrier or single of
-    generation ``g`` and ``(key, 2g + 1)`` on its release."""
+    generation ``g`` and ``(key, 2g + 1)`` on its release.  Its
+    progress token is ``_arrivals``."""
 
     def __init__(
         self,
@@ -59,12 +60,12 @@ class ScopeSyncState:
             raise ValueError(f"scope instance {instance} has no tasks")
         self.instance = instance
         self._set_participants(participants, groups)
-        self._abort = abort_flag
-        self._timeout = timeout
         # Condition + clock from the runtime's execution backend (a
         # CoopWaker and the virtual clock under backend="coop")
-        self._cond = runtime.condition() if runtime else threading.Condition()
-        self._clock = runtime.now if runtime else time.monotonic
+        super().__init__(
+            runtime.condition() if runtime else threading.Condition(),
+            abort_flag, runtime.now if runtime else time.monotonic, timeout,
+        )
         self._count = 0
         self._generation = 0
         self._arrivals = 0           # monotone; deadline-extension progress
@@ -77,10 +78,6 @@ class ScopeSyncState:
         self._runtime = runtime if runtime is not None else _Unprobed
         #: trace context of its episodes (a string: never a comm's)
         self.key = key
-        # The missed-abort fix: parked single/barrier waiters only
-        # recheck on a notify, so an abort must deliver one (the same
-        # signal-abort pattern as Mailbox.receive).
-        subscribe_abort(abort_flag, self.wake)
 
     def _set_participants(self, participants: Tuple[int, ...],
                           groups: Optional[Dict[int, int]]) -> None:
@@ -95,11 +92,6 @@ class ScopeSyncState:
                 g = groups[r]
                 self._gsizes[g] = self._gsizes.get(g, 0) + 1
 
-    def wake(self) -> None:
-        """Wake every waiter parked on this scope (abort broadcast)."""
-        with self._cond:
-            self._cond.notify_all()
-
     # ----------------------------------------------------------- accounting
     def _account_arrival(self, rank: int) -> None:
         self._arrivals += 1
@@ -113,16 +105,16 @@ class ScopeSyncState:
             self.cross_ops += 1      # group leader goes to the next scope
             self._gcount[g] = 0
 
+    def progress(self) -> int:
+        return self._arrivals
+
     def _wait_generation(self, gen: int) -> None:
-        # progress token: arrivals at this scope
-        dog = Watchdog(self._abort, self._clock, self._timeout, lambda: (
+        self.park(lambda: self._generation != gen, self.progress, lambda: (
             "job aborted during hls synchronization",
             f"hls sync on {self.instance} timed out with "
             f"{self._count}/{self.size} arrived -- did every task of the "
             f"scope execute the directive?",
         ))
-        while self._generation == gen:
-            self._cond.wait(timeout=dog.tick(self._arrivals))
 
     # ------------------------------------------------------ barrier, single
     def barrier(self, rank: int) -> None:

@@ -36,7 +36,7 @@ class P2PMetrics(Record):
     #: matcher match-step count: envelopes examined (linear) or bucket
     #: lookups (indexed) -- same unit, directly comparable
     comparisons: int = 0
-    #: times a parked receiver was woken (event-driven receives)
+    #: times a parked receiver was woken (the mailboxes' ``parks``)
     wakeups: int = 0
     # traffic / copy counters: Runtime.stats' CommStats fields, same names
     messages: int = 0
@@ -60,7 +60,7 @@ class P2PMetrics(Record):
             m.delivered += mbox.delivered
             m.pending += mbox.pending_count()
             m.comparisons += mbox.matcher.comparisons
-            m.wakeups += mbox.wakeups
+            m.wakeups += mbox.parks
         return m
 
     # ------------------------------------------------------------- derived

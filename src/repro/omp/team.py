@@ -11,8 +11,8 @@ scope resolution works from inside a parallel region (a thread's HLS
 accesses resolve against *its* PU, exactly like an MPC user-level
 thread).
 
-Waits are event-driven and take their abort check and deadline from
-:class:`repro.runtime.abort.Watchdog`: the arrival that completes a
+Waits are event-driven and park through
+:meth:`repro.runtime.abort.WaitPoint.park`: the arrival that completes a
 barrier (or assembles the team behind a ``single``) notifies, and a
 thread whose body raises sets the team's :class:`AbortSignal`, so its
 peers leave their waits with ``AbortError`` instead of running on."""
@@ -23,7 +23,7 @@ import threading
 import time
 from typing import Any, Callable, List, Optional, Sequence
 
-from repro.runtime.abort import AbortSignal, Watchdog
+from repro.runtime.abort import AbortSignal, WaitPoint
 from repro.runtime.errors import AbortError
 
 
@@ -62,8 +62,9 @@ class ThreadContext:
         return f"ThreadContext({self.thread_num}/{self.num_threads})"
 
 
-class Team:
-    """One parallel region's team of threads."""
+class Team(WaitPoint):
+    """One parallel region's team of threads; its progress token is
+    ``(generation, arrivals)``."""
 
     def __init__(
         self,
@@ -78,33 +79,27 @@ class Team:
             raise ValueError("one PU per thread required when pinning")
         self.num_threads = num_threads
         self.pus = list(pus) if pus is not None else [None] * num_threads
-        self._timeout = timeout
-        self._cond = threading.Condition()
         self._count = 0
         self._generation = 0
         self._critical = threading.RLock()
         self.barriers = 0
-        #: set by a thread whose body raised; wakes every parked peer
-        self._abort = AbortSignal()
-        self._abort.subscribe(self._wake)
+        # the abort signal is set by a thread whose body raised; it
+        # wakes every parked peer
+        super().__init__(threading.Condition(), AbortSignal(), time.monotonic,
+                         timeout)
 
     # ----------------------------------------------------------------- sync
-    def _wake(self) -> None:
-        with self._cond:
-            self._cond.notify_all()
+    def progress(self) -> Any:
+        return (self._generation, self._count)
 
     def _park_until(self, done: Callable[[], bool], what: str) -> None:
-        """Park on the team condition (held by the caller) until
-        ``done()``; arrivals are the progress that extends the deadline."""
-        dog = Watchdog(self._abort, time.monotonic, self._timeout, lambda: (
+        """Park on the team condition (held by the caller, ``done()``
+        just found false) until ``done()``."""
+        self.park(done, self.progress, lambda: (
             f"omp {what}: a team thread failed",
             f"omp {what} timed out with {self._count}/"
             f"{self.num_threads} arrived",
         ))
-        while not done():
-            self._cond.wait(
-                timeout=dog.tick((self._generation, self._count))
-            )
 
     def _wait(self, gen: int) -> None:
         self._park_until(lambda: self._generation != gen, "barrier")
@@ -138,9 +133,10 @@ class Team:
 
     def single_done(self) -> None:
         with self._cond:
-            self._park_until(
-                lambda: self._count == self.num_threads, "single"
-            )
+            if self._count != self.num_threads:
+                self._park_until(
+                    lambda: self._count == self.num_threads, "single"
+                )
             self._count = 0
             self._generation += 1
             self.barriers += 1

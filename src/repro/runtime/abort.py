@@ -1,4 +1,4 @@
-"""Abort signalling and the one blocking-wait watchdog.
+"""Abort signalling and the one blocking-wait park.
 
 The runtime's blocking primitives are event-driven -- a parked task is
 woken by the notify of the event it waits for, not by a fixed-rate
@@ -15,17 +15,19 @@ hands a bare ``threading.Event`` to a primitive -- keeps working; the
 primitives degrade to the :data:`ABORT_TICK` safety tick when the flag
 cannot be subscribed to.
 
-Every blocking wait of the runtime (mailbox receive/probe, collective
-completion, HLS ``barrier``/``single``, RMA epoch waits, the scheduler's
-donate spin)
-takes its abort check and deadline from one :class:`Watchdog`, which
+Every blocking primitive is one :class:`WaitPoint` -- the mailbox, the
+collective engine, an RMA window's epoch state, an HLS scope state and
+an OpenMP team -- which owns its condition, its abort subscription and
+wake, and the one park loop, :meth:`WaitPoint.park`.  That loop takes
+its abort check and deadline from one :class:`Watchdog`, which
 enforces: (1) an abort ends the wait with the site's ``AbortError``;
 (2) a wait nobody answers raises its ``DeadlockError`` once ``timeout``
 passed on the runtime's clock; (3) a change of the site's progress
 token (arrivals, deliveries, executed cells, epoch transitions)
 restarts the deadline, so a slow-but-advancing wait never times out;
 (4) wakeups without progress (spurious notifies, non-matching traffic)
-do not.
+do not.  The scheduler's donate spin parks on no condition and ticks a
+:class:`Watchdog` of its own.
 
 The signal also keeps the abort bookkeeping the chaos metrics report
 (:mod:`repro.metrics.faults`): when the flag was first raised
@@ -154,9 +156,64 @@ class Watchdog:
         return left if left < ABORT_TICK else ABORT_TICK
 
 
+class WaitPoint:
+    """One blocking primitive: its condition, abort wake, watchdog park
+    and ``waitany`` park.  Subclasses (``Mailbox``, ``IcollState``,
+    ``_WinShared``, ``ScopeSyncState``, ``omp.Team``) test readiness
+    inline under ``_cond`` and call :meth:`park` only when they must
+    wait, so a ready wait builds no closure and no :class:`Watchdog`.
+    ``_cond`` is read at every wait: a test may swap it."""
+
+    #: AbortError text of the ``waitany`` park
+    _abort_text = "job aborted"
+
+    def __init__(self, cond: Any, abort_flag: threading.Event,
+                 clock: Callable[[], float], timeout: float) -> None:
+        self._cond = cond
+        self._abort = abort_flag
+        self._clock = clock
+        self._timeout = timeout
+        self.parks = 0      # condition waits made
+        subscribe_abort(abort_flag, self.wake)
+
+    def wake(self) -> None:
+        """Wake every waiter parked here (the abort broadcast)."""
+        with self._cond:
+            self._cond.notify_all()
+
+    def park(self, ready: Callable[[], Any], progress: Callable[[], Any],
+             messages: Callable[[], Tuple[str, str]]) -> Any:
+        """With ``_cond`` held and ``ready()`` just found falsy: wait,
+        ticking a :class:`Watchdog` with ``progress()``, until
+        ``ready()`` returns a truthy value, and return it."""
+        dog = Watchdog(self._abort, self._clock, self._timeout, messages)
+        while True:
+            self._cond.wait(timeout=dog.tick(progress()))
+            self.parks += 1
+            got = ready()
+            if got:
+                return got
+
+    def progress(self) -> Any:
+        """The progress token; ``waitany`` reads it *before* polling."""
+        raise NotImplementedError
+
+    def park_for_progress(self, token: Any, timeout: float) -> None:
+        """``Request.waitany``'s backoff: park until the next event, an
+        abort wake or ``timeout`` (not at all if ``token`` is stale), so
+        the event wakes the poller at once and an idle sweep costs at
+        most ``timeout`` -- of virtual time, under coop."""
+        with self._cond:
+            raise_if_aborted(self._abort, self._abort_text)
+            if self.progress() == token:
+                self._cond.wait(timeout=timeout)
+                self.parks += 1
+
+
 __all__ = [
     "ABORT_TICK",
     "AbortSignal",
+    "WaitPoint",
     "Watchdog",
     "note_abort",
     "raise_if_aborted",

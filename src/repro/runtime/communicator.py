@@ -138,8 +138,7 @@ class Comm:
         return Request(
             kind="recv", try_complete=_try, block_complete=_block,
             sleep=self.runtime.task_sleep,
-            park=mbox.park_for_activity, park_token=mbox.activity_token,
-            park_owner=mbox,
+            parker=mbox,
         )
 
     def sendrecv(

@@ -59,7 +59,7 @@ import numpy as np
 
 from repro.machine.treemap import TreeLevel
 from repro.metrics.collectives import CollectiveMetrics
-from repro.runtime.abort import Watchdog, raise_if_aborted, subscribe_abort
+from repro.runtime.abort import WaitPoint
 from repro.runtime.errors import (
     AbortError,
     CountMismatchError,
@@ -227,8 +227,9 @@ class _PlanBuilder:
         return idx
 
 
-class IcollState:
-    """The shared collective engine of one communicator.
+class IcollState(WaitPoint):
+    """The shared collective engine of one communicator; its progress
+    token (deadline and ``waitany``) is ``_progress_count``.
 
     ``levels`` is the scope-group chain from
     :func:`repro.machine.treemap.collective_levels` (innermost first);
@@ -256,11 +257,8 @@ class IcollState:
         if size < 1:
             raise ValueError("communicator size must be >= 1")
         self.size = size
-        self._abort = abort_flag
-        self._timeout = timeout
         self._clone = clone
         self.metrics = metrics if metrics is not None else CollectiveMetrics()
-        self._clock = owner._backend.now     # one call per deadline check
         self._shape = shape
         #: the runtime this state answers to
         self.owner = owner
@@ -273,7 +271,6 @@ class IcollState:
                 f"group of {len(self.group)} ranks for size-{size} state"
             )
         self._share = share
-        self._cond = owner.condition()
         self._episodes: Dict[int, _Episode] = {}
         #: bumped on every arrival and cell completion: the waitany park
         #: token and the progress measure for deadline extension
@@ -282,13 +279,11 @@ class IcollState:
         #: cells are left for them; a non-engaged owner's cells may be
         #: stolen so an owner busy computing never stalls the DAG)
         self._engaged = [0] * size
-        subscribe_abort(abort_flag, self._wake_all)
+        # the backend's own clock: one call per deadline check
+        super().__init__(owner.condition(), abort_flag, owner._backend.now,
+                         timeout)
 
     # ------------------------------------------------------------------ utils
-    def _wake_all(self) -> None:
-        with self._cond:
-            self._cond.notify_all()
-
     def _do_clone(self, obj: Any) -> Any:
         new = self._clone(obj)
         if new is not obj:
@@ -338,7 +333,7 @@ class IcollState:
         self._validate(kind, rank, payload, root, algorithm)
         p = self.owner.probe
         if p is not None:
-            p(site, rank, wake=self._wake_all)
+            p(site, rank, wake=self.wake)
         with self._cond:
             ep = self._episodes.get(seq)
             if ep is None:
@@ -799,7 +794,7 @@ class IcollState:
         try:
             p = self.owner.probe
             if p is not None:
-                p("coll.ichunk", rank, wake=self._wake_all)
+                p("coll.ichunk", rank, wake=self.wake)
             if cell.link_s > 0.0:
                 self.owner.task_sleep(cell.link_s)
             cell.fn()
@@ -831,51 +826,50 @@ class IcollState:
         """Drive the episode to this rank's completion: run claimable
         cells, and between bursts either park (``wait``) or give up
         (``test``).  A complete episode costs one lock acquisition."""
-        cond = self._cond
-        engaged = False
-        dog: Optional[Watchdog] = None
-        with cond:
+        with self._cond:
+            # engaged: this rank's ready cells are left for it
+            self._engaged[rank] += 1
             try:
-                while True:
-                    if ep.failed is not None:
-                        raise AbortError(
-                            f"collective {ep.kind} #{ep.seq} aborted by "
-                            f"peer failure: {ep.failed!r}"
-                        ) from ep.failed
-                    if ep.planned and ep.gates_left[rank] == 0:
-                        res = ep.results[rank]
-                        ep.results[rank] = None
-                        ep.n_collected += 1
-                        if ep.n_collected == self.size:
-                            self._episodes.pop(ep.seq, None)
-                        return res, Status()
-                    if not engaged:
-                        engaged = True
-                        self._engaged[rank] += 1
-                    got = self._scan_claim(rank, ep)
-                    if got is not None:
-                        try:
-                            self._execute(rank, *got)
-                        except BaseException as exc:
-                            self._fail(got[0], exc)
-                            raise
-                    elif not park:
-                        return None
-                    else:
-                        if dog is None:
-                            dog = Watchdog(
-                                self._abort, self._clock, self._timeout,
-                                lambda: (
-                                    f"job aborted during {ep.kind} #{ep.seq}",
-                                    f"collective {ep.kind} #{ep.seq} stalled "
-                                    f"with {ep.n_arrived}/{self.size} arrived "
-                                    f"-- collective mismatch?",
-                                ),
-                            )
-                        cond.wait(timeout=dog.tick(self._progress_count))
+                res = self._burst(rank, ep)
+                if res is None and park:
+                    res = self.park(
+                        lambda: self._burst(rank, ep),
+                        self.progress,
+                        lambda: (
+                            f"job aborted during {ep.kind} #{ep.seq}",
+                            f"collective {ep.kind} #{ep.seq} stalled "
+                            f"with {ep.n_arrived}/{self.size} arrived "
+                            f"-- collective mismatch?",
+                        ),
+                    )
+                return res
             finally:
-                if engaged:
-                    self._engaged[rank] -= 1
+                self._engaged[rank] -= 1
+
+    def _burst(self, rank: int, ep: _Episode) -> Optional[Tuple[Any, Status]]:
+        """Run claimable cells until this rank's result is ready (it is
+        collected and returned) or none is left (None)."""
+        while True:
+            if ep.failed is not None:
+                raise AbortError(
+                    f"collective {ep.kind} #{ep.seq} aborted by "
+                    f"peer failure: {ep.failed!r}"
+                ) from ep.failed
+            if ep.planned and ep.gates_left[rank] == 0:
+                res = ep.results[rank]
+                ep.results[rank] = None
+                ep.n_collected += 1
+                if ep.n_collected == self.size:
+                    self._episodes.pop(ep.seq, None)
+                return res, Status()
+            got = self._scan_claim(rank, ep)
+            if got is None:
+                return None
+            try:
+                self._execute(rank, *got)
+            except BaseException as exc:
+                self._fail(got[0], exc)
+                raise
 
     def test_complete(
         self, rank: int, ep: _Episode
@@ -893,18 +887,8 @@ class IcollState:
         DeadlockError."""
         return self._complete(rank, ep, True)
 
-    # ----------------------------------------------------------- waitany glue
-    def progress_token(self) -> int:
-        with self._cond:
-            return self._progress_count
-
-    def park_for_progress(self, token: int, timeout: float) -> None:
-        """Park until engine progress, an abort, or ``timeout`` -- the
-        same contract as ``Mailbox.park_for_activity``."""
-        with self._cond:
-            raise_if_aborted(self._abort, "job aborted")
-            if self._progress_count == token:
-                self._cond.wait(timeout=timeout)
+    def progress(self) -> int:
+        return self._progress_count
 
 
 class CollectiveRequest(Request):
@@ -922,9 +906,7 @@ class CollectiveRequest(Request):
             try_complete=lambda: state.test_complete(rank, ep),
             block_complete=lambda: state.wait_complete(rank, ep),
             sleep=state.owner.task_sleep,
-            park=state.park_for_progress,
-            park_token=state.progress_token,
-            park_owner=state,
+            parker=state,
         )
         self.state = state
         self.episode = ep

@@ -18,7 +18,7 @@ the order they were sent.
 Blocking receives are event-driven: a receiver parks on the mailbox
 condition until a post (targeted ``notify`` -- only the owner task ever
 blocks on its own mailbox), an abort wake, or its deadline
-(:class:`repro.runtime.abort.Watchdog`).  The progress token is
+(:meth:`repro.runtime.abort.WaitPoint.park`).  The progress token is
 ``delivered``: another request draining this mailbox between waits
 extends the deadline, mere arrivals of non-matching traffic do not, so
 a receive nobody answers still times out on schedule.
@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.runtime.abort import Watchdog, raise_if_aborted, subscribe_abort
+from repro.runtime.abort import WaitPoint, raise_if_aborted
 
 ANY_SOURCE = -1
 ANY_TAG = -1
@@ -157,31 +157,27 @@ class IndexedMatcher:
         return self._ctx[context][key][0]
 
 
-class Mailbox:
-    """Pending-message store for one task, with blocking matched receive."""
+class Mailbox(WaitPoint):
+    """Pending-message store for one task, with blocking matched
+    receive; its ``waitany`` token is ``posted``."""
 
     def __init__(self, owner: int, runtime: Any) -> None:
         self.owner = owner
         self._runtime = runtime      # its probe: read on every receive
         self.matcher = IndexedMatcher()
-        # The execution backend decides how a receiver parks and tells
-        # time: a real Condition + time.monotonic (threads), or a
-        # scheduler-parking CoopWaker + the virtual clock (coop).  The
-        # backend's own clock: a deadline check is one call, not two.
-        self._cond = runtime._backend.condition()
-        self._clock = runtime._backend.now
-        self._abort = runtime.abort_flag
-        self._timeout = runtime.timeout
         self.posted = 0
         self.delivered = 0
-        self.wakeups = 0   # times a parked receiver was woken
         #: envelopes held back by an injected reorder, in arrival order:
         #: ``[release deadline, envelope]`` entries.  Always empty when
         #: no plan is installed.
         self._held: List[List[Any]] = []
-        # Event-driven receives park on the condition; an abort must be
-        # announced, not discovered -- wake on the abort broadcast.
-        subscribe_abort(self._abort, self.wake)
+        self._abort_text = _ABORTED % (owner, "")
+        # The execution backend decides how a receiver parks and tells
+        # time: a real Condition + time.monotonic (threads), or a
+        # scheduler-parking CoopWaker + the virtual clock (coop).  The
+        # backend's own clock: a deadline check is one call, not two.
+        super().__init__(runtime._backend.condition(), runtime.abort_flag,
+                         runtime._backend.now, runtime.timeout)
 
     def post(self, env: Envelope, *, hold: Optional[float] = None) -> None:
         """Add a message; ``hold`` (fault injection only) keeps it
@@ -239,8 +235,15 @@ class Mailbox:
             self.delivered += 1
         return env
 
-    def _watchdog(self, verb: str, source: int, tag: int, hint: str) -> Watchdog:
-        return Watchdog(self._abort, self._clock, self._timeout, lambda: (
+    def _park(self, verb: str, source: int, tag: int, hint: str,
+              find: Callable[[], Any], progress: Callable[[], Any]) -> Any:
+        """Park (condition held) until ``find()`` matches; an abort wins
+        over a pending match."""
+        def ready() -> Any:
+            raise_if_aborted(self._abort, _ABORTED, self.owner, f" during {verb}")
+            return find()
+
+        return self.park(ready, progress, lambda: (
             _ABORTED % (self.owner, f" during {verb}"),
             f"task {self.owner}: {verb}(source={source}, tag={tag}) "
             f"timed out{hint}",
@@ -253,17 +256,16 @@ class Mailbox:
         if p is not None:
             # slow receiver / crash-mid-receive injection site
             p("p2p.recv", self.owner)
-        dog = None
         with self._cond:
-            while True:
-                raise_if_aborted(self._abort, _ABORTED, self.owner, " during recv")
-                env = self._take(source, tag, context)
-                if env is not None:
-                    return env
-                if dog is None:
-                    dog = self._watchdog("recv", source, tag, " -- likely deadlock")
-                self._cond.wait(timeout=dog.tick(self.delivered))
-                self.wakeups += 1
+            raise_if_aborted(self._abort, _ABORTED, self.owner, " during recv")
+            env = self._take(source, tag, context)
+            if env is None:
+                env = self._park(
+                    "recv", source, tag, " -- likely deadlock",
+                    lambda: self._take(source, tag, context),
+                    lambda: self.delivered,
+                )
+            return env
 
     def try_receive(self, source: int, tag: int, context: int) -> Optional[Envelope]:
         """Non-blocking matched receive (None if nothing matches)."""
@@ -286,41 +288,18 @@ class Mailbox:
 
     def probe_blocking(self, source: int, tag: int, context: int) -> Status:
         """Block until a matching message is pending; do not consume it."""
-        dog = None
         with self._cond:
-            while True:
-                raise_if_aborted(self._abort, _ABORTED, self.owner, " during probe")
-                status = self._peek(source, tag, context)
-                if status is not None:
-                    return status
-                if dog is None:
-                    dog = self._watchdog("probe", source, tag, "")
-                self._cond.wait(timeout=dog.tick())
-                self.wakeups += 1
+            raise_if_aborted(self._abort, _ABORTED, self.owner, " during probe")
+            status = self._peek(source, tag, context)
+            if status is None:
+                status = self._park(
+                    "probe", source, tag, "",
+                    lambda: self._peek(source, tag, context), lambda: None,
+                )
+            return status
 
-    def activity_token(self) -> int:
-        """Opaque arrival stamp for :meth:`park_for_activity` -- capture
-        it *before* polling so a post racing the poll is never slept
-        through."""
-        with self._cond:
-            return self.posted
-
-    def park_for_activity(self, token: int, timeout: float) -> None:
-        """Park until the next post, an abort wake, or ``timeout``.
-
-        The event-driven backoff of ``Request.waitany``: instead of a
-        blind growing sleep (which, under ``backend="coop"``, advances
-        the virtual clock by its full quantum whenever the poller is
-        the only runnable task), the poller parks on this mailbox's
-        condition, so the matching post wakes it immediately and an
-        unanswered wait costs at most ``timeout`` of virtual time per
-        sweep.  Returns immediately when ``token`` is stale (a message
-        arrived since the caller's poll)."""
-        with self._cond:
-            raise_if_aborted(self._abort, _ABORTED, self.owner, "")
-            if self.posted == token:
-                self._cond.wait(timeout=timeout)
-                self.wakeups += 1
+    def progress(self) -> int:
+        return self.posted
 
     def pending_count(self) -> int:
         with self._cond:

@@ -6,6 +6,7 @@ import logging
 import time
 from typing import Any, Callable, List, Optional, Tuple
 
+from repro.runtime.abort import WaitPoint
 from repro.runtime.message import Status
 
 logger = logging.getLogger(__name__)
@@ -38,9 +39,7 @@ class Request:
         try_complete: Callable[[], Optional[Tuple[Any, Status]]],
         block_complete: Callable[[], Tuple[Any, Status]],
         sleep: Optional[Callable[[float], None]] = None,
-        park: Optional[Callable[[int, float], None]] = None,
-        park_token: Optional[Callable[[], int]] = None,
-        park_owner: Optional[Any] = None,
+        parker: Optional[WaitPoint] = None,
     ) -> None:
         self.kind = kind
         self._try = try_complete
@@ -51,13 +50,11 @@ class Request:
         # every other task (there is only one runner)
         self._sleep = sleep
         # Event-driven backoff (preferred over _sleep when available):
-        # park on the owning mailbox's condition so completion events
-        # wake the poller instead of being discovered by the next sweep.
-        self._park = park
-        self._park_token = park_token
-        # The object whose condition ``park`` waits on: waitany may only
-        # use the event-driven path when every parker in the list agrees.
-        self._park_owner = park_owner
+        # park on the owning wait point's condition (mailbox, collective
+        # engine) so completion events wake the poller instead of being
+        # discovered by the next sweep.  waitany may only use it when
+        # every parker in the list is the same wait point.
+        self._parker = parker
         self._done = False
         self._result: Any = None
         self._status: Optional[Status] = None
@@ -124,15 +121,12 @@ class Request:
         event-driven in the mailbox and need no such loop)."""
         if not requests:
             raise ValueError("waitany needs at least one request")
-        parkers = [
-            r for r in requests
-            if r._park is not None and r._park_token is not None
-        ]
+        parkers = [r._parker for r in requests if r._parker is not None]
         # The event-driven path parks on ONE request's condition; that
         # is only sound when every parker parks on the same object (a
         # mailbox's token is stale for a collective engine's events).
         # Mixed lists fall back to bounded polling, loudly counted.
-        owners = {id(r._park_owner) for r in parkers}
+        owners = {id(p) for p in parkers}
         if len(owners) > 1:
             Request.mixed_backend_fallbacks += 1
             logger.debug(
@@ -148,7 +142,7 @@ class Request:
         )
         sweeps = 0
         while True:
-            token = parker._park_token() if parker is not None else 0
+            token = parker.progress() if parker is not None else 0
             for i, r in enumerate(requests):
                 if r.test():
                     return i, r.wait()
@@ -161,7 +155,7 @@ class Request:
                     # a polling loop (e.g. a steal loop) cannot spin the
                     # coop virtual clock forward past unrelated timers
                     # in micro-sleep quanta.
-                    parker._park(token, Request.WAITANY_PARK_CAP)
+                    parker.park_for_progress(token, Request.WAITANY_PARK_CAP)
                 else:
                     sleep(min(0.0001 * sweeps, 0.002))
 

@@ -54,7 +54,7 @@ import numpy as np
 
 from repro.machine.scopes import ScopeInstance, ScopeKind, ScopeSpec
 from repro.metrics.rma import WIN_COUNTERS
-from repro.runtime.abort import Watchdog, subscribe_abort
+from repro.runtime.abort import WaitPoint
 from repro.runtime.errors import MPIError, RMAEpochError
 from repro.runtime.ops import Op, SUM
 from repro.storage.array import ChunkedArray, copy_in, copy_out
@@ -109,8 +109,9 @@ class _WinCounters:
             setattr(self, name, 0)
 
 
-class _WinShared:
-    """Cross-rank shared state of one window (one per allocation)."""
+class _WinShared(WaitPoint):
+    """Cross-rank shared state of one window (one per allocation); its
+    epoch waits' progress token is ``transitions``."""
 
     def __init__(self, win_id: int, size: int, runtime: Any, kind: str) -> None:
         self.id = win_id
@@ -127,7 +128,10 @@ class _WinShared:
         # CoopWaker under backend="coop"); the data/stats locks are
         # never held across a park, so they stay plain OS locks.
         make_cond = getattr(runtime, "condition", None)
-        self.cond = make_cond() if make_cond is not None else threading.Condition()
+        super().__init__(
+            make_cond() if make_cond is not None else threading.Condition(),
+            runtime.abort_flag, runtime.now, runtime.timeout,
+        )
         # Data atomicity is per *chunk*, not per window: every put /
         # staged get / RMW spans the ``(target, chunk)`` keys it touches
         # through this synchronizer (sorted acquisition, deadlock-free),
@@ -158,37 +162,32 @@ class _WinShared:
         #: epoch transitions (post / complete / unlock / unlock_all): the
         #: progress token of :meth:`wait_for`, so a lock queue that keeps
         #: advancing never trips the watchdog
-        self.progress = 0
+        self.transitions = 0
         # per-(origin world-rank, target comm-rank) mirror allocations of
         # the process backend's window emulation
         self.mirrors: Dict[Tuple[int, int], Tuple[Any, Any]] = {}
-        subscribe_abort(runtime.abort_flag, self._wake)
-
-    def _wake(self) -> None:
-        with self.cond:
-            self.cond.notify_all()
 
     # ------------------------------------------------------------- waiting
     def advance(self) -> None:
         """Record an epoch transition and wake the epoch waiters
-        (``self.cond`` held)."""
-        self.progress += 1
-        self.cond.notify_all()
+        (``self._cond`` held)."""
+        self.transitions += 1
+        self._cond.notify_all()
+
+    def progress(self) -> int:
+        return self.transitions
 
     def wait_for(self, pred: Callable[[], bool], what: str) -> None:
-        """Block (``self.cond`` held) until ``pred()``; abort-aware with
+        """Block (``self._cond`` held) until ``pred()``; abort-aware with
         the runtime's deadlock watchdog.  Counts one ``epoch_waits``
         when the call actually parked."""
         if pred():
             return
-        rt = self.runtime
-        dog = Watchdog(rt.abort_flag, rt.now, rt.timeout, lambda: (
+        self.park(pred, self.progress, lambda: (
             f"job aborted during {what}",
-            f"{what} timed out after {rt.timeout}s -- "
+            f"{what} timed out after {self._timeout}s -- "
             f"RMA synchronisation mismatch?",
         ))
-        while not pred():
-            self.cond.wait(timeout=dog.tick(self.progress))
         self.note(epoch_waits=1)
 
     def note(self, **deltas: int) -> None:
@@ -446,7 +445,7 @@ class Win:
         st = self._shared
         p = st.runtime.probe
         if p is not None:
-            p("rma.epoch", self.comm.world_rank, wake=st._wake, win=st.id,
+            p("rma.epoch", self.comm.world_rank, wake=st.wake, win=st.id,
               op=op, target=target, group=group)
         self._check_live()
         return st
@@ -526,7 +525,7 @@ class Win:
         p = st.runtime.probe
         if p is not None:
             p("rma.put" if write else "rma.get", self.comm.world_rank,
-              wake=st._wake, win=st.id, op=op, target=target, nbytes=nbytes)
+              wake=st.wake, win=st.id, op=op, target=target, nbytes=nbytes)
         self._check_live()
         self._check_epoch(target, op)
         buf = self.shared_query(target)
@@ -800,7 +799,7 @@ class Win:
         (MPI_Win_post analog; non-blocking)."""
         origins = frozenset(int(g) for g in group)
         st = self._epoch("post", group=sorted(origins))
-        with st.cond:
+        with st._cond:
             if self.rank in st.exposure:
                 raise MPIError(
                     f"rank {self.rank} already has an exposure epoch open"
@@ -837,7 +836,7 @@ class Win:
         def posted() -> bool:
             return all(fresh(t) for t in targets)
 
-        with st.cond:
+        with st._cond:
             st.wait_for(posted, f"start({sorted(targets)})")
             self._started_gens = {
                 t: st.exposure[t]["gen"] for t in targets
@@ -850,7 +849,7 @@ class Win:
         st = self._epoch("complete")
         if self._started is None:
             raise MPIError("complete() without a started access epoch")
-        with st.cond:
+        with st._cond:
             for t in self._started:
                 exp = st.exposure.get(t)
                 if (
@@ -870,7 +869,7 @@ class Win:
         """Close this target's exposure epoch once every origin
         completed (MPI_Win_wait analog; blocking)."""
         st = self._epoch("wait")
-        with st.cond:
+        with st._cond:
             exp = st.exposure.get(self.rank)
             if exp is None:
                 raise MPIError("wait() without a posted exposure epoch")
@@ -880,7 +879,7 @@ class Win:
 
             st.wait_for(done, "wait(exposure epoch)")
             del st.exposure[self.rank]
-            st.cond.notify_all()
+            st._cond.notify_all()
 
     # ----------------------------------------------------- passive target
     def lock(self, target: int, *, exclusive: bool = False) -> None:
@@ -901,7 +900,7 @@ class Win:
                 return not st.lock_holders.get(target) and not st.lockall_holders
             return st.excl_count.get(target, 0) == 0
 
-        with st.cond:
+        with st._cond:
             st.wait_for(grantable, f"lock({target}, {mode})")
             st.lock_holders.setdefault(target, {})[self.rank] = mode
             if mode == LOCK_EXCLUSIVE:
@@ -917,7 +916,7 @@ class Win:
         if target not in self._held_locks:
             raise MPIError(f"unlock({target}) without a held lock")
         mode = self._held_locks[target]
-        with st.cond:
+        with st._cond:
             holders = st.lock_holders.get(target, {})
             holders.pop(self.rank, None)
             if not holders:
@@ -942,7 +941,7 @@ class Win:
         def grantable() -> bool:
             return st.excl_total == 0
 
-        with st.cond:
+        with st._cond:
             st.wait_for(grantable, "lock_all()")
             st.lockall_holders.add(self.rank)
         self._lock_all = True
@@ -953,7 +952,7 @@ class Win:
         st = self._epoch("unlock_all")
         if not self._lock_all:
             raise MPIError("unlock_all() without lock_all()")
-        with st.cond:
+        with st._cond:
             st.lockall_holders.discard(self.rank)
             st.advance()
         self._lock_all = False

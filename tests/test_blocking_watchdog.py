@@ -23,6 +23,7 @@ import pytest
 
 from repro.hls import HLSProgram
 from repro.machine import small_test_machine
+from repro.omp import Team
 from repro.runtime import AbortError, DeadlockError, Runtime
 from repro.runtime.abort import ABORT_TICK, AbortSignal, Watchdog
 from repro.runtime.rma import Win
@@ -174,7 +175,7 @@ class FlatBarrierWaiter(Waiter):
     step = wait
 
     def noise(self, ctx, st):
-        ctx.comm_world._engine._wake_all()
+        ctx.comm_world._engine.wake()
 
 
 class TreeSweepWaiter(FlatBarrierWaiter):
@@ -233,7 +234,7 @@ class RmaStartWaiter(Waiter):
         win.post([0] if ctx.rank == 3 else [ctx.rank])
 
     def noise(self, ctx, win):
-        win._shared._wake()
+        win._shared.wake()
 
 
 class RmaLockWaiter(RmaStartWaiter):
@@ -450,3 +451,97 @@ def test_stuck_start_without_post_still_raises_at_timeout():
     with pytest.raises(DeadlockError, match=r"start\(\[1\]\) timed out"):
         rt.run(main)
     assert rt.now() == pytest.approx(1.0)
+
+
+# ------------------------------------------------------- the fast paths
+# Every blocking primitive tests its readiness inline and builds its
+# Watchdog only in WaitPoint.park, so one patch point covers them all.
+# Each case is a one-task program whose waits are all ready on arrival.
+def _recv(rt):
+    def main(ctx):
+        ctx.comm_world.send("x", dest=0, tag=1)
+        assert ctx.comm_world.recv(source=0, tag=1) == "x"
+    return main
+
+
+def _probe(rt):
+    def main(ctx):
+        ctx.comm_world.send("x", dest=0, tag=1)
+        assert ctx.comm_world.probe(source=0, tag=1).tag == 1
+    return main
+
+
+def _hls(directive):
+    def case(rt):
+        prog = HLSProgram(rt)
+        prog.declare("v", shape=(2,), scope="node")
+
+        def main(ctx):
+            directive(prog.attach(ctx))
+        return main
+    return case
+
+
+def _hls_single(h):
+    assert h.single_enter("v")      # the last (only) arriver
+    h.single_done("v")
+
+
+def _rma(epoch):
+    def case(rt):
+        def main(ctx):
+            epoch(Win.allocate(ctx.comm_world, 2))
+        return main
+    return case
+
+
+def _pscw(win):
+    win.post([0])
+    win.start([0])                  # after the matching post
+    win.complete()
+    win.wait()
+
+
+def _collective_wait(rt):
+    def main(ctx):
+        assert ctx.comm_world.iallreduce(1).wait() == 1
+    return main
+
+
+def _omp(body):
+    def case(rt):
+        def main(ctx):
+            Team(1).run(body)       # the one thread arrives last
+        return main
+    return case
+
+
+def _omp_single(t):
+    assert t.single()
+    t.single_done()                 # the team has assembled
+
+
+FAST_PATHS = {
+    "recv": _recv,
+    "probe": _probe,
+    "hls_barrier": _hls(lambda h: h.barrier("v")),
+    "hls_single_done": _hls(_hls_single),
+    "rma_lock": _rma(lambda w: (w.lock(0, exclusive=True), w.unlock(0))),
+    "rma_lock_all": _rma(lambda w: (w.lock_all(), w.unlock_all())),
+    "rma_start_after_post": _rma(_pscw),
+    "collective_wait": _collective_wait,
+    "omp_barrier": _omp(lambda t: t.barrier()),
+    "omp_single_done": _omp(_omp_single),
+}
+
+
+@pytest.mark.parametrize("backend", ["threads", "coop"])
+@pytest.mark.parametrize("case", sorted(FAST_PATHS))
+def test_no_watchdog_on_a_fast_path(monkeypatch, case, backend):
+    def no_watchdog(*args):
+        raise AssertionError("a wait that never parks built a Watchdog")
+
+    monkeypatch.setattr("repro.runtime.abort.Watchdog", no_watchdog)
+    rt = Runtime(small_test_machine(), n_tasks=1, backend=backend,
+                 sharing=SHARING, timeout=5.0)
+    rt.run(FAST_PATHS[case](rt))

@@ -193,7 +193,7 @@ def test_complete_episode_returns_after_one_lock_acquisition(monkeypatch):
         built.append(args)
         raise AssertionError("a wait that never parks built a Watchdog")
 
-    monkeypatch.setattr(icoll, "Watchdog", no_watchdog)
+    monkeypatch.setattr("repro.runtime.abort.Watchdog", no_watchdog)
     rt = Runtime(core2_cluster(1), n_tasks=1)
     eng = world_engine(rt)
 

@@ -292,9 +292,7 @@ class TestWaitanyMixedRuntimes:
                     kind="recv",
                     try_complete=lambda: None,
                     block_complete=lambda: (None, Status()),
-                    park=foreign.park_for_activity,
-                    park_token=foreign.activity_token,
-                    park_owner=rt_b,
+                    parker=foreign,
                 )
                 i, got = Request.waitany([req_b, req_a])
                 assert (i, got) == (1, "hello")
