@@ -124,15 +124,6 @@ class HappensBefore:
     def clock(self, ev: Event) -> np.ndarray:
         return self._clocks[ev.eid].copy()
 
-    def sorted_linearization(self) -> List[Event]:
-        """One total order compatible with ≺ (event nodes only)."""
-        order = []
-        for node in nx.topological_sort(self.graph):
-            if isinstance(node, tuple) and len(node) == 2 and isinstance(node[0], int):
-                task, index = node
-                order.append(self.trace.events[task][index])
-        return order
-
 
 def rma_epoch_violations(trace: Trace) -> List[Tuple[Event, str]]:
     """Offline RMA epoch-misuse detection over one trace.

@@ -17,7 +17,7 @@ convenience wrappers (:meth:`HLSHandle.single` running a callable).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -121,9 +121,6 @@ class HLSProgram:
         return ctx.hls
 
     # ------------------------------------------------------------ accounting
-    def hls_footprint_per_copy(self) -> int:
-        return self.registry.hls_bytes()
-
     def expected_node_saving(self, tasks_per_node: int) -> int:
         """The paper's headline arithmetic: sharing at node scope saves
         ``(tasks_per_node - 1) x sizeof(HLS vars)`` per node."""

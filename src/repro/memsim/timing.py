@@ -39,13 +39,6 @@ class RunTiming:
     socket_cycles: Dict[int, float]   # per-socket max(latency, bandwidth)
     bandwidth_bound_sockets: List[int]  # sockets limited by DRAM bandwidth
 
-    def speedup_over(self, seq: "RunTiming") -> float:
-        """Speedup of ``seq`` relative to this run (weak-scaling style:
-        both runs performed the same per-PU work)."""
-        if self.cycles == 0:
-            return float("inf")
-        return seq.cycles / self.cycles
-
 
 class TimingModel:
     """Cost model bound to one machine's latencies and bandwidth."""

@@ -14,8 +14,7 @@ spans the chunk indices it touches via :class:`ChunkSynchronizer.span`
 chunk's own slice under that chunk's lock -- which is how ``Win``
 storage windows compose puts/gets/accumulates/atomics with chunk
 residency without ever holding a whole-window lock or copying a byte
-twice; the ``*_locked`` entry points are the same walk for a caller
-that already holds the span.
+twice.
 """
 
 from __future__ import annotations
@@ -193,7 +192,6 @@ class ChunkedArray:
         *,
         task: int = 0,
         dirty: bool = False,
-        lock: bool = True,
     ) -> None:
         """The one chunk-slice walk: for each chunk overlapped by
         ``[start, start+count)`` run ``fn(region, pos)``, where ``region``
@@ -203,58 +201,15 @@ class ChunkedArray:
         semantics promise at most element-wise atomicity across a
         multi-chunk access, and an access that pins one chunk at a time
         can stream through the spill layer however large it is (a span
-        over every chunk would pin the whole array resident).
-        ``lock=False`` is for a caller that already holds the span."""
+        over every chunk would pin the whole array resident)."""
         ce = self.chunk_elems
         for idx in self.chunk_range(start, count):
             lo = max(start, idx * ce) - idx * ce
             hi = min(start + count, (idx + 1) * ce) - idx * ce
-            with self.sync.span([idx] if lock else ()):
+            with self.sync.span([idx]):
                 chunk = self._ensure(idx, task)
                 chunk.dirty |= dirty
                 fn(chunk.data[lo:hi], idx * ce + lo - start)
-
-    def read_locked(
-        self, start: int, count: int, *,
-        out: Optional[np.ndarray] = None, task: int = 0,
-    ) -> np.ndarray:
-        """Copy ``[start, start+count)`` into ``out`` (a fresh array by
-        default) and return it (caller holds the span)."""
-        if out is None:
-            out = np.empty(count, dtype=self.dtype)
-        self.chunkwise(start, count, copy_out(out), task=task, lock=False)
-        return out
-
-    def apply_locked(
-        self, start: int, count: int,
-        fn: Callable[[np.ndarray, int], None], *, task: int = 0,
-    ) -> None:
-        """Modify ``[start, start+count)`` in place: ``fn(region, pos)``
-        per resident chunk slice (caller holds the span)."""
-        self.chunkwise(start, count, fn, task=task, dirty=True, lock=False)
-
-    def rmw_locked(
-        self,
-        start: int,
-        count: int,
-        fn: Callable[[np.ndarray], Optional[np.ndarray]],
-        *,
-        task: int = 0,
-    ) -> np.ndarray:
-        """Atomic read-modify-write over ``[start, start+count)``
-        (caller holds the span): applies the elementwise ``fn`` to each
-        chunk slice in place (or via its return value).  Returns the
-        *old* values."""
-        old = np.empty(count, dtype=self.dtype)
-
-        def rmw(region: np.ndarray, pos: int) -> None:
-            old[pos:pos + region.size] = region
-            res = fn(region)
-            if res is not None:
-                region[...] = res
-
-        self.apply_locked(start, count, rmw, task=task)
-        return old
 
     # --------------------------------------------------------- maintenance
     def flush(self, *, task: int = 0) -> int:

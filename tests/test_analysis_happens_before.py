@@ -121,19 +121,6 @@ class TestMessages:
             HappensBefore(tr)
 
 
-class TestLinearization:
-    def test_linearization_respects_order(self):
-        tr = Trace(2)
-        a = tr.write(0, "x", 1)
-        tr.send(0, 1, seq=0)
-        tr.recv(1, 0, seq=0)
-        b = tr.read(1, "x", 1)
-        hb = HappensBefore(tr)
-        order = hb.sorted_linearization()
-        assert order.index(a) < order.index(b)
-        assert len(order) == 4
-
-
 # --------------------------------------------------------------- property
 
 @st.composite

@@ -94,17 +94,6 @@ class TestRunTiming:
         t = tm.run_timing(st)
         assert t.cycles == pytest.approx(t.socket_cycles[1])
 
-    def test_speedup_over(self):
-        m = small_test_machine()
-        tm = TimingModel(m)
-        st = stats_for(m)
-        st.mem[0] = 100
-        slow = tm.run_timing(st)
-        st2 = stats_for(m)
-        st2.mem[0] = 50
-        fast = tm.run_timing(st2)
-        assert fast.speedup_over(slow) == pytest.approx(2.0)
-
     def test_stats_subtraction(self):
         m = small_test_machine()
         a = stats_for(m)

@@ -205,29 +205,6 @@ def test_write_chunk_accepts_non_contiguous_and_foreign_dtype(tmp_path):
     assert store.counters()["written_bytes"] == 64
 
 
-# ---------------------------------------------------- the locked access API
-def test_read_locked_fills_out_and_apply_locked_is_in_place(tmp_path):
-    store = ChunkStore.create(tmp_path)
-    arr = ChunkedArray(store, "a", 10, np.float64, 4)
-    arr[0:10] = np.arange(10.0)
-    arr.flush()
-    out = np.full(7, -1.0)
-    seen = []
-
-    def double(region, pos):
-        seen.append((pos, region.size))
-        region *= 2.0
-
-    with arr.sync.span(arr.chunk_range(2, 7)):
-        assert arr.read_locked(2, 7, out=out) is out
-        np.testing.assert_array_equal(out, np.arange(2.0, 9.0))
-        arr.apply_locked(2, 7, double)
-    assert seen == [(0, 2), (2, 4), (6, 1)]               # one call per chunk
-    np.testing.assert_array_equal(
-        np.asarray(arr), [0, 1, 4, 6, 8, 10, 12, 14, 16, 9])
-    assert arr.flush() == 3                               # all three dirtied
-
-
 # ------------------------------------------------------- single-copy contract
 CHUNK = 1 << 14                 # 128 KiB of doubles
 SEG = 4 * CHUNK

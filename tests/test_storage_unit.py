@@ -171,16 +171,6 @@ def test_flush_skips_clean_chunks(tmp_path):
     assert arr.flush() == 0              # nothing re-dirtied
 
 
-def test_rmw_locked_returns_old_values(tmp_path):
-    store = ChunkStore.create(tmp_path)
-    arr = ChunkedArray(store, "a", 4, np.float64, 2)
-    arr[0:4] = np.arange(4.0)
-    with arr.sync.span(arr.chunk_range(1, 2)):
-        old = arr.rmw_locked(1, 2, lambda buf: buf + 10.0)
-    np.testing.assert_array_equal(old, [1.0, 2.0])
-    np.testing.assert_array_equal(np.asarray(arr), [0.0, 11.0, 12.0, 3.0])
-
-
 def test_evict_locked_writes_back_dirty_data(tmp_path):
     store = ChunkStore.create(tmp_path)
     arr = ChunkedArray(store, "a", 4, np.float64, 2)
