@@ -194,6 +194,8 @@ class JobManager:
         self._queue: Deque[Job] = deque()
         self._ready: Deque[Job] = deque()  # admitted, waiting for a worker
         self._work = threading.Condition(self._lock)
+        #: notified when a job reaches a terminal state (drain waits on it)
+        self._finished = threading.Condition(self._lock)
         self._workers: List[threading.Thread] = []
         self._running = 0
         self.peak_running = 0            # concurrency high-water mark
@@ -276,15 +278,17 @@ class JobManager:
         self._ready.append(job)
         self._work.notify()
 
-    def _release(self, job: Job) -> None:
-        """Return a finished job's footprint and drain the queue head(s)
-        that now fit -- strictly FIFO."""
-        with self._lock:
-            self._committed -= job.spec.footprint_bytes
-            while self._queue and self._fits_locked(
-                self._queue[0].spec.footprint_bytes
-            ):
-                self._admit_locked(self._queue.popleft())
+    def _release_locked(self, job: Job) -> None:
+        """Return a finished job's footprint, drain the queue head(s)
+        that now fit -- strictly FIFO -- and announce the finish."""
+        self._running -= 1
+        self._committed -= job.spec.footprint_bytes
+        while self._queue and self._fits_locked(
+            self._queue[0].spec.footprint_bytes
+        ):
+            self._admit_locked(self._queue.popleft())
+        job.done.set()
+        self._finished.notify_all()
 
     # ------------------------------------------------------------- workers
     def _worker(self) -> None:
@@ -301,9 +305,7 @@ class JobManager:
                 self._execute(job)
             finally:
                 with self._lock:
-                    self._running -= 1
-                self._release(job)
-                job.done.set()
+                    self._release_locked(job)
 
     def _execute(self, job: Job) -> None:
         """Run one admitted job to a terminal state.  Never raises: a
@@ -383,22 +385,24 @@ class JobManager:
         return job
 
     def drain(self, timeout: float = 120.0) -> None:
-        """Wait for every submitted job to finish."""
+        """Wait for every submitted job to finish; raises TimeoutError
+        once ``timeout`` passed with jobs still pending."""
         deadline = time.monotonic() + timeout
-        while True:
-            with self._lock:
+        with self._lock:
+            while True:
                 pending = [
                     j for j in self._jobs.values()
                     if j.state not in DONE_STATES
                 ]
-            if not pending:
-                return
-            if time.monotonic() > deadline:
-                states = {}
-                for j in pending:
-                    states[j.state] = states.get(j.state, 0) + 1
-                raise TimeoutError(f"drain timed out with {states}")
-            pending[0].done.wait(timeout=0.2)
+                if not pending:
+                    return
+                left = deadline - time.monotonic()
+                if left <= 0:
+                    states = {}
+                    for j in pending:
+                        states[j.state] = states.get(j.state, 0) + 1
+                    raise TimeoutError(f"drain timed out with {states}")
+                self._finished.wait(timeout=left)
 
     def job_metrics(self, job_id: int) -> Optional[Dict[str, Dict]]:
         """The unified metrics snapshot of one job: the frozen

@@ -7,6 +7,7 @@ rebinding."""
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 
@@ -163,6 +164,23 @@ class TestAdmissionControl:
             gate.set()
             jm.drain(timeout=30.0)
             assert order == [hog.id, big.id, small.id]
+
+    def test_drain_raises_at_its_deadline_and_wakes_on_finish(self):
+        """drain waits on the finish notify: it raises at its own
+        deadline (not at the next poll) and returns once the last job
+        is done."""
+        gate = threading.Event()
+        with JobManager(max_workers=1,
+                        on_start=lambda job: gate.wait(30.0)) as jm:
+            job = jm.submit(JobSpec(app="ring"))
+            t0 = time.monotonic()
+            with pytest.raises(TimeoutError, match="drain timed out"):
+                jm.drain(timeout=0.01)
+            assert time.monotonic() - t0 < 0.18
+            threading.Timer(0.05, gate.set).start()
+            jm.drain(timeout=30.0)
+            assert job.state == "completed"
+            assert job.done.is_set()
 
     def test_queue_drains_as_capacity_frees(self):
         with JobManager(capacity_bytes=4 * MB, max_workers=2) as jm:
