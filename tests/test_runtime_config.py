@@ -7,9 +7,11 @@ import itertools
 import json
 from dataclasses import FrozenInstanceError
 
+import numpy as np
 import pytest
 
 from repro.faults.plan import FaultPlan
+from repro.machine import core2_cluster
 from repro.runtime import MPIError, ProcessRuntime, Runtime, RuntimeConfig, SUM
 from repro.runtime.config import MPC, OPENMPI
 from repro.service.spec import JobSpec
@@ -56,6 +58,57 @@ def test_combination_table(combo):
     assert rt.run(lambda ctx: ctx.comm_world.allreduce(ctx.rank, SUM)) == [1, 1]
     assert rt.finalize().by_kind().get("runtime", 0) == 0
 
+
+
+#: the payload of every transfer in copy_policy_program (4 float64)
+NBYTES = 32
+
+
+def copy_policy_program(ctx):
+    """Rank 0 sends to a same-node and to a cross-node peer, then a
+    bcast from rank 0 and an allreduce, all numpy payloads."""
+    c = ctx.comm_world
+    x = np.arange(4.0)
+    if ctx.rank == 0:
+        c.send(x, dest=1, tag=1)
+        c.send(x, dest=2, tag=2)
+    else:
+        c.recv(source=0, tag=ctx.rank)
+    c.bcast(x if ctx.rank == 0 else None, root=0)
+    return c.allreduce(np.full(4, float(ctx.rank)), SUM)
+
+
+@pytest.mark.parametrize(
+    "combo", [c for c in COMBOS if refusal(c) is None], ids=combo_id
+)
+def test_copy_policy_table(combo):
+    """Ranks 0 and 1 share node 0, rank 2 is on node 1.  A message is
+    copied at the sender unless both ends share an address space (mpc,
+    same node); a payload is handed over by reference exactly where
+    they share one and ``sharing="shared"``; everything else the
+    receiver gets is a clone."""
+    rt = Runtime(core2_cluster(2), n_tasks=3, pinning=[0, 1, 8],
+                 timeout=10.0, **combo)
+    out = rt.run(copy_policy_program)
+    assert [v.tolist() for v in out] == [[3.0] * 4] * 3
+    shared_space = combo["mpi"] == "mpc"
+    # only the rank 0 -> rank 1 transfers can go by reference
+    by_ref = shared_space and combo["sharing"] == "shared"
+    st = rt.stats
+    assert (st.send_copies, st.recv_copies, st.elided, st.elided_bytes) == (
+        1 + (not shared_space),             # the cross-node send always
+        int(shared_space and not by_ref),   # same node, not by reference
+        int(by_ref),
+        NBYTES * by_ref,
+    )
+    # bcast: two deliveries; allreduce: three fold clones, two deliveries
+    cm = rt.collective_metrics
+    default = {"mpc": "hierarchical", "openmpi": "flat"}[combo["mpi"]]
+    shape = ("pipelined" if (combo["algorithm"] or default) == "hierarchical"
+             else "flat")
+    assert (cm.clones, cm.clones_elided, cm.icoll_episodes) == (
+        3 + 2 * (2 - by_ref), 2 * by_ref, {shape: 2},
+    )
 
 BAD_VALUES = [
     ({"mpi": "mvapich"}, "mpi"),
