@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
@@ -38,10 +38,6 @@ class MergeStats:
     unmerge_faults: int = 0
     scan_cycles: float = 0.0
     fault_cycles: float = 0.0
-
-    @property
-    def saved_bytes(self) -> int:
-        return self.merged_pages * PAGE
 
     @property
     def overhead_cycles(self) -> float:

@@ -69,12 +69,14 @@ class HLSProgram:
         #: rank -> that task's resolution table.  Kept here, not in the
         #: handle: close() must drop the views with the images they pin
         self._tables: Dict[int, _TaskTable] = {}
-        runtime.migration_checks.append(self.sync.check_migration)
 
     def close(self) -> None:
         """Release the program's materialised HLS/TLS images so the
-        runtime's finalize leak report comes back clean.  Call after
-        the last ``run()`` that touches this program's variables."""
+        runtime's finalize leak report comes back clean, and unhook the
+        program from the runtime's moves (the next :meth:`attach` hooks
+        it again).  Call after the last ``run()`` that touches this
+        program's variables."""
+        self.sync.unhook()
         self.storage.release()
         for table in list(self._tables.values()):
             table.reset(None)
@@ -117,6 +119,7 @@ class HLSProgram:
     def attach(self, ctx) -> "HLSHandle":
         """The per-task handle (call once per task, in ``main``)."""
         if ctx.hls is None:
+            self.sync.hook()
             ctx.hls = HLSHandle(self, ctx)
         return ctx.hls
 

@@ -221,8 +221,27 @@ class HLSSync:
         #: so no task ever iterates a dict another task inserts into.
         self._task_directives: Dict[int, Dict[ScopeSpec, int]] = {}
         #: keeps two programs' trace episodes on one instance apart
-        self._ordinal = len(runtime.post_move_hooks)
-        runtime.post_move_hooks.append(self._on_move)
+        self._ordinal = next(runtime.hls_ordinals)
+        self._hooked = False
+        self.hook()
+
+    def hook(self) -> None:
+        """Register the migration gate and the move hook on the runtime
+        (idempotent)."""
+        with self._lock:
+            if not self._hooked:
+                self._hooked = True
+                self.runtime.migration_checks.append(self.check_migration)
+                self.runtime.post_move_hooks.append(self._on_move)
+
+    def unhook(self) -> None:
+        """Take both off the runtime again (idempotent): an unhooked
+        program no longer takes part in ``ctx.move``."""
+        with self._lock:
+            if self._hooked:
+                self._hooked = False
+                self.runtime.migration_checks.remove(self.check_migration)
+                self.runtime.post_move_hooks.remove(self._on_move)
 
     # ----------------------------------------------------------------- state
     def _participants(self, instance: ScopeInstance) -> Tuple[int, ...]:

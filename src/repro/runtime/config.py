@@ -26,10 +26,11 @@ class MPIPolicy:
 
     #: prefix of the comm-pool allocation labels
     backend_name: str
-    #: copy message payloads at the sender even for same-node transfers
-    copy_at_send_intra_node: bool
-    #: do tasks on the same node share an address space?  Decides
-    #: ``Runtime.space_for``, ``scope_space`` and where the comm pools go
+    #: do tasks on the same node share an address space?  The one copy
+    #: policy: a message is copied at the sender unless both ends share
+    #: one, and ``Runtime.by_reference`` hands payloads over only
+    #: between such ends.  Also decides ``Runtime.space_for``,
+    #: ``scope_space`` and where the comm pools go
     shared_node_address_space: bool
     #: default cell shape of collectives: "hierarchical" (the topology
     #: tree with DEFAULT_CHUNK_BYTES chunking) or "flat" (direct copies)
@@ -60,7 +61,6 @@ class MPIPolicy:
 #: through the shared heap and the pool covers the rest.
 MPC = MPIPolicy(
     backend_name="mpc-thread",
-    copy_at_send_intra_node=False,
     shared_node_address_space=True,
     collective_algorithm="hierarchical",
     rma_mirror_copies=False,
@@ -76,15 +76,15 @@ MPC = MPIPolicy(
 #: spaces" (paper, section IV-C).  The same execution engine runs it;
 #: what the paper measures is the policy.  Every task has a private
 #: address space, so would-be-HLS globals are duplicated and only the
-#: node's isomalloc segment is shared.  Every message is copied at the
-#: sender, so the same-buffer elision never fires.  Collectives copy
-#: directly.  RMA windows get per-origin mirror copies.  The eager
-#: buffers are per peer, as in Open MPI's defaults.  That per-connection
-#: pool is the contended resource of all-to-all storms (Gadget-2,
-#: Table III), so it retries harder before surfacing exhaustion.
+#: node's isomalloc segment is shared.  With no shared address space
+#: every message is copied at the sender, so the same-buffer elision
+#: never fires.  Collectives copy directly.  RMA windows get per-origin
+#: mirror copies.  The eager buffers are per peer, as in Open MPI's
+#: defaults.  That per-connection pool is the contended resource of
+#: all-to-all storms (Gadget-2, Table III), so it retries harder before
+#: surfacing exhaustion.
 OPENMPI = MPIPolicy(
     backend_name="openmpi-process",
-    copy_at_send_intra_node=True,
     shared_node_address_space=False,
     collective_algorithm="flat",
     rma_mirror_copies=True,

@@ -50,15 +50,13 @@ pipelined measurable and deterministic
 
 from __future__ import annotations
 
-import threading
 from functools import partial
 from itertools import chain
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.machine.treemap import TreeLevel
-from repro.metrics.collectives import CollectiveMetrics
+from repro.machine.treemap import collective_levels
 from repro.runtime.abort import WaitPoint
 from repro.runtime.errors import (
     AbortError,
@@ -67,7 +65,7 @@ from repro.runtime.errors import (
 )
 from repro.runtime.message import Status
 from repro.runtime.ops import MAX, MIN, PROD, SUM, Op
-from repro.runtime.payload import clone_would_copy, payload_nbytes
+from repro.runtime.payload import clone, clone_would_copy, payload_nbytes
 from repro.runtime.request import Request
 
 #: default chunk size for the pipelined algorithm
@@ -231,46 +229,31 @@ class IcollState(WaitPoint):
     """The shared collective engine of one communicator; its progress
     token (deadline and ``waitany``) is ``_progress_count``.
 
-    ``levels`` is the scope-group chain from
-    :func:`repro.machine.treemap.collective_levels` (innermost first);
-    ``group`` maps comm rank -> world rank for the zero-copy legality
-    check ``share(world_a, world_b)`` (``None`` = every delivery
-    clones).  ``shape`` is the ``(algorithm, chunk_bytes)`` pair of
-    episodes whose call does not pin the algorithm.  ``owner`` is the
-    runtime, read live for its probe, condition, clock, task sleep and
-    modeled link time (``icoll_link_time_per_mib``)."""
+    ``owner`` is the runtime and ``group`` maps comm rank -> world rank;
+    everything else follows from the two.  The runtime supplies the
+    abort signal, condition, clock and timeout, the metrics, the
+    by-reference rule (``owner.by_reference``), and the default
+    ``(algorithm, chunk_bytes)`` shape of episodes whose call does not
+    pin one.  ``levels`` is the scope-group chain of
+    :func:`repro.machine.treemap.collective_levels` (innermost first)
+    over the group's placement at construction.  The runtime is read
+    live for its probe, task sleep and modeled link time
+    (``icoll_link_time_per_mib``)."""
 
-    def __init__(
-        self,
-        size: int,
-        abort_flag: threading.Event,
-        *,
-        timeout: float = 30.0,
-        clone: Callable[[Any], Any] = lambda x: x,
-        metrics: Optional[CollectiveMetrics] = None,
-        levels: Optional[Sequence[TreeLevel]] = None,
-        group: Optional[Tuple[int, ...]] = None,
-        share: Optional[Callable[[int, int], bool]] = None,
-        shape: Tuple[str, int] = ("pipelined", DEFAULT_CHUNK_BYTES),
-        owner: Any,
-    ) -> None:
-        if size < 1:
-            raise ValueError("communicator size must be >= 1")
-        self.size = size
-        self._clone = clone
-        self.metrics = metrics if metrics is not None else CollectiveMetrics()
-        self._shape = shape
+    def __init__(self, owner: Any, group: Sequence[int]) -> None:
         #: the runtime this state answers to
         self.owner = owner
-        if levels is None:
-            levels = [TreeLevel("comm", (tuple(range(size)),))]
-        self.levels = list(levels)
-        self.group = group if group is not None else tuple(range(size))
-        if len(self.group) != size:
-            raise MPIError(
-                f"group of {len(self.group)} ranks for size-{size} state"
-            )
-        self._share = share
+        self.group = tuple(group)
+        self.size = len(self.group)
+        self.metrics = owner.collective_metrics
+        self.levels = collective_levels(
+            owner.machine, [owner.task_pu(w) for w in self.group]
+        )
+        self._shape = (
+            ("pipelined", DEFAULT_CHUNK_BYTES)
+            if owner.collective_algorithm == "hierarchical"
+            else ("flat", 0)
+        )
         self._episodes: Dict[int, _Episode] = {}
         #: bumped on every arrival and cell completion: the waitany park
         #: token and the progress measure for deadline extension
@@ -278,14 +261,14 @@ class IcollState(WaitPoint):
         #: ranks currently inside test/wait of this engine (their ready
         #: cells are left for them; a non-engaged owner's cells may be
         #: stolen so an owner busy computing never stalls the DAG)
-        self._engaged = [0] * size
+        self._engaged = [0] * self.size
         # the backend's own clock: one call per deadline check
-        super().__init__(owner.condition(), abort_flag, owner._backend.now,
-                         timeout)
+        super().__init__(owner.condition(), owner.abort_flag,
+                         owner._backend.now, owner.timeout)
 
     # ------------------------------------------------------------------ utils
     def _do_clone(self, obj: Any) -> Any:
-        new = self._clone(obj)
+        new = clone(obj)
         if new is not obj:
             self.metrics.note_clone()
         return new
@@ -294,9 +277,7 @@ class IcollState(WaitPoint):
         return float(self.owner.icoll_link_time_per_mib) / float(1 << 20)
 
     def _may_share(self, src: int, dst: int) -> bool:
-        return self._share is not None and self._share(
-            self.group[src], self.group[dst]
-        )
+        return self.owner.by_reference(self.group[src], self.group[dst])
 
     def _by_ref(self, obj: Any) -> Any:
         """A zero-copy delivery: count the clone it saved."""

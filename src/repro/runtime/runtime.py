@@ -20,6 +20,7 @@ baseline's address-space and copy policy
 
 from __future__ import annotations
 
+import itertools
 import threading
 import time
 from dataclasses import dataclass, fields
@@ -27,7 +28,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.machine.scopes import ScopeInstance
 from repro.machine.topology import Machine, build_machine
-from repro.machine.treemap import collective_levels
 from repro.memory import LeakReport, MemoryManager
 from repro.memsim.address_space import AddressSpace, Allocation
 from repro.metrics.collectives import CollectiveMetrics
@@ -35,7 +35,7 @@ from repro.runtime.abort import AbortSignal
 from repro.runtime.communicator import Comm
 from repro.runtime.config import RuntimeConfig
 from repro.runtime.errors import AbortError, MPIError, TransientCommError
-from repro.runtime.icoll import DEFAULT_CHUNK_BYTES, IcollState
+from repro.runtime.icoll import IcollState
 from repro.runtime.message import Envelope, Mailbox
 from repro.runtime.payload import clone, payload_nbytes
 from repro.runtime.sched import make_execution_backend
@@ -188,6 +188,9 @@ class Runtime:
         self.pin_version = 0
         self.migration_checks: List[Callable[[TaskContext, int], None]] = []
         self.post_move_hooks: List[Callable[[int, int], None]] = []
+        #: numbers the HLS programs built on this runtime (their trace
+        #: keys ``hls{n}:...``); monotone, so no number is reused
+        self.hls_ordinals = itertools.count()
         #: scope-aware arena layer: every simulated allocation in this
         #: runtime (HLS images, comm pools, RMA windows, app data) comes
         #: from one of its arenas -- see repro.memory.
@@ -447,18 +450,13 @@ class Runtime:
             self._contexts += 1
             return self._contexts
 
-    def _collective_share_check(self) -> Optional[Callable[[int, int], bool]]:
-        """The zero-copy legality predicate, or None when the sharing
-        policy forbids by-reference collective payloads."""
-        if self.sharing != "shared":
-            return None
-        return self.shares_address_space
-
-    def _p2p_shareable(self, src: int, dst: int) -> bool:
-        """May a P2P payload be handed to the receiver by reference?
-        Same policy hook as the collectives fast path: the sharing
-        policy must allow it and the endpoints must share an address
-        space (never true for the process backend)."""
+    def by_reference(self, src: int, dst: int) -> bool:
+        """May a payload owned by world rank ``src`` be handed to world
+        rank ``dst`` by reference instead of as a clone?  The one rule
+        behind both the P2P envelope's ``shareable`` and the collective
+        engine's deliveries: the sharing policy must allow it and the
+        two ranks must share an address space (never true for the
+        process backend)."""
         return self.sharing == "shared" and self.shares_address_space(src, dst)
 
     def icoll_state(self, context: int, group) -> IcollState:
@@ -468,27 +466,11 @@ class Runtime:
         groups)."""
         if isinstance(group, int):
             group = tuple(range(group))
-        size = len(group)
         with self._coll_lock:
             st = self._icoll_states.get(context)
             if st is None:
-                st = IcollState(
-                    size, self.abort_flag, timeout=self.timeout,
-                    clone=clone, metrics=self.collective_metrics,
-                    levels=collective_levels(
-                        self.machine, [self._pin[w] for w in group]
-                    ),
-                    group=tuple(group),
-                    share=self._collective_share_check(),
-                    shape=(
-                        ("pipelined", DEFAULT_CHUNK_BYTES)
-                        if self.collective_algorithm == "hierarchical"
-                        else ("flat", 0)
-                    ),
-                    owner=self,
-                )
-                self._icoll_states[context] = st
-            elif st.size != size:
+                st = self._icoll_states[context] = IcollState(self, group)
+            elif st.size != len(group):
                 raise MPIError(
                     f"context {context} already bound to size {st.size}"
                 )
@@ -597,7 +579,7 @@ class Runtime:
             if act is not None and act[0] == "reorder":
                 hold = act[1]
         intra = self.same_node(src, dst)
-        copy_now = self.copy_at_send_intra_node or not intra
+        copy_now = not (intra and self.shared_node_address_space)
         nbytes = payload_nbytes(obj)   # measured once, before any clone
         payload = clone(obj) if copy_now else obj
         cell = self._seq[src]          # sender-owned: rank src's thread only
@@ -619,7 +601,7 @@ class Runtime:
         env = Envelope(
             src=src, dst=dst, tag=tag, context=context,
             payload=payload, nbytes=nbytes, seq=seq, owned=copy_now,
-            shareable=not copy_now and self._p2p_shareable(src, dst),
+            shareable=not copy_now and self.by_reference(src, dst),
         )
         shard = self._stat_shards[src]
         shard.messages += 1

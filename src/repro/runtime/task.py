@@ -2,15 +2,16 @@
 
 A :class:`TaskContext` is what the user's ``main(ctx)`` receives: its
 world rank, its ``COMM_WORLD`` handle, the processing unit it is pinned
-to, a task-local storage dict (the TLS analog used to privatize global
-variables in thread-based MPIs, paper section VI), allocation helpers
-bound to the right simulated address space, and :meth:`move`, the
-``MPC_Move`` migration call of section IV-A.
+to, allocation helpers bound to the right simulated address space, and
+:meth:`move`, the ``MPC_Move`` migration call of section IV-A.  Task-
+local storage (the TLS that privatizes globals in thread-based MPIs,
+paper section VI) is HLS storage's per-task slots, reached through
+``ctx.hls``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, TYPE_CHECKING
+from typing import Any, Optional, TYPE_CHECKING
 
 from repro.memsim.address_space import Allocation
 from repro.runtime.errors import MigrationError
@@ -27,7 +28,6 @@ class TaskContext:
         self.runtime = runtime
         self.rank = rank
         self.comm_world: "Comm" = runtime.make_world_comm(rank)
-        self.tls: Dict[str, Any] = {}
         # HLS state is attached lazily by repro.hls when the program
         # declares HLS variables.
         self.hls: Optional[Any] = None

@@ -20,6 +20,7 @@ from repro.machine import core2_cluster, small_test_machine
 from repro.machine.topology import Machine
 from repro.memory import MemoryManager
 from repro.runtime import Runtime
+from repro.scheduler import dynamic_for
 
 
 def make(machine=None, n=4, **kw):
@@ -139,6 +140,38 @@ class TestReleaseInvalidates:
         assert rt.run(main) == [2.0] * 4     # same images, new handles
         prog.close()
         assert rt.run(main) == [1.0] * 4     # released: fresh zeros + 1
+
+
+    def test_closed_programs_leave_the_runtime_hooks(self):
+        """Every dynamic_for builds and closes an HLS program: after
+        five loops the runtime's migration gates and move hooks are back
+        to their counts before the run."""
+        rt = Runtime(core2_cluster(2), n_tasks=16, timeout=10.0,
+                     backend="coop")
+        before = len(rt.migration_checks), len(rt.post_move_hooks)
+
+        def main(ctx):
+            for _ in range(5):
+                dynamic_for(ctx, 64, lambda lo, hi: float(hi - lo))
+
+        rt.run(main)
+        assert (len(rt.migration_checks), len(rt.post_move_hooks)) == before
+
+    def test_trace_ordinal_not_reused_after_close(self):
+        rt, first = make()
+        first.close()
+        second = HLSProgram(rt)
+        assert (first.sync._ordinal, second.sync._ordinal) == (0, 1)
+
+
+    def test_attach_after_close_hooks_again(self):
+        rt, prog = make()
+        prog.close()
+        prog.close()
+        assert (rt.migration_checks, rt.post_move_hooks) == ([], [])
+        rt.run(prog.attach)
+        assert rt.migration_checks == [prog.sync.check_migration]
+        assert rt.post_move_hooks == [prog.sync._on_move]
 
 
 class TestSemanticsKept:
