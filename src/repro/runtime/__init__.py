@@ -41,7 +41,7 @@ from repro.runtime.message import (
 )
 from repro.runtime.ops import LAND, LOR, MAX, MIN, PROD, SUM
 from repro.runtime.request import Request
-from repro.runtime.icoll import DEFAULT_CHUNK_BYTES, CollectiveRequest, IcollState
+from repro.runtime.icoll import DEFAULT_CHUNK_BYTES, IcollState
 from repro.runtime.communicator import Comm
 from repro.runtime.task import TaskContext
 from repro.runtime.config import RuntimeConfig
@@ -84,7 +84,6 @@ __all__ = [
     "LAND",
     "LOR",
     "Request",
-    "CollectiveRequest",
     "IcollState",
     "DEFAULT_CHUNK_BYTES",
     "Comm",

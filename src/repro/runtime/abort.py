@@ -26,8 +26,9 @@ passed on the runtime's clock; (3) a change of the site's progress
 token (arrivals, deliveries, executed cells, epoch transitions)
 restarts the deadline, so a slow-but-advancing wait never times out;
 (4) wakeups without progress (spurious notifies, non-matching traffic)
-do not.  The scheduler's donate spin parks on no condition and ticks a
-:class:`Watchdog` of its own.
+do not.  ``Request.waitany`` parks through the same loop under one
+:class:`Watchdog` per call.  The scheduler's donate spin parks on no
+condition and ticks a :class:`Watchdog` of its own.
 
 The signal also keeps the abort bookkeeping the chaos metrics report
 (:mod:`repro.metrics.faults`): when the flag was first raised
@@ -122,8 +123,8 @@ class Watchdog:
     raise (the second usually quotes arrival counts as of that moment).
     """
 
-    __slots__ = ("_flag", "_clock", "_timeout", "_messages", "_deadline",
-                 "_seen")
+    __slots__ = ("_flag", "_clock", "_timeout", "_messages", "_cap",
+                 "_deadline", "_seen")
 
     def __init__(
         self,
@@ -131,18 +132,20 @@ class Watchdog:
         clock: Callable[[], float],
         timeout: float,
         messages: Callable[[], Tuple[str, str]],
+        cap: float = ABORT_TICK,
     ) -> None:
         self._flag = abort_flag
         self._clock = clock
         self._timeout = timeout
         self._messages = messages
+        self._cap = cap
         self._seen: Any = _UNSEEN
 
     def tick(self, progress: Any = None) -> float:
         """One turn of a wait loop: raise on abort, restart the deadline
         when ``progress`` differs from the last tick's token, raise on a
         passed deadline; otherwise return how long the caller may park
-        before ticking again (at most :data:`ABORT_TICK`)."""
+        before ticking again (at most ``cap``)."""
         if self._flag.is_set():
             note_abort(self._flag)
             raise AbortError(self._messages()[0])
@@ -153,19 +156,16 @@ class Watchdog:
         elif now >= self._deadline:
             raise DeadlockError(self._messages()[1])
         left = self._deadline - now
-        return left if left < ABORT_TICK else ABORT_TICK
+        return left if left < self._cap else self._cap
 
 
 class WaitPoint:
-    """One blocking primitive: its condition, abort wake, watchdog park
-    and ``waitany`` park.  Subclasses (``Mailbox``, ``IcollState``,
-    ``_WinShared``, ``ScopeSyncState``, ``omp.Team``) test readiness
-    inline under ``_cond`` and call :meth:`park` only when they must
-    wait, so a ready wait builds no closure and no :class:`Watchdog`.
-    ``_cond`` is read at every wait: a test may swap it."""
-
-    #: AbortError text of the ``waitany`` park
-    _abort_text = "job aborted"
+    """One blocking primitive: its condition, abort wake and watchdog
+    park.  Subclasses (``Mailbox``, ``IcollState``, ``_WinShared``,
+    ``ScopeSyncState``, ``omp.Team``) test readiness inline under
+    ``_cond`` and call :meth:`park` only when they must wait, so a ready
+    wait builds no closure and no :class:`Watchdog`.  ``_cond`` is read
+    at every wait: a test may swap it."""
 
     def __init__(self, cond: Any, abort_flag: threading.Event,
                  clock: Callable[[], float], timeout: float) -> None:
@@ -181,12 +181,23 @@ class WaitPoint:
         with self._cond:
             self._cond.notify_all()
 
+    def watchdog(self, messages: Callable[[], Tuple[str, str]],
+                 cap: float = ABORT_TICK) -> Watchdog:
+        """A :class:`Watchdog` on this wait point's abort flag, clock
+        and timeout."""
+        return Watchdog(self._abort, self._clock, self._timeout, messages,
+                        cap)
+
     def park(self, ready: Callable[[], Any], progress: Callable[[], Any],
-             messages: Callable[[], Tuple[str, str]]) -> Any:
+             messages: Optional[Callable[[], Tuple[str, str]]] = None,
+             dog: Optional[Watchdog] = None) -> Any:
         """With ``_cond`` held and ``ready()`` just found falsy: wait,
         ticking a :class:`Watchdog` with ``progress()``, until
-        ``ready()`` returns a truthy value, and return it."""
-        dog = Watchdog(self._abort, self._clock, self._timeout, messages)
+        ``ready()`` returns a truthy value, and return it.  The dog is
+        the caller's when it parks more than once per wait
+        (``Request.waitany``), else built here from ``messages``."""
+        if dog is None:
+            dog = self.watchdog(messages)
         while True:
             self._cond.wait(timeout=dog.tick(progress()))
             self.parks += 1
@@ -195,19 +206,14 @@ class WaitPoint:
                 return got
 
     def progress(self) -> Any:
-        """The progress token; ``waitany`` reads it *before* polling."""
+        """The deadline token: what a blocking wait here counts as
+        progress."""
         raise NotImplementedError
 
-    def park_for_progress(self, token: Any, timeout: float) -> None:
-        """``Request.waitany``'s backoff: park until the next event, an
-        abort wake or ``timeout`` (not at all if ``token`` is stale), so
-        the event wakes the poller at once and an idle sweep costs at
-        most ``timeout`` -- of virtual time, under coop."""
-        with self._cond:
-            raise_if_aborted(self._abort, self._abort_text)
-            if self.progress() == token:
-                self._cond.wait(timeout=timeout)
-                self.parks += 1
+    def wake_token(self) -> Any:
+        """Changes on every event that notifies ``_cond``; ``waitany``
+        reads it before its sweep and parks only if it is unchanged."""
+        return self.progress()
 
 
 __all__ = [

@@ -15,7 +15,6 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING
 
 from repro.runtime.errors import MPIError
-from repro.runtime.icoll import CollectiveRequest
 from repro.runtime.message import ANY_SOURCE, ANY_TAG, Status
 from repro.runtime.ops import Op, SUM
 from repro.runtime.payload import clone, clone_would_copy, deliver_into
@@ -137,7 +136,6 @@ class Comm:
 
         return Request(
             kind="recv", try_complete=_try, block_complete=_block,
-            sleep=self.runtime.task_sleep,
             parker=mbox,
         )
 
@@ -252,7 +250,13 @@ class Comm:
     def _istart(self, kind: str, payload: Any = None, **kw: Any) -> Request:
         self._collective("i" + kind)
         ep = self._deposit(kind, payload, "coll.ichunk", **kw)
-        return CollectiveRequest(self._engine, ep, self.rank)
+        engine, rank = self._engine, self.rank
+        return Request(
+            kind=kind,
+            try_complete=lambda: engine.test_complete(rank, ep),
+            block_complete=lambda: engine.wait_complete(rank, ep),
+            parker=engine,
+        )
 
     def _exchange(self, obj: Any) -> Sequence[Any]:
         """allgather by reference (no clone, no trace event): how

@@ -3,7 +3,8 @@
 Every ``Comm`` collective, blocking or not, deposits its contribution
 into the shared per-communicator :class:`IcollState`; the blocking form
 is deposit + :meth:`IcollState.wait_complete`, the ``i*`` form wraps the
-same episode in a :class:`CollectiveRequest`.  When the last rank has
+same episode in a :class:`~repro.runtime.request.Request` whose test is
+:meth:`IcollState.test_complete`.  When the last rank has
 deposited, the episode is compiled into *cells* -- bounded units of data
 movement (copy one chunk along one tree edge, fold one rank's chunk into
 a running partial, deliver one result).  Cells execute inside whichever
@@ -66,7 +67,6 @@ from repro.runtime.errors import (
 from repro.runtime.message import Status
 from repro.runtime.ops import MAX, MIN, PROD, SUM, Op
 from repro.runtime.payload import clone, clone_would_copy, payload_nbytes
-from repro.runtime.request import Request
 
 #: default chunk size for the pipelined algorithm
 DEFAULT_CHUNK_BYTES = 64 << 10
@@ -226,8 +226,8 @@ class _PlanBuilder:
 
 
 class IcollState(WaitPoint):
-    """The shared collective engine of one communicator; its progress
-    token (deadline and ``waitany``) is ``_progress_count``.
+    """The shared collective engine of one communicator; its deadline
+    and wake token is ``_progress_count``.
 
     ``owner`` is the runtime and ``group`` maps comm rank -> world rank;
     everything else follows from the two.  The runtime supplies the
@@ -255,8 +255,8 @@ class IcollState(WaitPoint):
             else ("flat", 0)
         )
         self._episodes: Dict[int, _Episode] = {}
-        #: bumped on every arrival and cell completion: the waitany park
-        #: token and the progress measure for deadline extension
+        #: bumped on every arrival and cell completion: the wake token
+        #: and the progress measure for deadline extension
         self._progress_count = 0
         #: ranks currently inside test/wait of this engine (their ready
         #: cells are left for them; a non-engaged owner's cells may be
@@ -872,30 +872,7 @@ class IcollState(WaitPoint):
         return self._progress_count
 
 
-class CollectiveRequest(Request):
-    """Request handle of a nonblocking collective.
-
-    ``test()`` runs ready cells of the episode (and steals idle peers')
-    before reporting completion, so a compute/test loop drives the
-    collective forward; ``wait()`` parks event-driven between bursts.
-    Completion means this rank's output is materialised AND every cell
-    reading this rank's contribution has run (send-buffer safety)."""
-
-    def __init__(self, state: IcollState, ep: _Episode, rank: int) -> None:
-        super().__init__(
-            kind=ep.kind,
-            try_complete=lambda: state.test_complete(rank, ep),
-            block_complete=lambda: state.wait_complete(rank, ep),
-            sleep=state.owner.task_sleep,
-            parker=state,
-        )
-        self.state = state
-        self.episode = ep
-        self.rank = rank
-
-
 __all__ = [
-    "CollectiveRequest",
     "IcollState",
     "DEFAULT_CHUNK_BYTES",
 ]

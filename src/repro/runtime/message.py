@@ -159,7 +159,8 @@ class IndexedMatcher:
 
 class Mailbox(WaitPoint):
     """Pending-message store for one task, with blocking matched
-    receive; its ``waitany`` token is ``posted``."""
+    receive.  Its deadline token is ``delivered`` and its wake token
+    ``posted``."""
 
     def __init__(self, owner: int, runtime: Any) -> None:
         self.owner = owner
@@ -171,7 +172,6 @@ class Mailbox(WaitPoint):
         #: ``[release deadline, envelope]`` entries.  Always empty when
         #: no plan is installed.
         self._held: List[List[Any]] = []
-        self._abort_text = _ABORTED % (owner, "")
         # The execution backend decides how a receiver parks and tells
         # time: a real Condition + time.monotonic (threads), or a
         # scheduler-parking CoopWaker + the virtual clock (coop).  The
@@ -263,7 +263,7 @@ class Mailbox(WaitPoint):
                 env = self._park(
                     "recv", source, tag, " -- likely deadlock",
                     lambda: self._take(source, tag, context),
-                    lambda: self.delivered,
+                    self.progress,
                 )
             return env
 
@@ -299,6 +299,9 @@ class Mailbox(WaitPoint):
             return status
 
     def progress(self) -> int:
+        return self.delivered
+
+    def wake_token(self) -> int:
         return self.posted
 
     def pending_count(self) -> int:

@@ -2,35 +2,26 @@
 
 from __future__ import annotations
 
-import logging
-import time
 from typing import Any, Callable, List, Optional, Tuple
 
-from repro.runtime.abort import WaitPoint
+from repro.runtime.abort import ABORT_TICK, WaitPoint
 from repro.runtime.message import Status
-
-logger = logging.getLogger(__name__)
 
 
 class Request:
-    """Handle for a pending isend/irecv.
+    """Handle for a pending isend/irecv or nonblocking collective.
 
     Send requests complete immediately (the runtime's sends are
-    buffered); receive requests poll the mailbox on :meth:`test` and
-    block on :meth:`wait`.
+    buffered); receive and collective requests progress on
+    :meth:`test` and block on :meth:`wait`.  ``parker`` is the wait
+    point the request completes on (a mailbox, a collective engine):
+    :meth:`waitany` parks there.
     """
 
-    #: cap on one waitany park: an event (matching post, abort) wakes
-    #: the poller immediately; the cap only bounds how much virtual
-    #: time an *unanswered* sweep can consume under ``backend="coop"``
-    #: (and how late a post racing the park is noticed under threads)
-    WAITANY_PARK_CAP = 1.0
-
-    #: waitany calls that found requests parking on *different* objects
-    #: (mailbox, collective engine) and fell back to polling: a park
-    #: token from one says nothing about activity on another, so
-    #: parking on it could sleep through a completion for a full cap
-    mixed_backend_fallbacks = 0
+    #: cap on one park of a waitany whose requests complete on two or
+    #: more wait points: it parks on the first, so an event on another
+    #: is seen at most this late
+    MIXED_PARK_CAP = 0.002
 
     def __init__(
         self,
@@ -38,22 +29,11 @@ class Request:
         kind: str,
         try_complete: Callable[[], Optional[Tuple[Any, Status]]],
         block_complete: Callable[[], Tuple[Any, Status]],
-        sleep: Optional[Callable[[float], None]] = None,
         parker: Optional[WaitPoint] = None,
     ) -> None:
         self.kind = kind
         self._try = try_complete
         self._block = block_complete
-        # how waitany backs off between polling sweeps: a real sleep
-        # under the threads backend, a scheduler yield under coop --
-        # the coop runner must park, or the poll loop would starve
-        # every other task (there is only one runner)
-        self._sleep = sleep
-        # Event-driven backoff (preferred over _sleep when available):
-        # park on the owning wait point's condition (mailbox, collective
-        # engine) so completion events wake the poller instead of being
-        # discovered by the next sweep.  waitany may only use it when
-        # every parker in the list is the same wait point.
         self._parker = parker
         self._done = False
         self._result: Any = None
@@ -91,7 +71,7 @@ class Request:
 
         Implemented as a :meth:`waitany` sweep, NOT ``[r.wait() for r
         in requests]``: blocking on ``requests[0]`` head-of-line would
-        leave the later requests unprogressed (a ``CollectiveRequest``
+        leave the later requests unprogressed (a collective request
         only advances when tested) and an abort raised by any of them
         unnoticed until the first one resolves."""
         results: List[Any] = [None] * len(requests)
@@ -115,49 +95,44 @@ class Request:
     @staticmethod
     def waitany(requests: List["Request"]) -> Tuple[int, Any]:
         """Block until some request completes; returns (index, result).
-        Polls in order, so completion is fair for already-ready
-        requests; after the first empty sweep it backs off so a long
-        wait does not burn a core (blocking receives themselves are
-        event-driven in the mailbox and need no such loop)."""
+
+        Sweeps in order, so completion is fair for already-ready
+        requests, then parks through :meth:`WaitPoint.park` on the
+        first request's wait point under one :class:`Watchdog` per
+        call: an abort wakes it, a wait nobody answers raises
+        ``DeadlockError`` at ``timeout``, and only the deadline tokens
+        of the wait points (deliveries, executed cells) extend it.
+        Every sweep runs outside the conditions (a collective cell
+        releases its engine's condition once around its body), and the
+        wake tokens are read before it, so an event that lands during
+        the sweep skips the park.  A list over several wait points
+        parks at most :attr:`MIXED_PARK_CAP` at a time; requests with
+        no wait point (test doubles) are swept again without parking."""
         if not requests:
             raise ValueError("waitany needs at least one request")
-        parkers = [r._parker for r in requests if r._parker is not None]
-        # The event-driven path parks on ONE request's condition; that
-        # is only sound when every parker parks on the same object (a
-        # mailbox's token is stale for a collective engine's events).
-        # Mixed lists fall back to bounded polling, loudly counted.
-        owners = {id(p) for p in parkers}
-        if len(owners) > 1:
-            Request.mixed_backend_fallbacks += 1
-            logger.debug(
-                "waitany: %d requests park on %d different objects; "
-                "falling back to polling (fallback #%d)",
-                len(parkers), len(owners), Request.mixed_backend_fallbacks,
-            )
-            parker = None
-        else:
-            parker = parkers[0] if parkers else None
-        sleep = next(
-            (r._sleep for r in requests if r._sleep is not None), time.sleep
-        )
-        sweeps = 0
+        points = list({id(r._parker): r._parker for r in requests
+                       if r._parker is not None}.values())
+        dog = None
         while True:
-            token = parker.progress() if parker is not None else 0
+            tokens = [p.wake_token() for p in points]
             for i, r in enumerate(requests):
                 if r.test():
                     return i, r.wait()
-            sweeps += 1
-            if sweeps > 1:
-                if parker is not None:
-                    # Event-driven: parks on the mailbox condition, so a
-                    # matching post wakes the sweep immediately and the
-                    # bounded cap is only paid by genuinely idle waits --
-                    # a polling loop (e.g. a steal loop) cannot spin the
-                    # coop virtual clock forward past unrelated timers
-                    # in micro-sleep quanta.
-                    parker.park_for_progress(token, Request.WAITANY_PARK_CAP)
-                else:
-                    sleep(min(0.0001 * sweeps, 0.002))
+            if not points:
+                continue
+            home = points[0]
+            if dog is None:
+                dog = home.watchdog(lambda: (
+                    "job aborted during waitany",
+                    f"waitany over {[r.kind for r in requests]} timed out "
+                    f"-- likely deadlock",
+                ), Request.MIXED_PARK_CAP if len(points) > 1 else ABORT_TICK)
+            with home._cond:
+                if [p.wake_token() for p in points] == tokens:
+                    # one park per sweep: the next sweep tests every
+                    # request, whatever woke this one
+                    home.park(lambda: True,
+                              lambda: [p.progress() for p in points], dog=dog)
 
     @staticmethod
     def completed(result: Any = None, status: Optional[Status] = None) -> "Request":

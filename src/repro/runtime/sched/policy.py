@@ -125,11 +125,11 @@ class SchedulePolicy:
     def pick_index(self, runq: Sequence) -> int:
         """Choose the next task as an *index* into ``runq`` (a non-empty
         sequence of tasks with ``.rank``, same wake-time order as
-        :meth:`pick` sees).  This is the scheduler's hot path: the
-        built-in policies override it with O(1) selection so a dispatch
-        never materialises the runnable set.  The default defers to
-        :meth:`pick`, so custom policies only need the rank-based
-        method."""
+        :meth:`pick` sees).  This is the scheduler's hot path: the fifo
+        and random policies override it with O(1) selection so a
+        dispatch never materialises the runnable set.  The default
+        defers to :meth:`pick`, so replay and custom policies only need
+        the rank-based method."""
         ranks = tuple(t.rank for t in runq)
         return ranks.index(self.pick(ranks))
 
@@ -200,25 +200,6 @@ class ReplayPolicy(SchedulePolicy):
             )
         self._step += 1
         return choice
-
-    def pick_index(self, runq: Sequence) -> int:
-        if self._step >= len(self.trace.events):
-            raise ScheduleReplayError(
-                f"schedule trace exhausted at decision {self._step} with "
-                f"runnable set {[t.rank for t in runq]} -- the replayed "
-                f"workload made more scheduling decisions than the recording"
-            )
-        choice = self.trace.events[self._step]
-        for idx, task in enumerate(runq):
-            if task.rank == choice:
-                self._step += 1
-                return idx
-        raise ScheduleReplayError(
-            f"schedule replay diverged at decision {self._step}: trace "
-            f"chose task {choice} but the runnable set is "
-            f"{[t.rank for t in runq]} -- workload or fault plan differs "
-            f"from the recording"
-        )
 
 
 def make_policy(

@@ -94,7 +94,6 @@ class SpillManager:
         are free (or no evictable candidate remains).  Returns the
         bytes actually freed; 0 tells the arena to re-raise."""
         freed = 0
-        task = self._current_task()
         for key in self._cold_first():
             if freed >= need:
                 break
@@ -116,7 +115,7 @@ class SpillManager:
                         continue  # lost a race with close()
                 # write-back first: if it raises, the chunk is still
                 # resident, dirty, charged and in the LRU
-                got = array.evict_locked(idx, task=task)
+                got = array.evict_locked(idx)
                 with self._lock:
                     if self._lru.pop(key, None) is not None:
                         self.resident_bytes -= nbytes
@@ -144,19 +143,6 @@ class SpillManager:
                 return
             seen.update(fresh)
             yield from fresh
-
-    def _current_task(self) -> int:
-        rt = self.runtime
-        if rt is None:
-            return 0
-        ct = getattr(rt, "current_task", None)
-        if ct is None:
-            return 0
-        try:
-            task = ct() if callable(ct) else ct
-        except Exception:
-            return 0
-        return int(task) if task is not None else 0
 
     # ------------------------------------------------------------ reporting
     def resident_chunk_count(self) -> int:

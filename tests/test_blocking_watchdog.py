@@ -24,7 +24,7 @@ import pytest
 from repro.hls import HLSProgram
 from repro.machine import small_test_machine
 from repro.omp import Team
-from repro.runtime import AbortError, DeadlockError, Runtime
+from repro.runtime import AbortError, DeadlockError, Request, Runtime
 from repro.runtime.abort import ABORT_TICK, AbortSignal, Watchdog
 from repro.runtime.rma import Win
 
@@ -157,6 +157,20 @@ class RecvWaiter(Waiter):
 
     def noise(self, ctx, st):
         ctx.comm_world.send("noise", dest=0, tag=9)
+
+
+class WaitallWaiter(RecvWaiter):
+    def wait(self, ctx, st):
+        Request.waitall([ctx.comm_world.irecv(source=3, tag=7)])
+
+
+class MixedWaitanyWaiter(RecvWaiter):
+    """A receive and a collective: two wait points, mailbox first."""
+
+    def wait(self, ctx, st):
+        c = ctx.comm_world
+        reqs = [c.irecv(source=3, tag=7), c.ibarrier()]
+        assert Request.waitany(reqs)[0] == 0
 
 
 class ProbeWaiter(RecvWaiter):
@@ -386,6 +400,14 @@ class TestMailboxReceive(WatchdogContract):
 
 class TestMailboxProbe(WatchdogContract):
     make_waiter = ProbeWaiter
+
+
+class TestWaitallReceive(WatchdogContract):
+    make_waiter = WaitallWaiter
+
+
+class TestWaitanyMixed(WatchdogContract):
+    make_waiter = MixedWaitanyWaiter
 
 
 class TestFlatBarrier(WatchdogContract):

@@ -273,12 +273,11 @@ class TestWaitanyMixedRuntimes:
     to carry a parker -- with requests from two different runtimes the
     park token belongs to one runtime and says nothing about activity
     on the other, so a completion there could go unnoticed for a full
-    park cap.  Mixed lists must fall back to polling, counted."""
+    park cap.  Mixed lists must park for at most a short cap."""
 
     def test_mixed_runtime_requests_fall_back_to_polling(self):
         rt_a = Runtime(n_tasks=2, timeout=5.0)
         rt_b = Runtime(n_tasks=2, timeout=5.0)
-        before = Request.mixed_backend_fallbacks
 
         def main_a(ctx):
             c = ctx.comm_world
@@ -302,11 +301,8 @@ class TestWaitanyMixedRuntimes:
             return None
 
         assert rt_a.run(main_a)[0] == "hello"
-        assert Request.mixed_backend_fallbacks > before
 
     def test_same_runtime_requests_do_not_count_fallback(self):
-        before = Request.mixed_backend_fallbacks
-
         def main(ctx):
             c = ctx.comm_world
             if ctx.rank == 0:
@@ -318,4 +314,3 @@ class TestWaitanyMixedRuntimes:
             return None
 
         assert Runtime(n_tasks=2, timeout=5.0).run(main)[0] == [0, 1]
-        assert Request.mixed_backend_fallbacks == before
