@@ -5,8 +5,8 @@ Three layers of evidence:
 * **Synthetic loops** (8/32/128 tasks, both sharings) with per-iteration
   sleep costs, so the imbalance is controlled: a *skewed* load (the
   first quarter of the iteration space costs ~24x the rest) must see
-  dynamic chunk claiming + stealing cut the finish-time c.o.v. by >=2x
-  *and* strictly beat the static oracle's makespan; a *uniform* load
+  dynamic chunk claiming (own node first, then the other nodes) cut
+  the finish-time c.o.v. by >=2x *and* strictly beat the static oracle's makespan; a *uniform* load
   bounds the self-scheduling overhead (dynamic makespan within 35% +
   slack of static).
 * **The paper apps**: gadget (clustered particles -> skewed near-field
@@ -14,7 +14,7 @@ Three layers of evidence:
   tasks, asserting the same >=2x c.o.v. reduction, the bit-equal
   checksum against the static decomposition, and no makespan
   regression.
-* **An 8192-task coop smoke**: the full claim/steal protocol under the
+* **An 8192-task coop smoke**: the full claim protocol under the
   cooperative backend with a seeded random schedule -- exactly-once at
   four-digit task counts, wall clock recorded.
 """
@@ -86,9 +86,7 @@ def _report_fields(report):
         finish_cov=round(report.finish_cov, 4),
         work_cov=round(report.work_cov, 4),
         makespan_s=round(report.makespan_s, 4),
-        chunks_stolen=sum(r["chunks_stolen"] for r in rows),
         remote_claims=sum(r["remote_claims"] for r in rows),
-        steal_attempts=sum(r["steal_attempts"] for r in rows),
     )
 
 
@@ -167,7 +165,6 @@ def test_gadget_imbalance(benchmark, sharing):
                 dynamic_cov=round(dyn_cov, 4),
                 even_makespan_s=round(even_mk, 4),
                 dynamic_makespan_s=round(dyn_mk, 4),
-                stolen=dyn.loadbalance.chunks_stolen,
                 checksum=even.checksum)
     benchmark.extra_info.update(info)
 
@@ -204,7 +201,6 @@ def test_tachyon_imbalance(benchmark, sharing):
                 dynamic_cov=round(dyn_cov, 4),
                 even_makespan_s=round(even_mk, 4),
                 dynamic_makespan_s=round(dyn_mk, 4),
-                stolen=dyn.loadbalance.chunks_stolen,
                 checksum=even.checksum)
     benchmark.extra_info.update(info)
 
@@ -212,7 +208,7 @@ def test_tachyon_imbalance(benchmark, sharing):
 @pytest.mark.timeout(300)
 def test_selfsched_smoke_8k_coop(benchmark):
     """8192 tasks self-schedule 16384 iterations under a seeded random
-    coop schedule: the claim/steal protocol stays exactly-once at
+    coop schedule: the claim protocol stays exactly-once at
     four-digit task counts and the wall clock is recorded (this run
     needed the O(1) lock_all/dispatch paths -- it was superquadratic
     before)."""

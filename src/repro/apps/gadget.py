@@ -57,7 +57,6 @@ class GadgetConfig(AppConfig):
     #: the clustered particle loop through ``scheduler.dynamic_for``
     #: ("even" being the measured static oracle of that same loop)
     schedule: str = "static"
-    steal: bool = True
 
 
 def _trilinear(table: np.ndarray, pos: np.ndarray) -> np.ndarray:
@@ -128,7 +127,7 @@ def _dynamic_step_loop(ctx, cfg: GadgetConfig, ewald, sampler) -> float:
             return work
 
         dynamic_for(
-            ctx, len(pos), body, policy=cfg.schedule, steal=cfg.steal,
+            ctx, len(pos), body, policy=cfg.schedule,
             label=f"gadget.step{step}",
         )
         force = c.allreduce(force)

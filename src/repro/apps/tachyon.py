@@ -60,7 +60,6 @@ class TachyonConfig(AppConfig):
     #: else ("even" | "fixed[:K]" | "guided[:MIN]" | "factoring[:MIN]")
     #: self-schedules row chunks through ``scheduler.dynamic_for``
     schedule: str = "static"
-    steal: bool = True
 
     def __post_init__(self) -> None:
         super().__post_init__()
@@ -133,7 +132,7 @@ def _render_rows(
 
 
 def _dynamic_render_loop(ctx, cfg: TachyonConfig, scene, image, sampler):
-    """Self-scheduled rendering: row chunks are claimed/stolen through
+    """Self-scheduled rendering: row chunks are claimed through
     ``dynamic_for``; every executed chunk sends its rows to rank 0
     under a (frame, first-row) tag, and rank 0 -- which knows the
     deterministic chunk tables -- receives each chunk from whichever
@@ -160,7 +159,7 @@ def _dynamic_render_loop(ctx, cfg: TachyonConfig, scene, image, sampler):
             return work
 
         dynamic_for(
-            ctx, cfg.height, body, policy=cfg.schedule, steal=cfg.steal,
+            ctx, cfg.height, body, policy=cfg.schedule,
             label=f"tachyon.frame{frame}",
         )
         if ctx.rank == 0:

@@ -47,9 +47,8 @@ SITES: Dict[str, Tuple[str, ...]] = {
     "rma.get": ("delay", "crash", "wake"),
     "rma.epoch": ("delay", "crash", "wake"),
     # loop self-scheduling (repro.scheduler): before a chunk-claim
-    # fetch-and-add and before a steal's tail compare-and-swap
+    # fetch-and-add
     "sched.claim": ("delay", "crash", "wake"),
-    "sched.steal": ("delay", "crash", "wake"),
     # chunk stores (repro.storage): before a chunk read, before a chunk
     # (spill/flush) write, and before a manifest commit -- the commit is
     # atomic on disk, so a crash at storage.flush leaves the previous

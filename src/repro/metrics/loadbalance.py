@@ -1,8 +1,8 @@
 """Load-balance metrics for self-scheduled loops.
 
 Every ``dynamic_for`` loop gathers one row per task (busy/idle time,
-chunks claimed locally vs stolen, steal attempts and failures, finish
-time) and rank 0 registers the resulting
+chunks claimed on the task's own node vs on other nodes, finish time)
+and rank 0 registers the resulting
 :class:`~repro.scheduler.api.LoopReport` on the runtime.
 ``LoadBalanceMetrics.from_runtime(rt)`` -- or
 ``rt.metrics("loadbalance")`` -- aggregates those reports; the headline
@@ -26,26 +26,20 @@ class LoadBalanceMetrics(Record):
     TITLE = "load-balance metrics"
     DERIVED = {
         "loops": ("chunks",),
-        "remote_claims": ("stolen_fraction",),
-        "steal_failures": ("steal_success_rate",),
         "idle_s": ("busy_fraction", "mean_finish_cov", "mean_work_cov"),
     }
     ROUND = {
-        "stolen_fraction": 3, "steal_success_rate": 3, "busy_s": 6,
-        "idle_s": 6, "busy_fraction": 3, "mean_finish_cov": 4,
+        "busy_s": 6, "idle_s": 6, "busy_fraction": 3, "mean_finish_cov": 4,
         "mean_work_cov": 4,
     }
     HIDDEN = frozenset({"finish_cov", "busy_cov", "work_cov", "reports"})
 
     #: dynamic_for loops reported (rank-0 registrations)
     loops: int = 0
-    #: chunks executed, by how the executing task obtained them
+    #: chunks executed, claimed on the executing task's own node or
+    #: on another node
     chunks_local: int = 0
-    chunks_stolen: int = 0
     remote_claims: int = 0
-    #: steal protocol traffic
-    steal_attempts: int = 0
-    steal_failures: int = 0
     #: iterations executed across all loops and tasks
     iterations: int = 0
     #: summed per-task busy / idle seconds (runtime clock)
@@ -76,17 +70,7 @@ class LoadBalanceMetrics(Record):
     # ------------------------------------------------------------- derived
     @property
     def chunks(self) -> int:
-        return self.chunks_local + self.chunks_stolen + self.remote_claims
-
-    @property
-    def stolen_fraction(self) -> float:
-        return self.chunks_stolen / self.chunks if self.chunks else 0.0
-
-    @property
-    def steal_success_rate(self) -> float:
-        if not self.steal_attempts:
-            return 0.0
-        return 1.0 - self.steal_failures / self.steal_attempts
+        return self.chunks_local + self.remote_claims
 
     @property
     def mean_finish_cov(self) -> float:
@@ -107,8 +91,7 @@ class LoadBalanceMetrics(Record):
 
 #: the per-task row counters summed over every loop, named as the rows
 #: (``LoopStats``) name them
-_ROW_KEYS = ("chunks_local", "chunks_stolen", "remote_claims",
-             "steal_attempts", "steal_failures", "iterations", "busy_s",
+_ROW_KEYS = ("chunks_local", "remote_claims", "iterations", "busy_s",
              "idle_s")
 
 

@@ -27,8 +27,8 @@ token (arrivals, deliveries, executed cells, epoch transitions)
 restarts the deadline, so a slow-but-advancing wait never times out;
 (4) wakeups without progress (spurious notifies, non-matching traffic)
 do not.  ``Request.waitany`` parks through the same loop under one
-:class:`Watchdog` per call.  The scheduler's donate spin parks on no
-condition and ticks a :class:`Watchdog` of its own.
+:class:`Watchdog` per call, so every blocking wait in the runtime parks
+in :meth:`WaitPoint.park`.
 
 The signal also keeps the abort bookkeeping the chaos metrics report
 (:mod:`repro.metrics.faults`): when the flag was first raised

@@ -214,7 +214,7 @@ class Runtime:
         #: capacity, paging cold storage chunks out instead of raising
         from repro.storage.residency import SpillManager
 
-        self.storage_spill = SpillManager(self)
+        self.storage_spill = SpillManager()
         self.memory.set_spiller(self.storage_spill)
         #: ChunkStores bound to this runtime (repro.storage); aggregated
         #: by metrics("storage")

@@ -1,7 +1,8 @@
-"""Loop self-scheduling over HLS node queues and one-sided atomics.
+"""Loop self-scheduling over per-node chunk counters and one-sided
+atomics.
 
-``dynamic_for`` is the entry point; policies, the chunk queue and the
-work stealer are exported for direct use and for the property suite.
+``dynamic_for`` is the entry point; policies and the chunk queue are
+exported for direct use and for the property suite.
 """
 
 from repro.scheduler.api import (
@@ -18,14 +19,7 @@ from repro.scheduler.policy import (
     StaticPolicy,
     make_policy,
 )
-from repro.scheduler.queue import (
-    ChunkQueue,
-    node_chunk_tables,
-    node_layout,
-    pack_counters,
-    unpack_counters,
-)
-from repro.scheduler.stealer import WorkStealer
+from repro.scheduler.queue import ChunkQueue, node_chunk_tables, node_layout
 
 __all__ = [
     "ChunkQueue",
@@ -36,12 +30,9 @@ __all__ = [
     "SelfSchedPolicy",
     "StaticPolicy",
     "TaskLoopStats",
-    "WorkStealer",
     "dynamic_for",
     "make_policy",
     "node_chunk_tables",
     "node_layout",
-    "pack_counters",
     "policy_spec",
-    "unpack_counters",
 ]

@@ -2,20 +2,14 @@
 
 Every task of a communicator calls :func:`dynamic_for` collectively
 with the same iteration count and a ``body(lo, hi)`` callback.  The
-iteration space is split across nodes (proportional to task counts),
-chunked per node by a :class:`~repro.scheduler.policy.SelfSchedPolicy`,
-and executed by:
-
-1. **local claims** -- fetch-and-add on the node's packed head/tail
-   word (one atomic per chunk);
-2. **work stealing** -- when the local queue drains, a
-   :class:`~repro.scheduler.stealer.WorkStealer` picks victims
-   (randomized, then richest-first from observed counters) and takes
-   half their remaining chunks with one CAS;
-3. **remote mop-up claims** -- the sub-``MIN_STEAL`` tails that are not
-   worth a bulk steal are drained chunk-by-chunk with remote
-   fetch-and-adds, so termination is a full sweep observing every node
-   word drained.
+iteration space is split across nodes (proportional to task counts)
+and chunked per node by a
+:class:`~repro.scheduler.policy.SelfSchedPolicy`; every task computes
+the same tables.  A task then claims chunks -- one fetch-and-add on a
+node's counter each (:class:`~repro.scheduler.queue.ChunkQueue`) --
+from its own node until one claim fails, then from each other node in
+turn until one claim on that node fails.  The loop ends after one
+failed claim per node.
 
 ``policy="static"`` is the measured oracle: the same per-node chunk
 tables, assigned 1:1 to local tasks with no queue, no windows and no
@@ -41,7 +35,6 @@ from repro.scheduler.policy import (
     make_policy,
 )
 from repro.scheduler.queue import ChunkQueue, node_chunk_tables
-from repro.scheduler.stealer import WorkStealer
 
 
 def _cov(values: List[float]) -> float:
@@ -79,10 +72,7 @@ class TaskLoopStats:
     rank: int
     node: int
     chunks_local: int = 0
-    chunks_stolen: int = 0
     remote_claims: int = 0
-    steal_attempts: int = 0
-    steal_failures: int = 0
     iterations: int = 0
     work: float = 0.0
     busy_s: float = 0.0
@@ -99,7 +89,6 @@ class LoopReport:
     policy: str
     n_iters: int
     n_tasks: int
-    steal: bool
     rows: List[Dict[str, Any]] = field(default_factory=list)
     finish_cov: float = 0.0
     busy_cov: float = 0.0
@@ -108,7 +97,7 @@ class LoopReport:
 
     @classmethod
     def from_rows(
-        cls, *, label: str, policy: str, n_iters: int, steal: bool,
+        cls, *, label: str, policy: str, n_iters: int,
         rows: List[Dict[str, Any]],
     ) -> "LoopReport":
         return cls(
@@ -116,7 +105,6 @@ class LoopReport:
             policy=policy,
             n_iters=n_iters,
             n_tasks=len(rows),
-            steal=steal,
             rows=rows,
             finish_cov=_cov([r["finish_s"] for r in rows]),
             busy_cov=_cov([r["busy_s"] for r in rows]),
@@ -138,14 +126,16 @@ def dynamic_for(
     """Collectively execute ``body`` over ``[0, n_iters)`` with dynamic
     self-scheduling; returns this task's :class:`TaskLoopStats` (rank 0
     additionally registers the gathered :class:`LoopReport` on the
-    runtime)."""
+    runtime).  ``steal`` is accepted and ignored: there is no work
+    stealing (a task whose node is drained claims from the other
+    nodes' counters), and the keyword stays for callers that pass it."""
     rt = ctx.runtime
     comm = ctx.comm_world if comm is None else comm
     pol = make_policy(policy)
     world = comm.world_rank
     stats = TaskLoopStats(rank=comm.rank, node=rt.node_of(world))
 
-    def run_chunk(chunk: Tuple[int, int], t0: float) -> None:
+    def run_chunk(chunk: Tuple[int, int]) -> None:
         lo, hi = chunk
         b0 = rt.now()
         ret = body(lo, hi)
@@ -167,83 +157,30 @@ def dynamic_for(
         t0 = rt.now()
         for chunk in my_chunks:
             stats.chunks_local += 1
-            run_chunk(chunk, t0)
+            run_chunk(chunk)
         stats.finish_s = rt.now() - t0
         comm.barrier()
         total = rt.now() - t0
     else:
         queue = ChunkQueue(ctx, comm, n_iters, pol)
-        stealer = WorkStealer(queue)
-
-        def claim(node: Optional[int] = None) -> Optional[Tuple[int, int]]:
-            p = rt.probe                # the sched.claim site, then claim
-            if p is not None:
-                p("sched.claim", world)
-            return queue.claim(node)
-
+        # own node first, then every other node in queue order; a
+        # failed claim means that node's table is used up for good
+        order = [queue.node] + [n for n in queue.nodes if n != queue.node]
         comm.barrier()
         t0 = rt.now()
-        while True:
-            chunk = claim()
-            if chunk is not None:
-                stats.chunks_local += 1
-                run_chunk(chunk, t0)
-                continue
-            progressed = False
-            if steal:
-                # One sweep doubles as the termination check: every
-                # steal read observes the victim's packed word, and a
-                # non-empty-but-unstealable tail is mopped up with a
-                # remote claim in place -- no second sweep (on a GIL'd
-                # host every atomic is serialised Python, so the
-                # drained-queue storm at loop end costs per-op).
-                for victim in stealer.victims():
-                    p = rt.probe
-                    if p is not None:
-                        p("sched.steal", world)
-                    stats.steal_attempts += 1
-                    stolen, seen = queue.steal(victim)
-                    stealer.observe(
-                        victim, max(seen - len(stolen), 0)
-                    )
-                    if stolen:
-                        # run one stolen chunk; donate the rest back
-                        # onto our own queue so the batch stays visible
-                        # to peers and further thieves (a private stash
-                        # would re-create the straggler)
-                        rest = stolen[1:]
-                        if rest and queue.donate(rest):
-                            rest = []
-                        stats.chunks_stolen += 1 + len(rest)
-                        run_chunk(stolen[0], t0)
-                        for chunk in rest:
-                            run_chunk(chunk, t0)
-                        progressed = True
-                        break
-                    stats.steal_failures += 1
-                    if seen > 0:
-                        # sub-MIN_STEAL tail (or a lost CAS race):
-                        # drain it chunk-by-chunk right here
-                        chunk = claim(victim)
-                        if chunk is not None:
-                            stats.remote_claims += 1
-                            run_chunk(chunk, t0)
-                            progressed = True
-                            break
-            else:
-                # no stealing: remote mop-up claims are the only way to
-                # help other nodes, one full sweep per round
-                for node in queue.nodes:
-                    if node == queue.node:
-                        continue
-                    chunk = claim(node)
-                    if chunk is not None:
-                        stats.remote_claims += 1
-                        run_chunk(chunk, t0)
-                        progressed = True
-                        break
-            if not progressed:
-                break       # every node word observed drained
+        for node in order:
+            while True:
+                p = rt.probe            # the sched.claim site, then claim
+                if p is not None:
+                    p("sched.claim", world)
+                chunk = queue.claim(node)
+                if chunk is None:
+                    break
+                if node == queue.node:
+                    stats.chunks_local += 1
+                else:
+                    stats.remote_claims += 1
+                run_chunk(chunk)
         stats.finish_s = rt.now() - t0
         comm.barrier()
         total = rt.now() - t0
@@ -254,7 +191,6 @@ def dynamic_for(
     if comm.rank == 0:
         rt.register_loop_report(LoopReport.from_rows(
             label=label, policy=policy_spec(pol), n_iters=int(n_iters),
-            steal=bool(steal) and not isinstance(pol, StaticPolicy),
             rows=list(rows),
         ))
     return stats

@@ -1,8 +1,8 @@
 """Chunk-sizing policies for loop self-scheduling.
 
 A :class:`SelfSchedPolicy` splits one node's iteration range into an
-ordered list of chunks; the runtime-side machinery (queues, claims,
-steals) is policy-agnostic.  The classic trade-off: large chunks
+ordered list of chunks; the runtime-side machinery (per-node claim
+counters) is policy-agnostic.  The classic trade-off: large chunks
 amortise claim overhead but strand work on stragglers, small chunks
 balance load but pay one atomic per chunk.  The policies here are the
 standard ladder (Eleliemy & Ciorba, arXiv:1903.09510):

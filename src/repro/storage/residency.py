@@ -29,8 +29,7 @@ from typing import Any, Dict, List, Optional, Tuple
 class SpillManager:
     """Global chunk-residency LRU + spill policy for one runtime."""
 
-    def __init__(self, runtime: Any = None) -> None:
-        self.runtime = runtime
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         #: (array_uid, chunk_idx) -> nbytes, coldest first
         self._lru: "OrderedDict[Tuple[int, int], int]" = OrderedDict()

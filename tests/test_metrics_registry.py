@@ -183,10 +183,9 @@ class TestSnapshotKeysAndRounding:
             "peak_resident_bytes", "resident_chunks",
         ),
         "loadbalance": (
-            "loops", "chunks", "chunks_local", "chunks_stolen",
-            "remote_claims", "stolen_fraction", "steal_attempts",
-            "steal_failures", "steal_success_rate", "iterations", "busy_s",
-            "idle_s", "busy_fraction", "mean_finish_cov", "mean_work_cov",
+            "loops", "chunks", "chunks_local", "remote_claims",
+            "iterations", "busy_s", "idle_s", "busy_fraction",
+            "mean_finish_cov", "mean_work_cov",
         ),
     }
 
@@ -250,21 +249,18 @@ class TestSnapshotKeysAndRounding:
         from repro.metrics import LoadBalanceMetrics
 
         m = LoadBalanceMetrics(
-            loops=1, chunks_local=2, chunks_stolen=1, steal_attempts=3,
-            steal_failures=1, busy_s=1 / 3, idle_s=2 / 3,
+            loops=1, chunks_local=2, remote_claims=1, busy_s=1 / 3,
+            idle_s=2 / 3,
             finish_cov=[1 / 3], busy_cov=[0.5], work_cov=[2 / 3],
         )
         snap = m.snapshot()
         assert tuple(snap) == self.KEYS["loadbalance"]
         assert snap["chunks"] == 3
-        assert snap["stolen_fraction"] == 0.333
-        assert snap["steal_success_rate"] == 0.667
         assert snap["busy_s"] == 0.333333
         assert snap["idle_s"] == 0.666667
         assert snap["busy_fraction"] == 0.333
         assert snap["mean_finish_cov"] == 0.3333
         assert snap["mean_work_cov"] == 0.6667
         empty = LoadBalanceMetrics().snapshot()
-        assert empty["steal_success_rate"] == 0.0
         assert empty["mean_work_cov"] == 0.0
         assert empty["busy_fraction"] == 0.0

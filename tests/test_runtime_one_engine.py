@@ -133,7 +133,7 @@ def test_every_collective_entry_point_reaches_the_engine(engine_calls):
         "bcast",                    # dup
         "exchange", "bcast",        # split
         "exchange", "barrier",      # Win.allocate
-        "exchange",                 # ChunkQueue set-up
+        "exchange",                 # ChunkQueue's Win.create
     ]
     # rank 0 is in every communicator here, so it saw every episode
     episodes = sum(rt.collective_metrics.icoll_episodes.values())

@@ -31,9 +31,9 @@ COUNTERS = ["decisions", "context_switches", "parks", "notify_wakes",
             "timer_wakes", "preemptions"]
 
 
-def _steal_loop(rt):
-    """A stealing ``dynamic_for`` whose first eighth costs 8x (virtual
-    seconds), so the light node drains early and steals."""
+def _skewed_loop(rt):
+    """A ``dynamic_for`` whose first eighth costs 8x (virtual seconds),
+    so the light node drains early and claims from the heavy one."""
     n_iters = 4 * N_TASKS
     cost = 1e-4 * (1 + np.arange(n_iters) % 3)
     cost[: n_iters // 8] *= 8
@@ -45,7 +45,7 @@ def _steal_loop(rt):
             ctx.sleep(float(cost[lo:hi].sum()))
             done[0] += hi - lo
 
-        dynamic_for(ctx, n_iters, body, policy="fixed:2", steal=True)
+        dynamic_for(ctx, n_iters, body, policy="fixed:2")
         return done[0]
 
     return main
@@ -55,7 +55,7 @@ WORKLOADS = {
     name: DEFAULT_APPS.get(name).factory
     for name in ("ring", "allreduce", "hls_table")
 }
-WORKLOADS["steal_loop"] = _steal_loop
+WORKLOADS["skewed_loop"] = _skewed_loop
 
 
 def run_case(workload, schedule):

@@ -1,14 +1,14 @@
 """Property suite for the loop self-scheduling subsystem.
 
-The contract under test: for any chunk-sizing policy, any coop
-schedule, and any steal interleaving, ``dynamic_for`` executes every
-iteration of the loop **exactly once** -- the packed head/tail word
-makes a claim (fetch-and-add) and a steal (compare-and-swap on the
-same word) mutually exclusive per chunk.  Under injected crashes at
-the claim/steal fault sites the guarantee degrades to *at most* once
-(a crash can lose work, never duplicate it).  And because iteration
-results do not depend on the executing task, the dynamic result is
-bit-equal to the static oracle decomposition."""
+The contract under test: for any chunk-sizing policy and any coop
+schedule, ``dynamic_for`` executes every iteration of the loop
+**exactly once** -- a claim is one fetch-and-add on a node's counter,
+which hands out distinct indices into a chunk table that never
+changes.  Under injected crashes at the claim fault site the guarantee
+degrades to *at most* once (a crash can lose work, never duplicate
+it).  And because iteration results do not depend on the executing
+task, the dynamic result is bit-equal to the static oracle
+decomposition."""
 
 import numpy as np
 import pytest
@@ -33,7 +33,7 @@ def coop_rt(seed, **kw):
                    backend="coop", schedule=f"random:{seed}", **kw)
 
 
-def make_loop_main(hits, n_iters, policy, steal=True, out=None):
+def make_loop_main(hits, n_iters, policy, out=None):
     """An SPMD main running one dynamic_for; every body execution
     increments the per-(rank, iteration) hit cells, so lost or
     duplicated iterations are visible from outside the run even when
@@ -45,7 +45,7 @@ def make_loop_main(hits, n_iters, policy, steal=True, out=None):
                 for i in range(lo, hi):
                     out[i] = np.sin(0.7 * i) + i * i
             return float(hi - lo)
-        stats = dynamic_for(ctx, n_iters, body, policy=policy, steal=steal)
+        stats = dynamic_for(ctx, n_iters, body, policy=policy)
         return stats.iterations
     return main
 
@@ -54,14 +54,13 @@ def make_loop_main(hits, n_iters, policy, steal=True, out=None):
 @settings(max_examples=12, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 10_000), policy=policy_st,
-       steal=st.booleans(), n_iters=st.integers(1, 80))
-def test_exactly_once_under_random_coop_schedules(seed, policy, steal,
-                                                  n_iters):
-    """Any coop schedule, any policy, steal on or off: every iteration
-    runs exactly once and per-task counts sum to the loop size."""
+       n_iters=st.integers(1, 80))
+def test_exactly_once_under_random_coop_schedules(seed, policy, n_iters):
+    """Any coop schedule, any policy: every iteration runs exactly once
+    and per-task counts sum to the loop size."""
     hits = np.zeros((N_TASKS, n_iters), dtype=np.int64)
     rt = coop_rt(seed)
-    res = rt.run(make_loop_main(hits, n_iters, policy, steal))
+    res = rt.run(make_loop_main(hits, n_iters, policy))
     assert sum(res) == n_iters
     assert (hits.sum(axis=0) == 1).all()
 
@@ -70,7 +69,7 @@ def test_exactly_once_under_random_coop_schedules(seed, policy, steal,
                                      "process"])
 @pytest.mark.parametrize("policy", POLICIES)
 def test_exactly_once_all_backends(backend, policy):
-    """The claim/steal protocol holds on every backend the atomics
+    """The claim protocol holds on every backend the atomics
     support (threads private/shared, coop, process mirror copies)."""
     factories = {
         "threads": lambda: Runtime(core2_cluster(N_NODES), n_tasks=N_TASKS,
@@ -93,14 +92,13 @@ def test_exactly_once_all_backends(backend, policy):
 @pytest.mark.parametrize("sharing", ["private", "shared"])
 @pytest.mark.parametrize("backend", ["threads", "coop"])
 def test_stealing_loop_leaves_no_memory_behind(backend, sharing):
-    """The queue's ``sched_chunks`` HLS program is closed with its two
-    windows: after a loop, ``finalize()`` reports nothing live (one
-    node-scope image per node used to survive every loop)."""
+    """The queue's counter window is freed with the loop: after a loop,
+    ``finalize()`` reports nothing live."""
     n_iters = 64
     hits = np.zeros((N_TASKS, n_iters), dtype=np.int64)
     rt = Runtime(core2_cluster(N_NODES), n_tasks=N_TASKS, timeout=TIMEOUT,
                  backend=backend, sharing=sharing)
-    res = rt.run(make_loop_main(hits, n_iters, "fixed:1", steal=True))
+    res = rt.run(make_loop_main(hits, n_iters, "fixed:1"))
     assert sum(res) == n_iters
     report = rt.finalize()
     assert report.total_bytes == 0, report.records
@@ -126,12 +124,12 @@ def test_dynamic_bit_equal_static_oracle(seed, policy):
 @settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(seed=st.integers(0, 10_000),
-       site=st.sampled_from(["sched.claim", "sched.steal"]),
+       site=st.sampled_from(["sched.claim"]),
        nth=st.integers(1, 20), task=st.integers(-1, N_TASKS - 1),
        policy=policy_st)
 def test_crash_at_sched_sites_at_most_once(seed, site, nth, task, policy):
-    """A crash before a claim's FAA or a steal's CAS can abort the job
-    (losing unexecuted chunks) but can never duplicate an iteration."""
+    """A crash before a claim's FAA can abort the job (losing
+    unexecuted chunks) but can never duplicate an iteration."""
     n_iters = 48
     hits = np.zeros((N_TASKS, n_iters), dtype=np.int64)
     plan = FaultPlan([FaultSpec(site=site, action="crash", task=task,
@@ -154,14 +152,12 @@ def test_crash_at_sched_sites_at_most_once(seed, site, nth, task, policy):
        action=st.sampled_from(["delay", "wake"]))
 def test_soft_faults_at_sched_sites_preserve_exactly_once(seed, policy,
                                                           action):
-    """Delays and spurious wakes at the claim/steal sites perturb the
+    """Delays and spurious wakes at the claim site perturb the
     interleaving but must not break exactly-once."""
     n_iters = 48
     hits = np.zeros((N_TASKS, n_iters), dtype=np.int64)
     plan = FaultPlan([
         FaultSpec(site="sched.claim", action=action, nth=2, count=3,
-                  param=0.002),
-        FaultSpec(site="sched.steal", action=action, nth=1, count=2,
                   param=0.002),
     ])
     rt = coop_rt(seed, faults=plan)
@@ -171,50 +167,28 @@ def test_soft_faults_at_sched_sites_preserve_exactly_once(seed, policy,
 
 
 # ------------------------------------------------------------- regressions
-@pytest.mark.parametrize("backend", ["threads", "coop", "process"])
-def test_concurrent_donations_claimed_exactly_once(backend):
-    """Regression for the donate/steal descriptor race: donation rows
-    come from a monotonic allocation cursor that is never reused, so
-    concurrent donors (and donors racing a thief's exposed rows) can
-    never write rows another party reads.  Every donated chunk must be
-    claimed exactly once, none lost, none duplicated."""
-    from repro.scheduler.queue import ChunkQueue
-
-    per_task = 5
-
-    def main(ctx):
-        c = ctx.comm_world
-        q = ChunkQueue(ctx, c, 0, make_policy("fixed:1"))
-        mine = [(ctx.rank * per_task + i, ctx.rank * per_task + i + 1)
-                for i in range(per_task)]
-        ok = q.donate(mine)
-        c.barrier()
-        got = []
-        for node in q.nodes:
-            while True:
-                chunk = q.claim(node)
-                if chunk is None:
-                    break
-                got.append(chunk)
-        c.barrier()
-        q.close()
-        return ok, got
-
+@pytest.mark.parametrize("backend", ["threads", "coop"])
+def test_one_fetch_and_add_per_claim(backend):
+    """The claim protocol's exact RMA cost, whatever the interleaving:
+    one fetch-and-add per executed chunk plus exactly one failed claim
+    per (task, node) pair, no compare-and-swap, no get or put, and one
+    window for the loop."""
+    n_iters = 64
+    hits = np.zeros((N_TASKS, n_iters), dtype=np.int64)
     factories = {
         "threads": lambda: Runtime(core2_cluster(N_NODES), n_tasks=N_TASKS,
                                    timeout=TIMEOUT),
-        "coop": lambda: coop_rt(7),
-        "process": lambda: ProcessRuntime(core2_cluster(N_NODES),
-                                          n_tasks=N_TASKS, timeout=TIMEOUT),
+        "coop": lambda: coop_rt(3),
     }
-    res = factories[backend]().run(main)
-    assert all(ok for ok, _ in res)
-    claimed = sorted(ch for _, got in res for ch in got)
-    expected = sorted(
-        (r * per_task + i, r * per_task + i + 1)
-        for r in range(N_TASKS) for i in range(per_task)
-    )
-    assert claimed == expected
+    rt = factories[backend]()
+    res = rt.run(make_loop_main(hits, n_iters, "fixed:1"))
+    assert sum(res) == n_iters
+    chunks = rt.metrics("loadbalance").chunks
+    assert chunks == n_iters
+    rma = rt.metrics("rma")
+    assert rma.fetch_and_ops == chunks + N_TASKS * N_NODES
+    assert rma.compare_and_swaps == rma.gets == rma.puts == 0
+    assert rma.windows == 1
 
 
 def test_dynamic_for_on_subcommunicator():
